@@ -2,23 +2,26 @@
 
 The statistic induced by a gap-threshold tie rule is a step function that
 only changes at observed pair gaps, so the candidate set is exactly zero
-plus every distinct within-group gap.  The sweep walks pairs in ascending
-gap order, moving each pair out of its zero-threshold class into one of
-the metric-tied classes and keeping per-group counts current, and records
-the grouped value once per distinct gap (after the whole block of
-equal-gap pairs has been applied).  Ties in the maximum resolve to the
-smallest threshold.
+plus every distinct within-group gap.  Passing a pair's gap moves the pair
+from its zero-threshold class (concordant, discordant or tied-human) to
+tied-metric or tied-both.  Restarting cumulative sums over the moves in
+(group, gap) order give each group's counts and value after each move; the
+value changes, summed in gap order, give the grouped mean at every
+candidate up to last-ulp drift.  Candidates within a stated rounding bound
+of the best are replayed exactly, in ascending order, with the reduction
+``grouped_stat`` uses, so ties in the maximum resolve to the smallest
+threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .grouping import (
+    AlignedGroup,
     CorrelationReport,
     GroupingMode,
     ScoreMatrix,
@@ -32,12 +35,13 @@ from .stats import (
     PairCounts,
     StatKind,
     _as_policy,
+    _stat_from_arrays,
     _stat_from_ints,
     tau_c_context,
 )
 
-# Class indices used while sweeping: the first three are the classes a pair
-# can start in at threshold zero, the last two are where it can move.
+# Pair classes: the first three are the classes a pair with a positive gap
+# starts in at threshold zero, the last two are where it can move.
 _CONC, _DISC, _TIED_H, _TIED_M, _TIED_BOTH = range(5)
 
 CheckpointHook = Callable[[float, list[PairCounts], "float | None"], None]
@@ -75,6 +79,95 @@ class CalibrationResult:
     report: CorrelationReport
 
 
+def _pairs(groups: list[AlignedGroup], eps_mode: EpsilonMode, *, midpoints: bool = False
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every within-group pair in one vectorised pass: its gap (float64),
+    group (int32), class at threshold zero (int8; human-tied iff _TIED_H or
+    _TIED_BOTH) and, on request, mean metric score.  Groups come in order,
+    np.triu_indices order inside each."""
+    sizes = np.array([h.size for _, h, _ in groups], dtype=np.int64)
+    h = np.concatenate([h for _, h, _ in groups] + [np.empty(0)])
+    m = np.concatenate([m for _, _, m in groups] + [np.empty(0)])
+    rows = np.maximum(sizes - 1, 0)  # entry r of a group pairs with the entries after it
+    r = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows, rows)
+    width = np.repeat(sizes - 1, rows) - r
+    i = np.repeat(np.repeat(np.cumsum(sizes) - sizes, rows) + r, width)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(width) - width, width)
+    group = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes * (sizes - 1) // 2)
+    hi, hj, mi, mj = h[i], h[j], m[i], m[j]
+    del i, j
+    gap = EpsilonPolicy(0.0, eps_mode).gaps(mi, mj)
+    cls0 = np.where((hi > hj) == (mi > mj), np.int8(_CONC), np.int8(_DISC))
+    h_tie = hi == hj
+    del hi, hj
+    cls0[h_tie] = _TIED_H
+    m_tie = gap <= 0.0
+    cls0[m_tie] = np.where(h_tie[m_tie], np.int8(_TIED_BOTH), np.int8(_TIED_M))
+    return gap, group, cls0, (mi + mj) / 2.0 if midpoints else None
+
+
+def _moves(gap: np.ndarray, group: np.ndarray, cls0: np.ndarray, n_groups: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group counts at threshold zero, then the gap, group and class of
+    the pairs a positive threshold can tie, stably sorted by gap."""
+    counts = np.bincount(group * 5 + cls0, minlength=5 * n_groups).reshape(n_groups, 5)
+    moving = np.flatnonzero(gap > 0.0)
+    order = moving[np.argsort(gap[moving], kind="stable")]
+    return counts, gap[order], group[order], cls0[order]
+
+
+def _replay(counts: np.ndarray, grp: np.ndarray, src: np.ndarray,
+            ends: Sequence[int]) -> Iterator[np.ndarray]:
+    """Apply the gap-ordered moves to ``counts`` in place, up to each
+    ascending prefix length in ``ends``; yields the groups each step touched."""
+    start = 0
+    for end in ends:
+        g, s = grp[start:end], src[start:end]
+        np.subtract.at(counts, (g, s), 1)
+        np.add.at(counts, (g, np.where(s == _TIED_H, _TIED_BOTH, _TIED_M)), 1)
+        start = end
+        yield np.unique(g)
+
+
+def _value_changes(kind: StatKind, counts: np.ndarray, grp: np.ndarray, src: np.ndarray,
+                   start_values: np.ndarray, contexts: list[tuple[int, int]] | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per gap-ordered move: the change of its group's value (NaN read as 0)
+    and of its definedness (+1, 0 or -1)."""
+    by_group = np.argsort(grp, kind="stable")
+    g = grp[by_group]
+    s = src[by_group]
+    starts = np.flatnonzero(np.diff(g, prepend=-1))
+    lengths = np.diff(np.append(starts, g.size))
+    narrow = np.int32 if g.size < 2**31 else np.int64
+
+    def so_far(moved: np.ndarray) -> np.ndarray:  # own-group moves up to here, inclusive
+        total = np.cumsum(moved, dtype=narrow)
+        return total - np.repeat(total[starts] - moved[starts], lengths)
+
+    at0 = counts.astype(narrow)
+    c_out, d_out, h_out = so_far(s == _CONC), so_far(s == _DISC), so_far(s == _TIED_H)
+    k = n = None
+    if contexts is not None:
+        k, n = np.array(contexts, dtype=np.int64)[g].T
+    values = _stat_from_arrays(
+        kind, at0[g, _CONC] - c_out, at0[g, _DISC] - d_out, at0[g, _TIED_H] - h_out,
+        at0[g, _TIED_M] + c_out + d_out, at0[g, _TIED_BOTH] + h_out, k, n)
+    del c_out, d_out, h_out, k, n
+    before = np.empty_like(values)
+    before[1:] = values[:-1]
+    before[starts] = start_values[g[starts]]
+    defined = np.isnan(before).astype(np.int8) - np.isnan(values)
+    np.nan_to_num(values, copy=False)
+    values -= np.nan_to_num(before, copy=False)
+    del before
+    out_values = np.empty_like(values)
+    out_values[by_group] = values
+    out_defined = np.empty_like(defined)
+    out_defined[by_group] = defined
+    return out_values, out_defined
+
+
 def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
               config: CalibrationConfig = CalibrationConfig(), *,
               checkpoint_hook: CheckpointHook | None = None) -> CalibrationResult:
@@ -88,117 +181,73 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     Raises ValueError when no group has two aligned entries.
     """
     groups = align(human, metric, config.mode)
-    pol0 = EpsilonPolicy(0.0, config.eps_mode)
-
-    gap_parts: list[np.ndarray] = []
-    grp_parts: list[np.ndarray] = []
-    htie_parts: list[np.ndarray] = []
-    cls_parts: list[np.ndarray] = []
-    contexts: list[tuple[int, int] | None] = []
-    for gi, (_, h, m) in enumerate(groups):
-        contexts.append(tau_c_context(h, m) if config.kind is StatKind.TAU_C else None)
-        if h.size < 2:
-            continue
-        iu, ju = np.triu_indices(h.size, k=1)
-        hi, hj = h[iu], h[ju]
-        mi, mj = m[iu], m[ju]
-        gaps = pol0.gaps(mi, mj)
-        h_tie = hi == hj
-        m_tie0 = gaps <= 0.0
-        conc = (hi > hj) == (mi > mj)
-        cls0 = np.where(
-            h_tie & m_tie0, _TIED_BOTH,
-            np.where(h_tie, _TIED_H,
-                     np.where(m_tie0, _TIED_M,
-                              np.where(conc, _CONC, _DISC))))
-        gap_parts.append(gaps)
-        grp_parts.append(np.full(gaps.size, gi, dtype=np.int64))
-        htie_parts.append(h_tie)
-        cls_parts.append(cls0.astype(np.int64))
-
-    if not gap_parts:
+    gap, group, cls0, _ = _pairs(groups, config.eps_mode)
+    total_pairs = gap.size
+    if total_pairs == 0:
         raise ValueError("nothing to calibrate: no group has two aligned entries")
 
-    gap_all = np.concatenate(gap_parts)
-    grp_all = np.concatenate(grp_parts)
-    htie_all = np.concatenate(htie_parts)
-    cls_all = np.concatenate(cls_parts)
-    total_pairs = gap_all.size
-
     if config.sample_fraction >= 1.0:
-        candidates = np.unique(gap_all)
+        candidates = np.unique(gap)
         exact = True
     else:
         rng = np.random.default_rng(config.seed)
         size = max(1, int(round(config.sample_fraction * total_pairs)))
         picked = rng.choice(total_pairs, size=size, replace=False)
-        candidates = np.unique(gap_all[picked])
+        candidates = np.unique(gap[picked])
         exact = False
     if candidates.size == 0 or candidates[0] != 0.0:
         candidates = np.concatenate(([0.0], candidates))
 
-    order = np.argsort(gap_all, kind="stable")
-    sorted_gaps = gap_all[order].tolist()
-    sorted_grp = grp_all[order].tolist()
-    sorted_htie = htie_all[order].tolist()
-    sorted_cls = cls_all[order].tolist()
-    cand_list = candidates.tolist()
-
-    n_groups = len(groups)
-    counts: list[list[int]] = [[0, 0, 0, 0, 0] for _ in range(n_groups)]
-    for gi, cls in zip(sorted_grp, sorted_cls):
-        counts[gi][cls] += 1
-
     kind = config.kind
-    values = np.full(n_groups, np.nan, dtype=np.float64)
-    defined = 0
-    for gi in range(n_groups):
-        ctx = contexts[gi]
-        v = _stat_from_ints(kind, *counts[gi],
-                            k=ctx[0] if ctx else None, n=ctx[1] if ctx else None)
-        if v is not None:
-            values[gi] = v
-            defined += 1
+    n_groups = len(groups)
+    contexts = ([tau_c_context(h, m) for _, h, m in groups]
+                if kind is StatKind.TAU_C else None)
+    counts, gaps, grp, src = _moves(gap, group, cls0, n_groups)
+    del gap, group, cls0
+
+    def group_value(gi: int) -> float:
+        k, n = contexts[gi] if contexts else (None, None)
+        v = _stat_from_ints(kind, *counts[gi].tolist(), k=k, n=n)
+        return np.nan if v is None else v
+
+    values = np.array([group_value(gi) for gi in range(n_groups)], dtype=np.float64)
+    start_defined = int(np.count_nonzero(~np.isnan(values)))
+
+    # Approximate grouped mean at every candidate, from cumulative changes.
+    d_value, d_defined = _value_changes(kind, counts, grp, src, values, contexts)
+    at = np.searchsorted(gaps, candidates, side="right")
+    defined = start_defined + np.concatenate(([0], np.cumsum(d_defined, dtype=np.int64)))[at]
+    sums = np.nansum(values) + np.concatenate(([0.0], np.cumsum(d_value)))[at]
+    del d_value, d_defined
+    approx = np.divide(sums, defined, out=np.full(sums.size, np.nan), where=defined > 0)
+
+    picks = np.flatnonzero(defined > 0)
+    if checkpoint_hook is not None:
+        picks = np.arange(candidates.size)
+    elif picks.size:
+        # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum
+        # of group values or of their changes exceeds M = 2G, and a float sum
+        # of N terms with partial sums below M is within N*M*u of exact.  The
+        # cumulative path sums G + 2E terms, the exact path G, and each then
+        # rounds once more dividing by the defined count.  Twice the summed
+        # error keeps the true maximizer.
+        u = np.finfo(np.float64).eps / 2
+        err = (2 * n_groups + 2 * gaps.size) * 2 * n_groups * u / defined[picks].min() + 2 * u
+        picks = picks[approx[picks] >= approx[picks].max() - 2 * err]
 
     best_eps = 0.0
     best_val: float | None = None
-
-    def record(eps_c: float) -> None:
-        nonlocal best_eps, best_val
-        value = _mean_from(values, defined)
+    cand_list = candidates.tolist()
+    for pick, touched in zip(picks.tolist(), _replay(counts, grp, src, at[picks])):
+        for gi in touched.tolist():
+            values[gi] = group_value(gi)
+        value = _mean_from(values, int(np.count_nonzero(~np.isnan(values))))
         if checkpoint_hook is not None:
-            snapshot = [PairCounts(*counts[gi]) for gi in range(n_groups)]
-            checkpoint_hook(eps_c, snapshot, value)
+            checkpoint_hook(cand_list[pick], [PairCounts(*row) for row in counts.tolist()],
+                            value)
         if value is not None and (best_val is None or value > best_val):
             best_val = value
-            best_eps = eps_c
-
-    ci = 0
-    n_cand = len(cand_list)
-    for p in range(total_pairs):
-        gap = sorted_gaps[p]
-        while ci < n_cand and cand_list[ci] < gap:
-            record(cand_list[ci])
-            ci += 1
-        gi = sorted_grp[p]
-        row = counts[gi]
-        row[sorted_cls[p]] -= 1
-        row[_TIED_BOTH if sorted_htie[p] else _TIED_M] += 1
-        ctx = contexts[gi]
-        v = _stat_from_ints(kind, *row,
-                            k=ctx[0] if ctx else None, n=ctx[1] if ctx else None)
-        was_defined = not math.isnan(values[gi])
-        if v is None:
-            values[gi] = np.nan
-            if was_defined:
-                defined -= 1
-        else:
-            values[gi] = v
-            if not was_defined:
-                defined += 1
-    while ci < n_cand:
-        record(cand_list[ci])
-        ci += 1
+            best_eps = cand_list[pick]
 
     report = grouped_stat(human, metric, config.mode, kind,
                           EpsilonPolicy(best_eps, config.eps_mode))
@@ -209,7 +258,7 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     return CalibrationResult(
         epsilon_star=float(best_eps),
         stat_star=report.value,
-        candidates_evaluated=n_cand,
+        candidates_evaluated=candidates.size,
         exact=exact,
         config=config,
         report=report,
@@ -251,24 +300,13 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     pol = _as_policy(eps)
-    avg_parts: list[np.ndarray] = []
-    new_parts: list[np.ndarray] = []
-    for _, h, m in align(human, metric, mode):
-        if m.size < 2:
-            continue
-        iu, ju = np.triu_indices(m.size, k=1)
-        mi, mj = m[iu], m[ju]
-        gaps = pol.gaps(mi, mj)
-        avg_parts.append((mi + mj) / 2.0)
-        new_parts.append((gaps > 0.0) & (gaps <= pol.epsilon))
-    if not avg_parts:
+    gap, _, _, mid = _pairs(align(human, metric, mode), pol.mode, midpoints=True)
+    if gap.size == 0:
         edges = np.linspace(0.0, 1.0, bins + 1)
         zeros = np.zeros(bins, dtype=np.int64)
         return TieHistogram(edges, zeros, zeros.copy())
-    averages = np.concatenate(avg_parts)
-    newly = np.concatenate(new_parts)
-    all_counts, edges = np.histogram(averages, bins=bins)
-    new_counts, _ = np.histogram(averages[newly], bins=edges)
+    all_counts, edges = np.histogram(mid, bins=bins)
+    new_counts, _ = np.histogram(mid[(gap > 0.0) & (gap <= pol.epsilon)], bins=edges)
     return TieHistogram(edges, all_counts.astype(np.int64), new_counts.astype(np.int64))
 
 
@@ -283,16 +321,32 @@ class F1CurvePoint:
 def f1_curve(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
              eps_grid: Sequence[float],
              eps_mode: EpsilonMode = EpsilonMode.ABSOLUTE) -> list[F1CurvePoint]:
-    """Tie-F1, correct-rank-F1, and pairwise accuracy along a threshold grid."""
+    """Tie-F1, correct-rank-F1, and pairwise accuracy along a threshold grid.
+
+    One pass over the gap-ordered pairs reads the per-group counts out at
+    each grid point; values equal ``apply_epsilon`` at that point exactly.
+    """
     if len(eps_grid) == 0:
         raise ValueError("eps_grid must not be empty")
+    grid = sorted(float(e) for e in eps_grid)
+    for eps in grid:
+        EpsilonPolicy(eps, eps_mode)  # rejects a negative or non-finite threshold
+    groups = align(human, metric, mode)
+    gap, group, cls0, _ = _pairs(groups, eps_mode)
+    counts, gaps, grp, src = _moves(gap, group, cls0, len(groups))
+    del gap, group, cls0
+
+    def grouped(kind: StatKind, rows: list[list[int]]) -> float | None:
+        values = np.array([_stat_from_ints(kind, *row) for row in rows], dtype=float)
+        return _mean_from(values, int(np.count_nonzero(~np.isnan(values))))
+
     points = []
-    for eps in sorted(float(e) for e in eps_grid):
-        pol = EpsilonPolicy(eps, eps_mode)
+    for eps, _ in zip(grid, _replay(counts, grp, src, np.searchsorted(gaps, grid, "right"))):
+        rows = counts.tolist()
         points.append(F1CurvePoint(
             epsilon=eps,
-            ties_f1=apply_epsilon(human, metric, mode, StatKind.TIES_F1, pol).value,
-            rank_f1=apply_epsilon(human, metric, mode, StatKind.RANK_F1, pol).value,
-            acc_eq=apply_epsilon(human, metric, mode, StatKind.ACC_EQ, pol).value,
+            ties_f1=grouped(StatKind.TIES_F1, rows),
+            rank_f1=grouped(StatKind.RANK_F1, rows),
+            acc_eq=grouped(StatKind.ACC_EQ, rows),
         ))
     return points

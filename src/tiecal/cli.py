@@ -184,6 +184,11 @@ def _parse_stats(spec: str) -> list[StatKind]:
     return [StatKind.parse(part.strip()) for part in spec.split(",") if part.strip()]
 
 
+def _require_one_metric(args: argparse.Namespace) -> None:
+    if len(args.metric) != 1:
+        raise ValueError(f"{args.command} takes exactly one --metric, got {len(args.metric)}")
+
+
 def _load_inputs(args: argparse.Namespace) -> tuple[ScoreMatrix, list[tuple[str, ScoreMatrix]], dict[str, str]]:
     human_file = CampaignFile(Path(args.human), FileRole.HUMAN)
     human = human_file.load()
@@ -356,6 +361,7 @@ _BUCKET_COLUMNS = ("metric", "stat", "mode", "k", "value",
 
 
 def _cmd_buckets(args: argparse.Namespace) -> int:
+    _require_one_metric(args)
     kind = StatKind.parse(args.stat)
     mode = GroupingMode.parse(args.mode)
     k_list = [int(part) for part in args.k_list.split(",") if part.strip()]
@@ -385,6 +391,7 @@ _HIST_COLUMNS = ("bin_start", "bin_end", "all_pairs", "newly_tied")
 
 
 def _cmd_tie_hist(args: argparse.Namespace) -> int:
+    _require_one_metric(args)
     mode = GroupingMode.parse(args.mode)
     pol = EpsilonPolicy(args.epsilon, EpsilonMode.parse(args.eps_mode))
     human, metrics, digests = _load_inputs(args)
@@ -407,6 +414,7 @@ _F1_COLUMNS = ("epsilon", "ties_f1", "rank_f1", "acc_eq")
 
 
 def _cmd_f1_curve(args: argparse.Namespace) -> int:
+    _require_one_metric(args)
     mode = GroupingMode.parse(args.mode)
     eps_mode = EpsilonMode.parse(args.eps_mode)
     grid = [float(part) for part in args.eps_grid.split(",") if part.strip()]
@@ -424,6 +432,7 @@ def _cmd_f1_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
+    _require_one_metric(args)
     pol = EpsilonPolicy(args.epsilon, EpsilonMode.parse(args.eps_mode))
     ((_, path),) = _parse_metrics(args.metric)
     matrix = load_scores(path)
@@ -441,8 +450,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScoreFileError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ScoreFileError, OSError, ValueError, RuntimeError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

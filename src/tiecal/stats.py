@@ -224,6 +224,37 @@ def _stat_from_ints(kind: StatKind, c: int, d: int, th: int, tm: int, thm: int,
     raise ValueError(f"unhandled statistic {kind}")
 
 
+def _stat_from_arrays(kind: StatKind, c: np.ndarray, d: np.ndarray, th: np.ndarray,
+                      tm: np.ndarray, thm: np.ndarray, k: np.ndarray | None = None,
+                      n: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise :func:`_stat_from_ints`, NaN where undefined; bit-identical
+    while count sums fit the dtype, TAU_B's f1*f2 < 2**63 and TAU_C's
+    n*n*(k-1) < 2**53."""
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den != 0)
+
+    def f1(p: np.ndarray, r: np.ndarray) -> np.ndarray:  # NaN if p or r is, or both are 0
+        return ratio(2 * p * r, p + r)
+
+    formulas = {
+        StatKind.TAU_A: lambda: ratio(c - d, c + d + th + tm + thm),
+        StatKind.TAU_B: lambda: ratio(c - d, np.sqrt((c + d + th).astype(np.int64) * (c + d + tm))),
+        StatKind.TAU_C: lambda: ratio(c - d, n * n * (k - 1) / k),
+        StatKind.TAU_10: lambda: ratio(c - d - tm, c + d + tm),
+        StatKind.TAU_13: lambda: ratio(c - d, c + d),
+        StatKind.TAU_14: lambda: ratio(c - d, c + d + tm),
+        StatKind.TAU_EQ: lambda: ratio(c + thm - d - th - tm, c + d + th + tm + thm),
+        StatKind.ACC_EQ: lambda: ratio(c + thm, c + d + th + tm + thm),
+        StatKind.TIES_P: lambda: ratio(thm, thm + tm),
+        StatKind.TIES_R: lambda: ratio(thm, thm + th),
+        StatKind.TIES_F1: lambda: f1(ratio(thm, thm + tm), ratio(thm, thm + th)),
+        StatKind.RANK_P: lambda: ratio(c, c + d + th),
+        StatKind.RANK_R: lambda: ratio(c, c + d + tm),
+        StatKind.RANK_F1: lambda: f1(ratio(c, c + d + th), ratio(c, c + d + tm)),
+    }
+    return formulas[kind]()
+
+
 def stat_from_counts(kind: StatKind, counts: PairCounts, *,
                      k: int | None = None, n: int | None = None) -> float | None:
     """Evaluate a statistic from pair counts.

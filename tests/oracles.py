@@ -11,17 +11,27 @@ import math
 
 import numpy as np
 
-from tiecal import PairCounts, StatKind, align, mean_defined
+from tiecal import PairCounts, align, mean_defined
 
 
-def naive_suff_stats(h, m, eps=0.0):
-    """Pure-python pair classification (absolute epsilon)."""
+def oracle_gap(a, b, relative=False):
+    """Gap between two metric scores; relative gaps divide by the larger
+    magnitude, and two exact zeros have gap 0."""
+    gap = abs(a - b)
+    if not relative:
+        return gap
+    scale = max(abs(a), abs(b))
+    return gap / scale if scale > 0 else 0.0
+
+
+def naive_suff_stats(h, m, eps=0.0, relative=False):
+    """Pure-python pair classification."""
     c = d = th = tm = thm = 0
     n = len(h)
     for i in range(n):
         for j in range(i + 1, n):
             h_tie = h[i] == h[j]
-            m_tie = abs(m[i] - m[j]) <= eps
+            m_tie = oracle_gap(m[i], m[j], relative) <= eps
             if h_tie and m_tie:
                 thm += 1
             elif h_tie:
@@ -35,48 +45,74 @@ def naive_suff_stats(h, m, eps=0.0):
     return PairCounts(c, d, th, tm, thm)
 
 
-def pair_views(groups):
-    """Per group: (gaps, human-tie mask, concordance mask), by enumeration."""
+def pair_views(groups, relative=False):
+    """Per group: (gaps, human-tie mask, concordance mask, (k, n)), by enumeration."""
     views = []
     for _, hg, mg in groups:
-        if hg.size < 2:
+        h, m = hg.tolist(), mg.tolist()
+        if len(h) < 2:
             views.append(None)
             continue
-        iu, ju = np.triu_indices(hg.size, k=1)
-        gaps = np.abs(mg[iu] - mg[ju])
-        h_tie = hg[iu] == hg[ju]
-        conc = (hg[iu] > hg[ju]) == (mg[iu] > mg[ju])
-        views.append((gaps, h_tie, conc))
+        pairs = [(i, j) for i in range(len(h)) for j in range(i + 1, len(h))]
+        gaps = np.array([oracle_gap(m[i], m[j], relative) for i, j in pairs])
+        h_tie = np.array([h[i] == h[j] for i, j in pairs])
+        conc = np.array([(h[i] < h[j]) == (m[i] < m[j]) for i, j in pairs])
+        context = (min(len(set(h)), len(set(m))), len(h))
+        views.append((gaps, h_tie, conc, context))
     return views
 
 
-def oracle_stat(kind, c, d, th, tm, thm):
-    """Independent restatement of the formulas the oracle sweeps."""
-    total = c + d + th + tm + thm
-    if kind is StatKind.ACC_EQ:
-        return (c + thm) / total if total else None
-    if kind is StatKind.TAU_EQ:
-        return (c + thm - d - th - tm) / total if total else None
-    if kind is StatKind.TAU_B:
-        f1, f2 = c + d + th, c + d + tm
-        return (c - d) / math.sqrt(f1 * f2) if f1 and f2 else None
-    if kind is StatKind.TAU_14:
-        den = c + d + tm
-        return (c - d) / den if den else None
-    if kind is StatKind.TAU_10:
-        den = c + d + tm
-        return (c - d - tm) / den if den else None
-    raise AssertionError(f"oracle does not cover {kind}")
+def _frac(num, den):
+    return num / den if den else None
 
 
-def brute_force_calibration(human, metric, mode, kind):
+def _harmonic(p, r):
+    if p is None or r is None or (p == 0 and r == 0):
+        return None
+    return 2 * p * r / (p + r)
+
+
+def _tau_b(c, d, th, tm):
+    f1, f2 = c + d + th, c + d + tm
+    return (c - d) / math.sqrt(f1 * f2) if f1 and f2 else None
+
+
+# Independent restatement of every statistic, keyed by its public name.
+# Arguments: the five class counts, then tau_c's (k, n) context.
+ORACLE_FORMULAS = {
+    "tau_a": lambda c, d, th, tm, thm, k, n: _frac(c - d, c + d + th + tm + thm),
+    "tau_b": lambda c, d, th, tm, thm, k, n: _tau_b(c, d, th, tm),
+    "tau_c": lambda c, d, th, tm, thm, k, n: _frac(c - d, n * n * (k - 1) / k),
+    "tau_10": lambda c, d, th, tm, thm, k, n: _frac(c - d - tm, c + d + tm),
+    "tau_13": lambda c, d, th, tm, thm, k, n: _frac(c - d, c + d),
+    "tau_14": lambda c, d, th, tm, thm, k, n: _frac(c - d, c + d + tm),
+    "tau_eq": lambda c, d, th, tm, thm, k, n: _frac(c + thm - d - th - tm,
+                                                    c + d + th + tm + thm),
+    "acc_eq": lambda c, d, th, tm, thm, k, n: _frac(c + thm, c + d + th + tm + thm),
+    "ties_p": lambda c, d, th, tm, thm, k, n: _frac(thm, thm + tm),
+    "ties_r": lambda c, d, th, tm, thm, k, n: _frac(thm, thm + th),
+    "ties_f1": lambda c, d, th, tm, thm, k, n: _harmonic(_frac(thm, thm + tm),
+                                                         _frac(thm, thm + th)),
+    "rank_p": lambda c, d, th, tm, thm, k, n: _frac(c, c + d + th),
+    "rank_r": lambda c, d, th, tm, thm, k, n: _frac(c, c + d + tm),
+    "rank_f1": lambda c, d, th, tm, thm, k, n: _harmonic(_frac(c, c + d + th),
+                                                         _frac(c, c + d + tm)),
+}
+
+
+def oracle_stat(kind, c, d, th, tm, thm, k=None, n=None):
+    """Evaluate ``kind`` from class counts; None where it is undefined."""
+    return ORACLE_FORMULAS[kind.value](c, d, th, tm, thm, k, n)
+
+
+def brute_force_calibration(human, metric, mode, kind, relative=False):
     """Maximize by re-evaluating every candidate threshold from scratch.
 
     Candidates are zero plus every within-group gap; the smallest candidate
     attaining the maximum wins, mirroring the documented tie-break.
     """
     groups = align(human, metric, mode)
-    views = pair_views(groups)
+    views = pair_views(groups, relative)
     candidates = {0.0}
     for view in views:
         if view is not None:
@@ -88,7 +124,7 @@ def brute_force_calibration(human, metric, mode, kind):
         for gi, view in enumerate(views):
             if view is None:
                 continue
-            gaps, h_tie, conc = view
+            gaps, h_tie, conc, (k, n) = view
             m_tie = gaps <= eps
             thm = int(np.count_nonzero(h_tie & m_tie))
             th = int(np.count_nonzero(h_tie & ~m_tie))
@@ -96,7 +132,7 @@ def brute_force_calibration(human, metric, mode, kind):
             open_pairs = ~h_tie & ~m_tie
             c = int(np.count_nonzero(open_pairs & conc))
             d = int(np.count_nonzero(open_pairs & ~conc))
-            value = oracle_stat(kind, c, d, th, tm, thm)
+            value = oracle_stat(kind, c, d, th, tm, thm, k, n)
             if value is not None:
                 values[gi] = value
         value = mean_defined(values)

@@ -14,6 +14,8 @@ from tiecal import (
     COEFFICIENT_TABLES,
     OVERALL_STAT_KINDS,
     CalibrationConfig,
+    EpsilonMode,
+    EpsilonPolicy,
     GroupingMode,
     ScoreMatrix,
     StatKind,
@@ -69,31 +71,37 @@ def test_figure3_exactness():
     report("figure3-exactness", ok, f"max dev {worst:.4f}, {elapsed:.2f}s")
 
 
-def _random_instance(rng):
+def _random_instance(rng, signed=False):
+    """Small grouped campaign on a coarse lattice (duplicate gaps); with
+    ``signed`` the metric lattice spans zero, so relative gaps see mixed
+    signs and pairs of exact zeros."""
     n_groups = int(rng.integers(1, 6))
+    low = -4 if signed else 0
     h = ScoreMatrix()
     m = ScoreMatrix()
     for j in range(n_groups):
         size = int(rng.integers(2, 16)) if j == 0 else int(rng.integers(1, 16))
         for i in range(size):
             h.add(f"s{i}", f"g{j}", float(rng.integers(0, 10)) / 4.0)
-            m.add(f"s{i}", f"g{j}", float(rng.integers(0, 10)) / 4.0)
+            m.add(f"s{i}", f"g{j}", float(rng.integers(low, 10)) / 4.0)
     return h, m
 
 
 def test_calibration_oracle_equivalence():
-    """200 seeded instances: exact sweep == brute force, smallest epsilon; < 30s."""
+    """200 seeded instances over all 14 statistics in both epsilon modes:
+    exact sweep == brute force, smallest epsilon; < 30s."""
     rng = np.random.default_rng(20240)
-    kinds = [StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TAU_B,
-             StatKind.TAU_14, StatKind.TAU_10]
+    kinds = list(StatKind)
     start = time.perf_counter()
     mismatches = 0
     for i in range(200):
-        h, m = _random_instance(rng)
         kind = kinds[i % len(kinds)]
+        relative = (i // len(kinds)) % 2 == 1
+        h, m = _random_instance(rng, signed=relative)
         mode = GroupingMode.GROUP_BY_ITEM if i % 3 else GroupingMode.NO_GROUPING
-        result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode))
-        expect_eps, expect_val = brute_force_calibration(h, m, mode, kind)
+        eps_mode = EpsilonMode.RELATIVE if relative else EpsilonMode.ABSOLUTE
+        result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode))
+        expect_eps, expect_val = brute_force_calibration(h, m, mode, kind, relative)
         if result.stat_star != expect_val or result.epsilon_star != expect_eps:
             mismatches += 1
     elapsed = time.perf_counter() - start
@@ -296,24 +304,36 @@ def test_downsampling_tolerance():
 
 
 def test_incremental_sweep_consistency():
-    """At 20 random checkpoints per instance the incrementally maintained
-    counts equal a fresh enumeration at that threshold, exactly."""
+    """The checkpoint hook fires once per candidate, in strictly ascending
+    threshold order from 0; at 20 random checkpoints per instance the
+    incrementally maintained counts equal a fresh enumeration at that
+    threshold and the grouped value equals a batch evaluation, exactly."""
     rng = np.random.default_rng(606)
     failures = 0
-    for _ in range(10):
-        h, m = _random_instance(rng)
+    for trial in range(10):
+        relative = trial % 2 == 1
+        h, m = _random_instance(rng, signed=relative)
         mode = GroupingMode.GROUP_BY_ITEM
+        eps_mode = EpsilonMode.RELATIVE if relative else EpsilonMode.ABSOLUTE
         checkpoints = []
-        calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ, mode=mode),
-                  checkpoint_hook=lambda eps, counts, value:
-                  checkpoints.append((eps, counts)))
+        result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ, mode=mode,
+                                                   eps_mode=eps_mode),
+                           checkpoint_hook=lambda eps, counts, value:
+                           checkpoints.append((eps, counts, value)))
+        epsilons = [eps for eps, _, _ in checkpoints]
+        if (len(checkpoints) != result.candidates_evaluated or epsilons[0] != 0.0
+                or any(a >= b for a, b in zip(epsilons, epsilons[1:]))):
+            failures += 1
+            continue
         groups = align(h, m, mode)
         picks = rng.choice(len(checkpoints), size=min(20, len(checkpoints)),
                            replace=False)
         for idx in picks:
-            eps, counts = checkpoints[idx]
+            eps, counts, value = checkpoints[idx]
+            batch = grouped_stat(h, m, mode, StatKind.ACC_EQ, EpsilonPolicy(eps, eps_mode))
+            failures += value != batch.value
             for gi, (_, hg, mg) in enumerate(groups):
-                if counts[gi] != naive_suff_stats(hg.tolist(), mg.tolist(), eps):
+                if counts[gi] != naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative):
                     failures += 1
     report("incremental-sweep-consistency", failures == 0, f"{failures} failures")
 

@@ -19,6 +19,7 @@ from tiecal import (
     suff_stats,
     tie_location_histogram,
 )
+from tiecal.calibration import _pairs
 
 
 def single_group(h_scores, m_scores):
@@ -84,13 +85,15 @@ class TestCalibrate:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(101)
-        kinds = [StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TAU_B, StatKind.TAU_14]
-        for i in range(40):
+        kinds = list(StatKind)
+        for i in range(280):
             h, m = random_instance(rng)
             kind = kinds[i % len(kinds)]
             mode = GroupingMode.GROUP_BY_ITEM if i % 3 else GroupingMode.NO_GROUPING
-            result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode))
-            expect_eps, expect_val = brute_force_calibration(h, m, mode, kind)
+            relative = (i // len(kinds)) % 2 == 1
+            eps_mode = EpsilonMode.RELATIVE if relative else EpsilonMode.ABSOLUTE
+            result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode))
+            expect_eps, expect_val = brute_force_calibration(h, m, mode, kind, relative)
             assert result.stat_star == expect_val
             assert result.epsilon_star == expect_eps
 
@@ -101,14 +104,20 @@ class TestCalibrate:
             mode = GroupingMode.GROUP_BY_ITEM
             checkpoints = []
             config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=mode)
-            calibrate(h, m, config,
-                      checkpoint_hook=lambda eps, counts, value:
-                      checkpoints.append((eps, counts)))
+            result = calibrate(h, m, config,
+                               checkpoint_hook=lambda eps, counts, value:
+                               checkpoints.append((eps, counts, value)))
+            # one call per candidate, thresholds strictly ascending from zero
+            assert len(checkpoints) == result.candidates_evaluated
+            epsilons = [eps for eps, _, _ in checkpoints]
+            assert epsilons[0] == 0.0
+            assert all(a < b for a, b in zip(epsilons, epsilons[1:]))
             groups = align(h, m, mode)
             picks = rng.choice(len(checkpoints), size=min(20, len(checkpoints)),
                                replace=False)
             for idx in picks:
-                eps, counts = checkpoints[idx]
+                eps, counts, value = checkpoints[idx]
+                assert value == grouped_stat(h, m, mode, config.kind, eps).value
                 for gi, (_, hg, mg) in enumerate(groups):
                     assert counts[gi] == suff_stats(hg, mg, EpsilonPolicy(eps))
 
@@ -145,6 +154,25 @@ class TestCalibrate:
         check = apply_epsilon(h2, m2, GroupingMode.NO_GROUPING, StatKind.ACC_EQ,
                               EpsilonPolicy(result.epsilon_star, EpsilonMode.RELATIVE))
         assert check.value == 1.0
+
+    def test_pair_kernel_matches_per_group_triu_order(self):
+        # seeded candidate sampling indexes pairs, so their order is part of
+        # the contract: groups in order, np.triu_indices order inside each
+        rng = np.random.default_rng(31)
+        for eps_mode in EpsilonMode:
+            h, m = random_instance(rng)
+            groups = align(h, m, GroupingMode.GROUP_BY_ITEM)
+            gap, group, _, mid = _pairs(groups, eps_mode, midpoints=True)
+            pol = EpsilonPolicy(0.0, eps_mode)
+            gaps, owners, mids = [], [], []
+            for gi, (_, _, mg) in enumerate(groups):
+                iu, ju = np.triu_indices(mg.size, k=1)
+                gaps.append(pol.gaps(mg[iu], mg[ju]))
+                owners.append(np.full(iu.size, gi))
+                mids.append((mg[iu] + mg[ju]) / 2.0)
+            assert gap.tolist() == np.concatenate(gaps).tolist()
+            assert group.tolist() == np.concatenate(owners).tolist()
+            assert mid.tolist() == np.concatenate(mids).tolist()
 
     def test_invalid_sample_fraction(self):
         with pytest.raises(ValueError):
@@ -237,14 +265,32 @@ class TestF1Curve:
 
     def test_rows_match_apply_epsilon(self):
         h, m = single_group([0, 0, 1], [0.0, 0.05, 1.0])
-        points = f1_curve(h, m, GroupingMode.NO_GROUPING, [0.5, 0.0, 0.05])
-        assert [p.epsilon for p in points] == [0.0, 0.05, 0.5]
-        for point in points:
-            for kind, got in ((StatKind.TIES_F1, point.ties_f1),
-                              (StatKind.RANK_F1, point.rank_f1),
-                              (StatKind.ACC_EQ, point.acc_eq)):
-                assert apply_epsilon(h, m, GroupingMode.NO_GROUPING, kind,
-                                     point.epsilon).value == got
+        cases = [(h, m, GroupingMode.NO_GROUPING, [0.5, 0.0, 0.05], EpsilonMode.ABSOLUTE)]
+        rng = np.random.default_rng(41)
+        for eps_mode in (EpsilonMode.ABSOLUTE, EpsilonMode.RELATIVE) * 4:
+            h, m = random_instance(rng)
+            cases.append((h, m, GroupingMode.GROUP_BY_ITEM, [0.0, 0.25, 0.3, 0.5, 1.0, 3.0],
+                          eps_mode))
+        for h, m, mode, grid, eps_mode in cases:
+            points = f1_curve(h, m, mode, grid, eps_mode)
+            assert [p.epsilon for p in points] == sorted(grid)
+            for point in points:
+                pol = EpsilonPolicy(point.epsilon, eps_mode)
+                for kind, got in ((StatKind.TIES_F1, point.ties_f1),
+                                  (StatKind.RANK_F1, point.rank_f1),
+                                  (StatKind.ACC_EQ, point.acc_eq)):
+                    assert apply_epsilon(h, m, mode, kind, pol).value == got
+
+    def test_no_aligned_pairs_gives_undefined_points(self):
+        h = ScoreMatrix([("s1", "g1", 1.0)])
+        m = ScoreMatrix([("s1", "g1", 2.0)])
+        (point,) = f1_curve(h, m, GroupingMode.GROUP_BY_ITEM, [0.1])
+        assert (point.ties_f1, point.rank_f1, point.acc_eq) == (None, None, None)
+
+    def test_negative_threshold_rejected(self):
+        h, m = single_group([1, 2], [1, 2])
+        with pytest.raises(ValueError, match="epsilon"):
+            f1_curve(h, m, GroupingMode.NO_GROUPING, [0.1, -0.5])
 
     def test_empty_grid_rejected(self):
         h, m = single_group([1, 2], [1, 2])

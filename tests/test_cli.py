@@ -312,3 +312,40 @@ class TestAuxCommands:
                      "--mode", "no-grouping", "--stat", "acc_eq"])
         assert code == 0
         json.loads(capsys.readouterr().out)
+
+
+class TestFailuresExitTwo:
+    """Every failure exits 2 with a single 'error:' line on stderr."""
+
+    @staticmethod
+    def one_error_line(err):
+        lines = err.splitlines()
+        return len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("calibration sweep disagrees with batch re-evaluation"),
+        MemoryError("Unable to allocate 8.00 GiB for an array"),
+        MemoryError(),
+    ])
+    def test_calibration_failure(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr("tiecal.cli.calibrate", fail)
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
+                     "--mode", "no-grouping"])
+        assert code == 2
+        assert self.one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["buckets"], ["tie-hist"], ["f1-curve", "--eps-grid", "0,0.1"],
+    ])
+    def test_single_metric_command_rejects_two(self, tmp_path, capsys, argv):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        code = main([*argv, "--human", str(h), "--metric", f"a={m}", "--metric", f"b={m}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert self.one_error_line(err)
+        assert f"{argv[0]} takes exactly one --metric, got 2" in err

@@ -23,6 +23,7 @@ from tiecal import (
     suff_stats,
     tau_c_context,
 )
+from tiecal.stats import _stat_from_arrays, _stat_from_ints
 
 H_FIG = [0, 0, 0, 0, 1, 2]
 M1_FIG = [0, 0, 0, 0, 2, 1]
@@ -242,6 +243,40 @@ class TestStatFromCounts:
             reference = kendalltau(h, m, variant="c").statistic
             if ours is not None and not np.isnan(reference):
                 assert 2 * ours == pytest.approx(reference, abs=1e-12)
+
+
+class TestStatFromArrays:
+    """The vectorised formulas the calibration sweep uses must equal the
+    scalar ones bit for bit, with NaN exactly where the scalar is None."""
+
+    @staticmethod
+    def count_tuples():
+        rng = np.random.default_rng(2718)
+        rows = rng.integers(0, 10, size=(3000, 5))
+        rows[rng.random(rows.shape) < 0.3] = 0
+        # every pattern of zero counts: covers each zero denominator, tm = th = 0
+        patterns = np.array([[(p >> b) & 1 for b in range(5)] for p in range(32)])
+        edge = patterns * rng.integers(1, 10, size=(32, 5))
+        large = rng.integers(2**27, 2**28, size=(200, 5))
+        rows = np.concatenate([rows, edge, large])
+        n = rng.integers(1, 60, size=len(rows))
+        k = rng.integers(1, n + 1)
+        return rows, k, n
+
+    def test_large_tuples_exceed_exact_products(self):
+        rows, _, _ = self.count_tuples()
+        c, d, th, tm, _ = rows.T.tolist()
+        assert max((a + b + x) * (a + b + y)
+                   for a, b, x, y in zip(c, d, th, tm)) > 2**53
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("kind", list(StatKind), ids=lambda k: k.value)
+    def test_bit_identical_to_scalar(self, kind, dtype):
+        rows, k, n = self.count_tuples()
+        got = _stat_from_arrays(kind, *rows.astype(dtype).T, k=k, n=n)
+        expected = [_stat_from_ints(kind, *row, k=kk, n=nn)
+                    for row, kk, nn in zip(rows.tolist(), k.tolist(), n.tolist())]
+        assert [None if np.isnan(v) else v for v in got.tolist()] == expected
 
 
 class TestCoefficientTables:
