@@ -25,24 +25,26 @@ from .grouping import (
     CorrelationReport,
     GroupingMode,
     ScoreMatrix,
-    _mean_from,
+    _flatten,
+    _tau_c_contexts,
     align,
     grouped_stat,
+    mean_defined,
 )
 from .stats import (
+    _CONC,
+    _DISC,
+    _TIED_BOTH,
+    _TIED_H,
+    _TIED_M,
     EpsilonMode,
     EpsilonPolicy,
     PairCounts,
     StatKind,
     _as_policy,
+    _pair_blocks,
     _stat_from_arrays,
-    _stat_from_ints,
-    tau_c_context,
 )
-
-# Pair classes: the first three are the classes a pair with a positive gap
-# starts in at threshold zero, the last two are where it can move.
-_CONC, _DISC, _TIED_H, _TIED_M, _TIED_BOTH = range(5)
 
 CheckpointHook = Callable[[float, list[PairCounts], "float | None"], None]
 
@@ -81,29 +83,13 @@ class CalibrationResult:
 
 def _pairs(groups: list[AlignedGroup], eps_mode: EpsilonMode, *, midpoints: bool = False
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Every within-group pair in one vectorised pass: its gap (float64),
-    group (int32), class at threshold zero (int8; human-tied iff _TIED_H or
-    _TIED_BOTH) and, on request, mean metric score.  Groups come in order,
-    np.triu_indices order inside each."""
-    sizes = np.array([h.size for _, h, _ in groups], dtype=np.int64)
-    h = np.concatenate([h for _, h, _ in groups] + [np.empty(0)])
-    m = np.concatenate([m for _, _, m in groups] + [np.empty(0)])
-    rows = np.maximum(sizes - 1, 0)  # entry r of a group pairs with the entries after it
-    r = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows, rows)
-    width = np.repeat(sizes - 1, rows) - r
-    i = np.repeat(np.repeat(np.cumsum(sizes) - sizes, rows) + r, width)
-    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(width) - width, width)
-    group = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes * (sizes - 1) // 2)
-    hi, hj, mi, mj = h[i], h[j], m[i], m[j]
-    del i, j
-    gap = EpsilonPolicy(0.0, eps_mode).gaps(mi, mj)
-    cls0 = np.where((hi > hj) == (mi > mj), np.int8(_CONC), np.int8(_DISC))
-    h_tie = hi == hj
-    del hi, hj
-    cls0[h_tie] = _TIED_H
-    m_tie = gap <= 0.0
-    cls0[m_tie] = np.where(h_tie[m_tie], np.int8(_TIED_BOTH), np.int8(_TIED_M))
-    return gap, group, cls0, (mi + mj) / 2.0 if midpoints else None
+    """The pair kernel's blocks at threshold zero, concatenated: every
+    within-group pair's gap, group, class and, on request, midpoint."""
+    empty = (np.empty(0), np.empty(0, np.int32), np.empty(0, np.int8), np.empty(0))
+    columns = list(zip(empty, *_pair_blocks(*_flatten(groups), EpsilonPolicy(0.0, eps_mode),
+                                            midpoints=midpoints)))
+    gap, group, cls0 = (np.concatenate(column) for column in columns[:3])
+    return gap, group, cls0, np.concatenate(columns[3]) if midpoints else None
 
 
 def _moves(gap: np.ndarray, group: np.ndarray, cls0: np.ndarray, n_groups: int
@@ -130,7 +116,7 @@ def _replay(counts: np.ndarray, grp: np.ndarray, src: np.ndarray,
 
 
 def _value_changes(kind: StatKind, counts: np.ndarray, grp: np.ndarray, src: np.ndarray,
-                   start_values: np.ndarray, contexts: list[tuple[int, int]] | None
+                   start_values: np.ndarray, contexts: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per gap-ordered move: the change of its group's value (NaN read as 0)
     and of its definedness (+1, 0 or -1)."""
@@ -147,9 +133,7 @@ def _value_changes(kind: StatKind, counts: np.ndarray, grp: np.ndarray, src: np.
 
     at0 = counts.astype(narrow)
     c_out, d_out, h_out = so_far(s == _CONC), so_far(s == _DISC), so_far(s == _TIED_H)
-    k = n = None
-    if contexts is not None:
-        k, n = np.array(contexts, dtype=np.int64)[g].T
+    k, n = (None, None) if contexts is None else contexts[:, g]
     values = _stat_from_arrays(
         kind, at0[g, _CONC] - c_out, at0[g, _DISC] - d_out, at0[g, _TIED_H] - h_out,
         at0[g, _TIED_M] + c_out + d_out, at0[g, _TIED_BOTH] + h_out, k, n)
@@ -200,17 +184,15 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
 
     kind = config.kind
     n_groups = len(groups)
-    contexts = ([tau_c_context(h, m) for _, h, m in groups]
-                if kind is StatKind.TAU_C else None)
+    contexts = _tau_c_contexts(groups) if kind is StatKind.TAU_C else None
     counts, gaps, grp, src = _moves(gap, group, cls0, n_groups)
     del gap, group, cls0
 
-    def group_value(gi: int) -> float:
-        k, n = contexts[gi] if contexts else (None, None)
-        v = _stat_from_ints(kind, *counts[gi].tolist(), k=k, n=n)
-        return np.nan if v is None else v
+    def group_values(rows: np.ndarray | slice) -> np.ndarray:
+        k, n = (None, None) if contexts is None else contexts[:, rows]
+        return _stat_from_arrays(kind, *counts[rows].T, k, n)
 
-    values = np.array([group_value(gi) for gi in range(n_groups)], dtype=np.float64)
+    values = group_values(slice(None))
     start_defined = int(np.count_nonzero(~np.isnan(values)))
 
     # Approximate grouped mean at every candidate, from cumulative changes.
@@ -239,9 +221,8 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     best_val: float | None = None
     cand_list = candidates.tolist()
     for pick, touched in zip(picks.tolist(), _replay(counts, grp, src, at[picks])):
-        for gi in touched.tolist():
-            values[gi] = group_value(gi)
-        value = _mean_from(values, int(np.count_nonzero(~np.isnan(values))))
+        values[touched] = group_values(touched)
+        value = mean_defined(values)
         if checkpoint_hook is not None:
             checkpoint_hook(cand_list[pick], [PairCounts(*row) for row in counts.tolist()],
                             value)
@@ -263,16 +244,6 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         config=config,
         report=report,
     )
-
-
-def apply_epsilon(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
-                  kind: StatKind, eps: EpsilonPolicy | float) -> CorrelationReport:
-    """Evaluate a statistic at a fixed, externally chosen tie threshold.
-
-    This is the held-out workflow: calibrate a threshold on one campaign,
-    then apply it unchanged to another.
-    """
-    return grouped_stat(human, metric, mode, kind, eps)
 
 
 @dataclass(frozen=True)
@@ -324,7 +295,7 @@ def f1_curve(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
     """Tie-F1, correct-rank-F1, and pairwise accuracy along a threshold grid.
 
     One pass over the gap-ordered pairs reads the per-group counts out at
-    each grid point; values equal ``apply_epsilon`` at that point exactly.
+    each grid point; values equal ``grouped_stat`` at that point exactly.
     """
     if len(eps_grid) == 0:
         raise ValueError("eps_grid must not be empty")
@@ -336,17 +307,15 @@ def f1_curve(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
     counts, gaps, grp, src = _moves(gap, group, cls0, len(groups))
     del gap, group, cls0
 
-    def grouped(kind: StatKind, rows: list[list[int]]) -> float | None:
-        values = np.array([_stat_from_ints(kind, *row) for row in rows], dtype=float)
-        return _mean_from(values, int(np.count_nonzero(~np.isnan(values))))
+    def grouped(kind: StatKind) -> float | None:
+        return mean_defined(_stat_from_arrays(kind, *counts.T))
 
     points = []
     for eps, _ in zip(grid, _replay(counts, grp, src, np.searchsorted(gaps, grid, "right"))):
-        rows = counts.tolist()
         points.append(F1CurvePoint(
             epsilon=eps,
-            ties_f1=grouped(StatKind.TIES_F1, rows),
-            rank_f1=grouped(StatKind.RANK_F1, rows),
-            acc_eq=grouped(StatKind.ACC_EQ, rows),
+            ties_f1=grouped(StatKind.TIES_F1),
+            rank_f1=grouped(StatKind.RANK_F1),
+            acc_eq=grouped(StatKind.ACC_EQ),
         ))
     return points

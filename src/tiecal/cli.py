@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import __version__
+from . import __version__, data
 from .calibration import (
     CalibrationConfig,
     calibrate,
@@ -22,16 +22,14 @@ from .calibration import (
     tie_location_histogram,
 )
 from .data import (
-    CampaignFile,
-    FileRole,
     ReportDocument,
     ScoreFileError,
     dump_scores,
-    load_scores,
     rank_metrics,
+    sha256_digest,
     write_report,
 )
-from .grouping import GroupingMode, ScoreMatrix, bucketize, grouped_stat
+from .grouping import GroupingMode, ScoreMatrix, bucketize, grouped_stat, grouped_stats
 from .stats import (
     OVERALL_STAT_KINDS,
     EpsilonMode,
@@ -59,7 +57,9 @@ _REPORT_COLUMNS = (
 
 def _default_format() -> str:
     fmt = os.environ.get("TIECAL_FORMAT", "tsv")
-    return fmt if fmt in ("tsv", "json") else "tsv"
+    if fmt not in ("tsv", "json"):
+        raise ValueError(f"TIECAL_FORMAT must be tsv or json, got {fmt!r}")
+    return fmt
 
 
 def _add_io_options(parser: argparse.ArgumentParser, multi_metric: bool) -> None:
@@ -190,14 +190,14 @@ def _require_one_metric(args: argparse.Namespace) -> None:
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[ScoreMatrix, list[tuple[str, ScoreMatrix]], dict[str, str]]:
-    human_file = CampaignFile(Path(args.human), FileRole.HUMAN)
-    human = human_file.load()
-    digests = {"human": human_file.digest()}
+    # data.load_scores is looked up at call time, so a wrapper installed on
+    # the data module (perfbench/spans.py) sees every file load.
+    human = data.load_scores(args.human)
+    digests = {"human": sha256_digest(args.human)}
     loaded = []
     for name, path in _parse_metrics(args.metric):
-        source = CampaignFile(path, FileRole.METRIC, metric_name=name)
-        loaded.append((name, source.load()))
-        digests[f"metric:{name}"] = source.digest()
+        loaded.append((name, data.load_scores(path)))
+        digests[f"metric:{name}"] = sha256_digest(path)
     return human, loaded, digests
 
 
@@ -242,8 +242,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     rows = []
     values: dict[str, float | None] = {}
     for name, matrix in metrics:
-        for kind in kinds:
-            report = grouped_stat(human, matrix, mode, kind, pol)
+        for report in grouped_stats(human, matrix, mode, kinds, pol):
             rows.append(_report_row(name, report))
             values[name] = report.value
     ranking = rank_metrics(values) if len(kinds) == 1 else None
@@ -435,7 +434,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     _require_one_metric(args)
     pol = EpsilonPolicy(args.epsilon, EpsilonMode.parse(args.eps_mode))
     ((_, path),) = _parse_metrics(args.metric)
-    matrix = load_scores(path)
+    matrix = data.load_scores(path)
     keys = sorted(matrix.keys())
     scores = [matrix.get(*key) for key in keys]
     ranks = break_ties_randomly(scores, pol, seed=args.seed)
@@ -446,9 +445,8 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ScoreFileError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)

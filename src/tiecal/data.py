@@ -8,7 +8,6 @@ undefined values rendered as "NaN" (TSV) or null (JSON).
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
@@ -30,26 +29,6 @@ class ScoreFileError(ValueError):
         self.line = line
 
 
-class FileRole(enum.Enum):
-    HUMAN = "human"
-    METRIC = "metric"
-
-
-@dataclass(frozen=True)
-class CampaignFile:
-    """One score source: the human judgments or one metric's scores."""
-
-    path: Path
-    role: FileRole
-    metric_name: str | None = None
-
-    def load(self) -> ScoreMatrix:
-        return load_scores(self.path)
-
-    def digest(self) -> str:
-        return sha256_digest(self.path)
-
-
 def sha256_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -62,7 +41,7 @@ def load_scores(path: str | Path) -> ScoreMatrix:
     """
     matrix = ScoreMatrix()
     seen_data = False
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):
@@ -77,6 +56,9 @@ def load_scores(path: str | Path) -> ScoreMatrix:
                                      f"expected 3 tab-separated columns, got {len(fields)}")
             system, segment, text = fields
             try:
+                # float() alone also takes padding, "_" separators and non-ASCII digits
+                if not text.isascii() or "_" in text or text != text.strip():
+                    raise ValueError
                 score = float(text)
             except ValueError:
                 raise ScoreFileError(path, lineno,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .stats import (
     PairCounts,
     StatKind,
     _as_policy,
-    stat_from_counts,
-    suff_stats,
+    _pair_counts,
+    _stat_from_arrays,
     tau_c_context,
 )
 
@@ -163,62 +163,65 @@ class CorrelationReport:
 
 
 def mean_defined(values: np.ndarray) -> float | None:
-    """Mean over the non-NaN entries of ``values``; None if there are none."""
-    if values.size == 0:
-        return None
-    defined = int(values.size - np.count_nonzero(np.isnan(values)))
-    return _mean_from(values, defined)
+    """Mean over the non-NaN entries of ``values``; None if there are none.
+
+    The calibration sweep aggregates per-group values with this same
+    reduction, so its argmax agrees with a batch re-evaluation to the ulp.
+    """
+    defined = int(np.count_nonzero(~np.isnan(values)))
+    return float(np.nansum(values) / defined) if defined else None
 
 
-def _mean_from(values: np.ndarray, defined: int) -> float | None:
-    # Shared reduction: the calibration sweep must aggregate per-group
-    # values exactly like grouped_stat does, or its argmax could disagree
-    # with a batch re-evaluation in the final ulp.
-    if defined == 0:
-        return None
-    return float(np.nansum(values) / defined)
+def _flatten(groups: list[AlignedGroup]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The groups' human and metric vectors concatenated, and their sizes."""
+    h = np.concatenate([h for _, h, _ in groups] + [np.empty(0)])
+    m = np.concatenate([m for _, _, m in groups] + [np.empty(0)])
+    return h, m, [hg.size for _, hg, _ in groups]
 
 
-def group_stat_value(kind: StatKind, counts: PairCounts,
-                     human: np.ndarray, metric: np.ndarray) -> float | None:
-    """Statistic for one group, deriving the TAU_C context when needed."""
-    if kind is StatKind.TAU_C:
-        k, n = tau_c_context(human, metric)
-        return stat_from_counts(kind, counts, k=k, n=n)
-    return stat_from_counts(kind, counts)
+def _tau_c_contexts(groups: list[AlignedGroup]) -> np.ndarray:
+    """TAU_C's (k, n) for every group, as a (2, groups) int64 array."""
+    return np.array([tau_c_context(h, m) for _, h, m in groups],
+                    dtype=np.int64).reshape(-1, 2).T
+
+
+def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
+                  kinds: Sequence[StatKind], eps: EpsilonPolicy | float = 0.0
+                  ) -> list[CorrelationReport]:
+    """Compute statistics under a grouping mode with full NaN accounting.
+
+    One pass classifies every within-group pair; each statistic is then
+    evaluated on the per-group counts, giving one report per entry of
+    ``kinds``.  Grouped modes return the unweighted mean over groups whose
+    statistic is defined; NO_GROUPING evaluates the pooled vectors
+    directly.  Undefined results are reported as value None, never raised.
+    """
+    pol = _as_policy(eps)
+    groups = align(human, metric, mode)
+    counts = _pair_counts(*_flatten(groups), pol)
+    k, n = _tau_c_contexts(groups) if StatKind.TAU_C in kinds else (None, None)
+    reports = []
+    for kind in kinds:
+        values = _stat_from_arrays(kind, *counts.T, k, n)
+        used = ~np.isnan(values)
+        groups_used = int(np.count_nonzero(used))
+        reports.append(CorrelationReport(
+            kind=kind,
+            mode=mode,
+            epsilon=pol,
+            value=mean_defined(values),
+            groups_total=len(groups),
+            groups_used=groups_used,
+            pairs_total=int(counts.sum()),
+            pairs_by_class=PairCounts(*counts[used].sum(axis=0).tolist()),
+        ))
+    return reports
 
 
 def grouped_stat(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
                  kind: StatKind, eps: EpsilonPolicy | float = 0.0) -> CorrelationReport:
-    """Compute a statistic under a grouping mode with full NaN accounting.
-
-    Grouped modes return the unweighted mean over groups whose statistic is
-    defined; NO_GROUPING evaluates the pooled vectors directly.  Undefined
-    results are reported as value None, never raised.
-    """
-    pol = _as_policy(eps)
-    groups = align(human, metric, mode)
-    values = np.full(len(groups), np.nan, dtype=np.float64)
-    pairs_total = 0
-    used_counts = PairCounts()
-    for i, (_, h, m) in enumerate(groups):
-        counts = suff_stats(h, m, pol)
-        pairs_total += counts.total
-        value = group_stat_value(kind, counts, h, m)
-        if value is not None:
-            values[i] = value
-            used_counts = used_counts + counts
-    groups_used = int(values.size - np.count_nonzero(np.isnan(values)))
-    return CorrelationReport(
-        kind=kind,
-        mode=mode,
-        epsilon=pol,
-        value=_mean_from(values, groups_used),
-        groups_total=len(groups),
-        groups_used=groups_used,
-        pairs_total=pairs_total,
-        pairs_by_class=used_counts,
-    )
+    """:func:`grouped_stats` for a single statistic."""
+    return grouped_stats(human, metric, mode, [kind], eps)[0]
 
 
 def bucketize(metric: ScoreMatrix, k: int) -> ScoreMatrix:

@@ -13,15 +13,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
 Scores = Sequence[float] | np.ndarray
 
-# Cap on elements per pairwise block so temporaries stay small (~16 MB each).
-_BLOCK_ELEMS = 1 << 21
+# Pairs per kernel block.  A block's temporaries (about 1 MB) stay in cache,
+# and memory stays flat whatever the input size.
+_BLOCK_PAIRS = 1 << 14
+
+# The five pair classes, as the kernel encodes them.
+_CONC, _DISC, _TIED_H, _TIED_M, _TIED_BOTH = range(5)
+# Class of a pair by metric tie << 2 | human tie << 1 | discordance.
+_CLASS_OF_CODE = np.array([_CONC, _DISC, _TIED_H, _TIED_H,
+                           _TIED_M, _TIED_M, _TIED_BOTH, _TIED_BOTH], dtype=np.int8)
 
 
 def as_score_vector(values: Scores) -> np.ndarray:
@@ -71,14 +78,6 @@ class EpsilonPolicy:
             return d
         denom = np.maximum(np.abs(a), np.abs(b))
         return np.divide(d, denom, out=np.zeros_like(d), where=denom > 0)
-
-    def gap(self, a: float, b: float) -> float:
-        """Scalar version of :meth:`gaps`."""
-        d = abs(a - b)
-        if self.mode is EpsilonMode.ABSOLUTE:
-            return d
-        denom = max(abs(a), abs(b))
-        return d / denom if denom > 0 else 0.0
 
     def tie_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.gaps(a, b) <= self.epsilon
@@ -173,63 +172,13 @@ def _ratio(num: float, den: float) -> float | None:
     return num / den if den else None
 
 
-def _f1(p: float | None, r: float | None) -> float | None:
-    if p is None or r is None:
-        return None
-    if p == 0 and r == 0:
-        return None
-    return 2 * p * r / (p + r)
-
-
-def _stat_from_ints(kind: StatKind, c: int, d: int, th: int, tm: int, thm: int,
-                    k: int | None = None, n: int | None = None) -> float | None:
-    """Evaluate ``kind`` from raw class counts; None for a zero denominator."""
-    total = c + d + th + tm + thm
-    if kind is StatKind.TAU_A:
-        return _ratio(c - d, total)
-    if kind is StatKind.TAU_B:
-        f1 = c + d + th
-        f2 = c + d + tm
-        if f1 == 0 or f2 == 0:
-            return None
-        return (c - d) / math.sqrt(f1 * f2)
-    if kind is StatKind.TAU_C:
-        if k is None or n is None:
-            raise ValueError("tau_c needs the k and n context of the input vectors")
-        if k < 1 or n < 0:
-            raise ValueError(f"invalid tau_c context k={k}, n={n}")
-        return _ratio(c - d, n * n * (k - 1) / k)
-    if kind is StatKind.TAU_10:
-        return _ratio(c - d - tm, c + d + tm)
-    if kind is StatKind.TAU_13:
-        return _ratio(c - d, c + d)
-    if kind is StatKind.TAU_14:
-        return _ratio(c - d, c + d + tm)
-    if kind is StatKind.TAU_EQ:
-        return _ratio(c + thm - d - th - tm, total)
-    if kind is StatKind.ACC_EQ:
-        return _ratio(c + thm, total)
-    if kind is StatKind.TIES_P:
-        return _ratio(thm, thm + tm)
-    if kind is StatKind.TIES_R:
-        return _ratio(thm, thm + th)
-    if kind is StatKind.TIES_F1:
-        return _f1(_ratio(thm, thm + tm), _ratio(thm, thm + th))
-    if kind is StatKind.RANK_P:
-        return _ratio(c, c + d + th)
-    if kind is StatKind.RANK_R:
-        return _ratio(c, c + d + tm)
-    if kind is StatKind.RANK_F1:
-        return _f1(_ratio(c, c + d + th), _ratio(c, c + d + tm))
-    raise ValueError(f"unhandled statistic {kind}")
-
-
 def _stat_from_arrays(kind: StatKind, c: np.ndarray, d: np.ndarray, th: np.ndarray,
                       tm: np.ndarray, thm: np.ndarray, k: np.ndarray | None = None,
                       n: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise :func:`_stat_from_ints`, NaN where undefined; bit-identical
-    while count sums fit the dtype, TAU_B's f1*f2 < 2**63 and TAU_C's
-    n*n*(k-1) < 2**53."""
+    """Evaluate ``kind`` elementwise over arrays of class counts, NaN where a
+    denominator is zero.  Equal bit for bit to the scalar float64 formulas
+    while count sums fit the dtype and TAU_B's f1, f2 and TAU_C's n*n*(k-1)
+    stay below 2**53."""
     def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den != 0)
 
@@ -238,7 +187,7 @@ def _stat_from_arrays(kind: StatKind, c: np.ndarray, d: np.ndarray, th: np.ndarr
 
     formulas = {
         StatKind.TAU_A: lambda: ratio(c - d, c + d + th + tm + thm),
-        StatKind.TAU_B: lambda: ratio(c - d, np.sqrt((c + d + th).astype(np.int64) * (c + d + tm))),
+        StatKind.TAU_B: lambda: ratio(c - d, np.sqrt((c + d + th).astype(np.float64) * (c + d + tm))),
         StatKind.TAU_C: lambda: ratio(c - d, n * n * (k - 1) / k),
         StatKind.TAU_10: lambda: ratio(c - d - tm, c + d + tm),
         StatKind.TAU_13: lambda: ratio(c - d, c + d),
@@ -264,7 +213,14 @@ def stat_from_counts(kind: StatKind, counts: PairCounts, *,
     unique-value count of the two vectors) and ``n`` (the vector length)
     are required for TAU_C only.
     """
-    return _stat_from_ints(kind, *counts.as_tuple(), k=k, n=n)
+    if kind is StatKind.TAU_C:
+        if k is None or n is None:
+            raise ValueError("tau_c needs the k and n context of the input vectors")
+        if k < 1 or n < 0:
+            raise ValueError(f"invalid tau_c context k={k}, n={n}")
+    columns = np.array(counts.as_tuple(), dtype=np.int64)[:, None]
+    value = float(_stat_from_arrays(kind, *columns, k=k, n=n)[0])
+    return None if math.isnan(value) else value
 
 
 RELATIONS = ("<", "=", ">")
@@ -349,6 +305,49 @@ def counts_from_cells(counts_by_cell: Mapping[Cell, int]) -> PairCounts:
     )
 
 
+def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: EpsilonPolicy, *,
+                 midpoints: bool = False
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Classify every within-group pair, ``_BLOCK_PAIRS`` pairs at a time.
+
+    ``h`` and ``m`` are the groups' vectors concatenated and ``sizes`` the
+    group lengths.  Pairs come group by group, in np.triu_indices order
+    inside each.  Each block is the pairs' metric gap (float64), group
+    (int32), class under ``pol`` (int8; human-tied iff _TIED_H or
+    _TIED_BOTH) and, on request, mean metric score.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    owner = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+    width = np.repeat(np.cumsum(sizes), sizes) - np.arange(h.size) - 1  # pairs per row
+    ends = np.cumsum(width)
+    shift = ends - width - np.arange(h.size)  # pair index + 1 - column, along each row
+    total = int(ends[-1]) if ends.size else 0
+    for p0 in range(0, total, _BLOCK_PAIRS):
+        p1 = min(p0 + _BLOCK_PAIRS, total)
+        e0, e1 = np.searchsorted(ends, [p0, p1 - 1], "right")
+        rows = slice(e0, e1 + 1)
+        take = np.minimum(ends[rows], p1) - np.maximum(ends[rows] - width[rows], p0)
+        j = np.arange(p0 + 1, p1 + 1) - np.repeat(shift[rows], take)
+        hi, hj = np.repeat(h[rows], take), h[j]
+        mi, mj = np.repeat(m[rows], take), m[j]
+        gap = pol.gaps(mi, mj)
+        code = (((gap <= pol.epsilon).view(np.uint8) << 2) | ((hi == hj).view(np.uint8) << 1)
+                | ((hi > hj) != (mi > mj)).view(np.uint8))
+        yield (gap, np.repeat(owner[rows], take), _CLASS_OF_CODE.take(code),
+               (mi + mj) / 2.0 if midpoints else None)
+
+
+def _pair_counts(h: np.ndarray, m: np.ndarray, sizes: Sequence[int],
+                 pol: EpsilonPolicy) -> np.ndarray:
+    """Per-group class counts, a (groups, 5) int64 array in class order."""
+    counts = np.zeros((len(sizes), 5), dtype=np.int64)
+    for _, group, cls, _ in _pair_blocks(h, m, sizes, pol):
+        first, span = group[0], group[-1] - group[0] + 1  # a block's groups are contiguous
+        counts[first:first + span] += np.bincount(
+            (group - first) * 5 + cls, minlength=5 * span).reshape(span, 5)
+    return counts
+
+
 def suff_stats(human: Scores, metric: Scores, eps: EpsilonPolicy | float = 0.0) -> PairCounts:
     """Classify every unordered pair of the two vectors into the five classes.
 
@@ -356,39 +355,11 @@ def suff_stats(human: Scores, metric: Scores, eps: EpsilonPolicy | float = 0.0) 
     policy.  Vectors with fewer than two entries yield all-zero counts.
     The enumeration is blocked so memory stays bounded for large inputs.
     """
-    pol = _as_policy(eps)
     h = as_score_vector(human)
     m = as_score_vector(metric)
     if h.size != m.size:
         raise ValueError(f"length mismatch: {h.size} human vs {m.size} metric scores")
-    n = h.size
-    if n < 2:
-        return PairCounts()
-
-    conc = disc = h_only = m_only = both = 0
-    row = 0
-    cols = np.arange(n)
-    while row < n - 1:
-        width = n - row - 1
-        rows = max(1, min(n - 1 - row, _BLOCK_ELEMS // width))
-        hi = h[row:row + rows, None]
-        mi = m[row:row + rows, None]
-        hj = h[None, row + 1:]
-        mj = m[None, row + 1:]
-        valid = cols[None, row + 1:] > cols[row:row + rows, None]
-        dh = hi - hj
-        h_tie = (dh == 0) & valid
-        m_tie = (pol.gaps(mi, mj) <= pol.epsilon) & valid
-        both += int(np.count_nonzero(h_tie & m_tie))
-        h_only += int(np.count_nonzero(h_tie & ~m_tie))
-        m_only += int(np.count_nonzero(m_tie & ~h_tie))
-        untied = valid & ~h_tie & ~m_tie
-        n_untied = int(np.count_nonzero(untied))
-        n_conc = int(np.count_nonzero(untied & ((dh > 0) == ((mi - mj) > 0))))
-        conc += n_conc
-        disc += n_untied - n_conc
-        row += rows
-    return PairCounts(conc, disc, h_only, m_only, both)
+    return PairCounts(*_pair_counts(h, m, [h.size], _as_policy(eps))[0].tolist())
 
 
 def tau_c_context(human: Scores, metric: Scores) -> tuple[int, int]:
@@ -451,8 +422,8 @@ def break_ties_randomly(metric: Scores, eps: EpsilonPolicy | float = 0.0, *,
     i = 0
     while i < n:
         j = i + 1
-        first = float(m[order[i]])
-        while j < n and pol.gap(first, float(m[order[j]])) <= pol.epsilon:
+        first = m[order[i]]
+        while j < n and pol.gaps(first, m[order[j]]) <= pol.epsilon:
             j += 1
         cluster = order[i:j]
         if j - i > 1:

@@ -12,7 +12,6 @@ from tiecal import (
     ScoreMatrix,
     StatKind,
     align,
-    apply_epsilon,
     calibrate,
     f1_curve,
     grouped_stat,
@@ -50,7 +49,7 @@ class TestCalibrate:
         assert result.stat_star == 1.0
         assert result.exact
         # threshold zero only ties nothing: accuracy 2/3
-        assert apply_epsilon(h, m, GroupingMode.NO_GROUPING,
+        assert grouped_stat(h, m, GroupingMode.NO_GROUPING,
                              StatKind.ACC_EQ, 0.0).value == pytest.approx(2 / 3)
 
     def test_perfect_metric_keeps_zero(self):
@@ -151,7 +150,7 @@ class TestCalibrate:
         result = calibrate(h, m, config)
         assert result.epsilon_star == pytest.approx(0.1)
         assert result.stat_star == 1.0
-        check = apply_epsilon(h2, m2, GroupingMode.NO_GROUPING, StatKind.ACC_EQ,
+        check = grouped_stat(h2, m2, GroupingMode.NO_GROUPING, StatKind.ACC_EQ,
                               EpsilonPolicy(result.epsilon_star, EpsilonMode.RELATIVE))
         assert check.value == 1.0
 
@@ -182,11 +181,13 @@ class TestCalibrate:
 
 
 class TestApplyEpsilon:
+    """A calibrated threshold applied unchanged, as on held-out data."""
+
     def test_self_application_consistency(self):
         h, m = single_group([0, 0, 1], [0.0, 0.05, 1.0])
         result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ,
                                                    mode=GroupingMode.NO_GROUPING))
-        report = apply_epsilon(h, m, GroupingMode.NO_GROUPING, StatKind.ACC_EQ,
+        report = grouped_stat(h, m, GroupingMode.NO_GROUPING, StatKind.ACC_EQ,
                                result.epsilon_star)
         assert report.value == result.stat_star
 
@@ -199,15 +200,18 @@ class TestApplyEpsilon:
                 h.add(f"s{i}", f"g{j}", float(rng.integers(0, 3)))
                 m.add(f"s{i}", f"g{j}", float(rng.normal()))
         for kind in (StatKind.ACC_EQ, StatKind.TAU_B):
-            assert apply_epsilon(h, m, GroupingMode.GROUP_BY_ITEM, kind, 0.0) == \
-                grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind, 0.0)
+            plain = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind)
+            assert grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind, 0.0) == plain
+            relative = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind,
+                                    EpsilonPolicy(0.0, EpsilonMode.RELATIVE))
+            assert (relative.value, relative.pairs_by_class) == (plain.value, plain.pairs_by_class)
 
     def test_threshold_beyond_max_gap_gives_tie_fraction(self):
         rng = np.random.default_rng(16)
         h_scores = rng.integers(0, 3, 12).astype(float)
         m_scores = rng.normal(size=12)
         h, m = single_group(h_scores, m_scores)
-        report = apply_epsilon(h, m, GroupingMode.NO_GROUPING, StatKind.ACC_EQ, 1e9)
+        report = grouped_stat(h, m, GroupingMode.NO_GROUPING, StatKind.ACC_EQ, 1e9)
         pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
         tie_fraction = sum(h_scores[i] == h_scores[j] for i, j in pairs) / len(pairs)
         assert report.value == pytest.approx(tie_fraction)
@@ -260,10 +264,10 @@ class TestF1Curve:
         h, m = single_group([0, 0, 1, 2], [0.1, 0.2, 0.5, 0.9])
         (point,) = f1_curve(h, m, GroupingMode.NO_GROUPING, [10.0])
         assert point.rank_f1 is None  # no rank predictions remain
-        report = apply_epsilon(h, m, GroupingMode.NO_GROUPING, StatKind.TIES_R, 10.0)
+        report = grouped_stat(h, m, GroupingMode.NO_GROUPING, StatKind.TIES_R, 10.0)
         assert report.value == 1.0
 
-    def test_rows_match_apply_epsilon(self):
+    def test_rows_match_grouped_stat(self):
         h, m = single_group([0, 0, 1], [0.0, 0.05, 1.0])
         cases = [(h, m, GroupingMode.NO_GROUPING, [0.5, 0.0, 0.05], EpsilonMode.ABSOLUTE)]
         rng = np.random.default_rng(41)
@@ -279,7 +283,7 @@ class TestF1Curve:
                 for kind, got in ((StatKind.TIES_F1, point.ties_f1),
                                   (StatKind.RANK_F1, point.rank_f1),
                                   (StatKind.ACC_EQ, point.acc_eq)):
-                    assert apply_epsilon(h, m, mode, kind, pol).value == got
+                    assert grouped_stat(h, m, mode, kind, pol).value == got
 
     def test_no_aligned_pairs_gives_undefined_points(self):
         h = ScoreMatrix([("s1", "g1", 1.0)])

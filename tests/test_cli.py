@@ -96,6 +96,36 @@ class TestCorrelate:
         assert out.read_text().startswith("# version=")
 
 
+    @pytest.mark.parametrize("eps_mode", ["absolute", "relative"])
+    @pytest.mark.parametrize("mode", ["no-grouping", "group-by-item"])
+    def test_stat_all_rows_match_single_stat_runs(self, tmp_path, capsys, mode, eps_mode):
+        rng = np.random.default_rng(61)
+        keys = [(f"s{i}", f"g{j}") for i in range(6) for j in range(12)]
+        h = write_scores(tmp_path / "h.tsv",
+                         [(*key, float(rng.integers(0, 4))) for key in keys])
+        a = write_scores(tmp_path / "a.tsv",
+                         [(*key, float(rng.integers(-8, 9)) / 4.0) for key in keys])
+        b = write_scores(tmp_path / "b.tsv",
+                         [(*key, float(rng.normal())) for key in keys])
+        common = ["--human", str(h), "--metric", f"a={a}", "--metric", f"b={b}",
+                  "--mode", mode, "--eps-mode", eps_mode, "--epsilon", "0.2"]
+
+        def data_lines(argv):
+            assert main(["correlate", *common, *argv]) == 0
+            text = capsys.readouterr().out
+            return [line for line in text.splitlines() if not line.startswith("#")]
+
+        combined = data_lines(["--stat", "all"])
+        kinds = [row["stat"] for row in parse_tsv("\n".join(combined))][:8]
+        single = {}
+        for kind in kinds:
+            header, *rows = data_lines(["--stat", kind])
+            assert header == combined[0]
+            for row in rows:
+                single[(row.split("\t")[0], kind)] = row
+        assert combined[1:] == [single[(name, kind)] for name in ("a", "b") for kind in kinds]
+
+
 class TestCalibrateCommand:
     def test_summary_line(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1]))
@@ -337,6 +367,17 @@ class TestFailuresExitTwo:
                      "--mode", "no-grouping"])
         assert code == 2
         assert self.one_error_line(capsys.readouterr().err)
+
+    def test_invalid_format_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TIECAL_FORMAT", "xml")
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        code = main(["correlate", "--human", str(h), "--metric", f"m={m}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert "TIECAL_FORMAT" in captured.err and "'xml'" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["buckets"], ["tie-hist"], ["f1-curve", "--eps-grid", "0,0.1"],

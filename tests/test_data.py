@@ -6,8 +6,6 @@ import json
 import pytest
 
 from tiecal import (
-    CampaignFile,
-    FileRole,
     ReportDocument,
     ScoreFileError,
     ScoreMatrix,
@@ -17,6 +15,7 @@ from tiecal import (
     rank_metrics,
     write_report,
 )
+from tiecal.data import sha256_digest
 
 
 def write(tmp_path, text, name="scores.tsv"):
@@ -83,11 +82,45 @@ class TestLoadScores:
         assert dump_scores(matrix) == dump_scores(matrix)
         assert dump_scores(matrix).startswith(b"system\tsegment\tscore\n")
 
-    def test_campaign_file_load_and_digest(self, tmp_path):
+    def test_load_and_sha256_digest(self, tmp_path):
         path = write(tmp_path, "sysA\tseg1\t2.5\n")
-        source = CampaignFile(path, FileRole.METRIC, metric_name="m1")
-        assert source.load().get("sysA", "seg1") == 2.5
-        assert source.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert load_scores(path).get("sysA", "seg1") == 2.5
+        assert sha256_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert sha256_digest(str(path)) == sha256_digest(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes("\ufeffsystem\tsegment\tscore\nsysA\tseg1\t2.5\n".encode("utf-8"))
+        matrix = load_scores(path)
+        assert list(matrix.items()) == [("sysA", "seg1", 2.5)]
+
+    @pytest.mark.parametrize("text", [
+        "1_000", " 1.5", "1.5 ", "\u0661", "\uff11.5", "1.5\u00a0", "0x10", "1e", ".", "+",
+        "", "1,5", "--1",
+    ])
+    def test_non_decimal_score_is_unparseable(self, tmp_path, text):
+        path = write(tmp_path, f"sysA\tseg1\t1\nsysA\tseg2\t{text}\n")
+        with pytest.raises(ScoreFileError, match="unparseable score") as info:
+            load_scores(path)
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("text", ["nan", "-NaN", "inf", "+Infinity", "-inf", "1e999"])
+    def test_non_finite_spellings_keep_their_message(self, tmp_path, text):
+        with pytest.raises(ScoreFileError, match="non-finite score"):
+            load_scores(write(tmp_path, f"sysA\tseg1\t{text}\n"))
+
+    @pytest.mark.parametrize("value", [1e-05, 1.5e+20, -0.0, 0.1 + 0.2, 5.0, -3e-300, 1e16])
+    def test_every_dumped_score_loads(self, tmp_path, value):
+        path = tmp_path / "dump.tsv"
+        path.write_bytes(dump_scores(ScoreMatrix([("sysA", "seg1", value)])))
+        loaded = load_scores(path).get("sysA", "seg1")
+        assert repr(loaded) == repr(value)
+
+    @pytest.mark.parametrize("text, value", [
+        ("+2", 2.0), ("-.5", -0.5), ("3.", 3.0), ("1E3", 1000.0), ("-1.25e-2", -0.0125),
+    ])
+    def test_decimal_forms_accepted(self, tmp_path, text, value):
+        assert load_scores(write(tmp_path, f"sysA\tseg1\t{text}\n")).get("sysA", "seg1") == value
 
 
 class TestFormatting:

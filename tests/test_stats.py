@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import naive_suff_stats
+from oracles import naive_suff_stats, oracle_stat
 
 from tiecal import (
     COEFFICIENT_TABLES,
@@ -12,10 +12,14 @@ from tiecal import (
     CoefficientTable,
     EpsilonMode,
     EpsilonPolicy,
+    GroupingMode,
     PairCounts,
+    ScoreMatrix,
     StatKind,
     break_ties_randomly,
     counts_from_cells,
+    grouped_stat,
+    mean_defined,
     pearson,
     spearman,
     stat_from_counts,
@@ -23,7 +27,7 @@ from tiecal import (
     suff_stats,
     tau_c_context,
 )
-from tiecal.stats import _stat_from_arrays, _stat_from_ints
+from tiecal.stats import _pair_blocks, _pair_counts, _stat_from_arrays
 
 H_FIG = [0, 0, 0, 0, 1, 2]
 M1_FIG = [0, 0, 0, 0, 2, 1]
@@ -121,6 +125,66 @@ class TestSuffStats:
     def test_relative_epsilon_double_zero_is_tied(self):
         pol = EpsilonPolicy(0.0, EpsilonMode.RELATIVE)
         assert suff_stats([0, 1], [0.0, 0.0], pol).tied_metric == 1
+
+
+class TestPairKernel:
+    """Counts stay exact when blocks of a few pairs cut across rows and groups."""
+
+    SIZES = [0, 1, 2, 9, 3, 0, 1, 5, 2]  # 9 entries give 36 pairs, more than a block
+
+    @staticmethod
+    def vectors(rng, size):
+        return rng.integers(0, 4, size).astype(float), rng.integers(-6, 7, size) / 4.0
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_suff_stats_with_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr("tiecal.stats._BLOCK_PAIRS", block)
+        rng = np.random.default_rng(block)
+        for size in list(range(13)) * 3:
+            h, m = self.vectors(rng, size)
+            for eps_mode in EpsilonMode:
+                eps = float(rng.choice([0.0, 0.25, 0.5]))
+                relative = eps_mode is EpsilonMode.RELATIVE
+                assert suff_stats(h, m, EpsilonPolicy(eps, eps_mode)) == \
+                    naive_suff_stats(h, m, eps, relative)
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 7])
+    def test_per_group_counts_with_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr("tiecal.stats._BLOCK_PAIRS", block)
+        rng = np.random.default_rng(100 + block)
+        parts = [self.vectors(rng, size) for size in self.SIZES]
+        h = np.concatenate([p[0] for p in parts])
+        m = np.concatenate([p[1] for p in parts])
+        total = sum(size * (size - 1) // 2 for size in self.SIZES)
+        pol = EpsilonPolicy(0.25, EpsilonMode.RELATIVE)
+        assert len(list(_pair_blocks(h, m, self.SIZES, pol))) == -(-total // block)
+        counts = _pair_counts(h, m, self.SIZES, pol)
+        assert counts.tolist() == [list(naive_suff_stats(hg, mg, 0.25, True).as_tuple())
+                                   for hg, mg in parts]
+
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_grouped_stat_with_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr("tiecal.stats._BLOCK_PAIRS", block)
+        rng = np.random.default_rng(200 + block)
+        sizes = [size for size in self.SIZES if size]  # align emits no empty group
+        parts = [self.vectors(rng, size) for size in sizes]
+        human = ScoreMatrix((f"s{i}", f"g{g}", float(v))
+                            for g, (hg, _) in enumerate(parts) for i, v in enumerate(hg))
+        metric = ScoreMatrix((f"s{i}", f"g{g}", float(v))
+                             for g, (_, mg) in enumerate(parts) for i, v in enumerate(mg))
+        for eps_mode in EpsilonMode:
+            relative = eps_mode is EpsilonMode.RELATIVE
+            naive = [naive_suff_stats(hg, mg, 0.25, relative) for hg, mg in parts]
+            for kind in (StatKind.ACC_EQ, StatKind.TAU_B):
+                report = grouped_stat(human, metric, GroupingMode.GROUP_BY_ITEM, kind,
+                                      EpsilonPolicy(0.25, eps_mode))
+                values = np.array([np.nan if v is None else v for v in
+                                   (oracle_stat(kind, *c.as_tuple()) for c in naive)])
+                used = [c for c, v in zip(naive, values) if not np.isnan(v)]
+                assert report.pairs_total == sum(c.total for c in naive)
+                assert report.groups_used == len(used)
+                assert report.pairs_by_class == sum(used, PairCounts())
+                assert report.value == mean_defined(values)
 
 
 class TestStatFromCounts:
@@ -246,11 +310,11 @@ class TestStatFromCounts:
 
 
 class TestStatFromArrays:
-    """The vectorised formulas the calibration sweep uses must equal the
-    scalar ones bit for bit, with NaN exactly where the scalar is None."""
+    """The vectorised formulas equal the independent scalar restatement in
+    tests/oracles.py bit for bit, with NaN exactly where it gives None."""
 
     @staticmethod
-    def count_tuples():
+    def count_tuples(dtype=np.int64):
         rng = np.random.default_rng(2718)
         rows = rng.integers(0, 10, size=(3000, 5))
         rows[rng.random(rows.shape) < 0.3] = 0
@@ -258,7 +322,12 @@ class TestStatFromArrays:
         patterns = np.array([[(p >> b) & 1 for b in range(5)] for p in range(32)])
         edge = patterns * rng.integers(1, 10, size=(32, 5))
         large = rng.integers(2**27, 2**28, size=(200, 5))
-        rows = np.concatenate([rows, edge, large])
+        parts = [rows, edge, large]
+        if dtype == np.int64:
+            # TAU_B's f1*f2 overflows int64 here; f1 and f2 stay below 2**53
+            parts.append(rng.integers(2**32, 2**50, size=(200, 5)))
+            parts.append(np.array([[2**32, 0, 0, 0, 0], [2**40, 2**39, 7, 0, 3]]))
+        rows = np.concatenate(parts)
         n = rng.integers(1, 60, size=len(rows))
         k = rng.integers(1, n + 1)
         return rows, k, n
@@ -266,15 +335,20 @@ class TestStatFromArrays:
     def test_large_tuples_exceed_exact_products(self):
         rows, _, _ = self.count_tuples()
         c, d, th, tm, _ = rows.T.tolist()
-        assert max((a + b + x) * (a + b + y)
-                   for a, b, x, y in zip(c, d, th, tm)) > 2**53
+        products = [(a + b + x) * (a + b + y) for a, b, x, y in zip(c, d, th, tm)]
+        assert max(products) > 2**63
+        assert sum(p > 2**63 for p in products) >= 200
+
+    def test_tau_b_beyond_int64_products(self):
+        got = _stat_from_arrays(StatKind.TAU_B, *np.array([[2**32, 0, 0, 0, 0]]).T)
+        assert got.tolist() == [1.0]
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("kind", list(StatKind), ids=lambda k: k.value)
     def test_bit_identical_to_scalar(self, kind, dtype):
-        rows, k, n = self.count_tuples()
+        rows, k, n = self.count_tuples(dtype)
         got = _stat_from_arrays(kind, *rows.astype(dtype).T, k=k, n=n)
-        expected = [_stat_from_ints(kind, *row, k=kk, n=nn)
+        expected = [oracle_stat(kind, *row, k=kk, n=nn)
                     for row, kk, nn in zip(rows.tolist(), k.tolist(), n.tolist())]
         assert [None if np.isnan(v) else v for v in got.tolist()] == expected
 
