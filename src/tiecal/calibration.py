@@ -21,11 +21,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .grouping import (
-    AlignedGroup,
+    Aligned,
     CorrelationReport,
     GroupingMode,
     ScoreMatrix,
-    _flatten,
     _tau_c_contexts,
     align,
     grouped_stat,
@@ -81,12 +80,12 @@ class CalibrationResult:
     report: CorrelationReport
 
 
-def _pairs(groups: list[AlignedGroup], eps_mode: EpsilonMode, *, midpoints: bool = False
+def _pairs(aligned: Aligned, eps_mode: EpsilonMode, *, midpoints: bool = False
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """The pair kernel's blocks at threshold zero, concatenated: every
     within-group pair's gap, group, class and, on request, midpoint."""
     empty = (np.empty(0), np.empty(0, np.int32), np.empty(0, np.int8), np.empty(0))
-    columns = list(zip(empty, *_pair_blocks(*_flatten(groups), EpsilonPolicy(0.0, eps_mode),
+    columns = list(zip(empty, *_pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode),
                                             midpoints=midpoints)))
     gap, group, cls0 = (np.concatenate(column) for column in columns[:3])
     return gap, group, cls0, np.concatenate(columns[3]) if midpoints else None
@@ -164,8 +163,8 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
 
     Raises ValueError when no group has two aligned entries.
     """
-    groups = align(human, metric, config.mode)
-    gap, group, cls0, _ = _pairs(groups, config.eps_mode)
+    aligned = align(human, metric, config.mode)
+    gap, group, cls0, _ = _pairs(aligned, config.eps_mode)
     total_pairs = gap.size
     if total_pairs == 0:
         raise ValueError("nothing to calibrate: no group has two aligned entries")
@@ -183,8 +182,8 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         candidates = np.concatenate(([0.0], candidates))
 
     kind = config.kind
-    n_groups = len(groups)
-    contexts = _tau_c_contexts(groups) if kind is StatKind.TAU_C else None
+    n_groups = aligned.sizes.size
+    contexts = _tau_c_contexts(aligned) if kind is StatKind.TAU_C else None
     counts, gaps, grp, src = _moves(gap, group, cls0, n_groups)
     del gap, group, cls0
 
@@ -302,9 +301,9 @@ def f1_curve(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
     grid = sorted(float(e) for e in eps_grid)
     for eps in grid:
         EpsilonPolicy(eps, eps_mode)  # rejects a negative or non-finite threshold
-    groups = align(human, metric, mode)
-    gap, group, cls0, _ = _pairs(groups, eps_mode)
-    counts, gaps, grp, src = _moves(gap, group, cls0, len(groups))
+    aligned = align(human, metric, mode)
+    gap, group, cls0, _ = _pairs(aligned, eps_mode)
+    counts, gaps, grp, src = _moves(gap, group, cls0, aligned.sizes.size)
     del gap, group, cls0
 
     def grouped(kind: StatKind) -> float | None:

@@ -74,17 +74,22 @@ def _add_io_options(parser: argparse.ArgumentParser, multi_metric: bool) -> None
                         help="report format (default from TIECAL_FORMAT, else tsv)")
 
 
-def _add_mode_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", default="no-grouping",
-                        choices=[m.value for m in GroupingMode],
-                        help="grouping for the segment-level statistic")
+# Options several subcommands take, each declared once.
+_SHARED_OPTIONS: dict[str, dict[str, Any]] = {
+    "--mode": dict(default="no-grouping", choices=[m.value for m in GroupingMode],
+                   help="grouping for the segment-level statistic"),
+    "--epsilon": dict(type=float, default=0.0, help="metric tie threshold (default 0)"),
+    "--eps-mode": dict(default="absolute", choices=[m.value for m in EpsilonMode],
+                       help="compare gaps absolutely or relative to score magnitude"),
+    "--sample-fraction": dict(type=float, default=1.0,
+                              help="fraction of pairs drawn as threshold candidates (1 = exact)"),
+    "--seed": dict(type=int, default=0, help="sampling seed"),
+}
 
 
-def _add_epsilon_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=0.0,
-                        help="metric tie threshold (default 0)")
-    parser.add_argument("--eps-mode", default="absolute", choices=("absolute", "relative"),
-                        help="compare gaps absolutely or relative to score magnitude")
+def _add_shared_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="compute statistics at a fixed threshold")
     _add_io_options(p, multi_metric=True)
-    _add_mode_option(p)
-    _add_epsilon_options(p)
+    _add_shared_options(p, "--mode", "--epsilon", "--eps-mode")
     p.add_argument("--stat", default="acc_eq",
                    help="statistic name, comma list, or 'all' for the eight "
                         "overall statistics")
@@ -106,32 +110,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="find the threshold maximizing a statistic")
     _add_io_options(p, multi_metric=True)
-    _add_mode_option(p)
+    _add_shared_options(p, "--mode", "--eps-mode", "--sample-fraction", "--seed")
     p.add_argument("--stat", default="acc_eq", help="statistic to maximize")
-    p.add_argument("--eps-mode", default="absolute", choices=("absolute", "relative"))
-    p.add_argument("--sample-fraction", type=float, default=1.0,
-                   help="fraction of pairs drawn as threshold candidates (1 = exact)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--emit-epsilon", metavar="FILE",
                    help="also write 'metric<TAB>epsilon' rows to FILE for later reuse")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("rank", help="rank metrics by a statistic")
     _add_io_options(p, multi_metric=True)
-    _add_mode_option(p)
-    _add_epsilon_options(p)
+    _add_shared_options(p, "--mode", "--epsilon", "--eps-mode", "--sample-fraction", "--seed")
     p.add_argument("--stat", default="acc_eq", help="statistic to rank by")
     p.add_argument("--calibrate", action="store_true",
                    help="calibrate the threshold per metric before ranking")
-    p.add_argument("--sample-fraction", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true",
                    help=f"include a synthetic {BASELINE_NAME} row")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("buckets", help="statistic vs. equal-width score bucketing")
     _add_io_options(p, multi_metric=False)
-    _add_mode_option(p)
+    _add_shared_options(p, "--mode")
     p.add_argument("--stat", default="tau_b", help="statistic to evaluate per bucketing")
     p.add_argument("--k-list", default="64,32,16,8,4,2,1",
                    help="comma-separated bucket counts")
@@ -139,17 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tie-hist", help="where a threshold introduces ties")
     _add_io_options(p, multi_metric=False)
-    _add_mode_option(p)
-    _add_epsilon_options(p)
+    _add_shared_options(p, "--mode", "--epsilon", "--eps-mode")
     p.add_argument("--bins", type=int, default=10, help="histogram bins")
     p.set_defaults(func=_cmd_tie_hist)
 
     p = sub.add_parser("f1-curve", help="tie/rank F1 and accuracy along a threshold grid")
     _add_io_options(p, multi_metric=False)
-    _add_mode_option(p)
+    _add_shared_options(p, "--mode", "--eps-mode")
     p.add_argument("--eps-grid", required=True,
                    help="comma-separated thresholds to evaluate")
-    p.add_argument("--eps-mode", default="absolute", choices=("absolute", "relative"))
     p.set_defaults(func=_cmd_f1_curve)
 
     p = sub.add_parser("perturb", help="randomly break metric ties, writing rank scores")
@@ -157,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metric name and its TSV score file")
     p.add_argument("--out", default="-", metavar="FILE",
                    help="output path, '-' for stdout (default)")
-    _add_epsilon_options(p)
+    _add_shared_options(p, "--epsilon", "--eps-mode")
     p.add_argument("--seed", type=int, default=0, help="tie-breaking seed")
     p.set_defaults(func=_cmd_perturb)
 
@@ -171,6 +166,8 @@ def _parse_metrics(specs: Sequence[str]) -> list[tuple[str, Path]]:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             raise ValueError(f"--metric expects NAME=FILE, got {spec!r}")
+        if any(c in name for c in "\t\r\n,"):
+            raise ValueError(f"metric name {name!r} must not contain a tab, line break or comma")
         if name in seen:
             raise ValueError(f"duplicate metric name {name!r}")
         seen.add(name)
@@ -181,7 +178,10 @@ def _parse_metrics(specs: Sequence[str]) -> list[tuple[str, Path]]:
 def _parse_stats(spec: str) -> list[StatKind]:
     if spec == "all":
         return list(OVERALL_STAT_KINDS)
-    return [StatKind.parse(part.strip()) for part in spec.split(",") if part.strip()]
+    kinds = [StatKind.parse(part.strip()) for part in spec.split(",") if part.strip()]
+    if not kinds:
+        raise ValueError(f"--stat names no statistic: {spec!r}")
+    return kinds
 
 
 def _require_one_metric(args: argparse.Namespace) -> None:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,13 +32,11 @@ from .stats import (
 class ScoreMatrix:
     """Sparse mapping (system_id, segment_id) -> finite score."""
 
-    __slots__ = ("_entries", "_systems", "_segments")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[tuple[str, str], float] |
                  Iterable[tuple[str, str, float]] = ()):
         self._entries: dict[tuple[str, str], float] = {}
-        self._systems: dict[str, None] = {}
-        self._segments: dict[str, None] = {}
         if isinstance(entries, Mapping):
             for (system, segment), score in entries.items():
                 self.add(system, segment, score)
@@ -52,16 +52,16 @@ class ScoreMatrix:
         if key in self._entries:
             raise ValueError(f"duplicate entry for system={key[0]!r} segment={key[1]!r}")
         self._entries[key] = value
-        self._systems[key[0]] = None
-        self._segments[key[1]] = None
 
     @property
     def systems(self) -> tuple[str, ...]:
-        return tuple(self._systems)
+        """Distinct system ids in first-seen order."""
+        return tuple(dict.fromkeys(system for system, _ in self._entries))
 
     @property
     def segments(self) -> tuple[str, ...]:
-        return tuple(self._segments)
+        """Distinct segment ids in first-seen order."""
+        return tuple(dict.fromkeys(segment for _, segment in self._entries))
 
     def get(self, system: str, segment: str, default: float | None = None) -> float | None:
         return self._entries.get((system, segment), default)
@@ -89,7 +89,7 @@ class ScoreMatrix:
 
     def __repr__(self) -> str:
         return (f"ScoreMatrix({len(self._entries)} entries, "
-                f"{len(self._systems)} systems, {len(self._segments)} segments)")
+                f"{len(self.systems)} systems, {len(self.segments)} segments)")
 
 
 class GroupingMode(enum.Enum):
@@ -108,39 +108,34 @@ class GroupingMode(enum.Enum):
             raise ValueError(f"unknown grouping mode {name!r} (known: {known})") from None
 
 
-AlignedGroup = tuple[str, np.ndarray, np.ndarray]
+class Aligned(NamedTuple):
+    """Paired scores split into groups, in the layout the pair kernel reads:
+    the groups' human and metric vectors concatenated, and their sizes."""
+
+    human: np.ndarray
+    metric: np.ndarray
+    sizes: np.ndarray
 
 
-def align(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode) -> list[AlignedGroup]:
+def align(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode) -> Aligned:
     """Pair up scores present in both matrices and split them into groups.
 
-    Only (system, segment) keys present in both matrices contribute.  Group
-    ids and the entries inside each group are ordered lexicographically, so
+    Only (system, segment) keys present in both matrices contribute.  Groups
+    are ordered by id and the entries inside each by (system, segment), so
     the output is independent of insertion order.  Groups with a single
     aligned entry are still emitted; they simply produce zero pairs.
     """
-    common = sorted(key for key in human.keys() if key in metric)
-
-    def vectors(keys: list[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
-        h = np.array([human.get(*k) for k in keys], dtype=np.float64)
-        m = np.array([metric.get(*k) for k in keys], dtype=np.float64)
-        return h, m
-
+    # in insertion order, often already sorted, which keeps the sort cheap
+    keys = sorted([key for key in human._entries if key in metric._entries])
     if mode is GroupingMode.NO_GROUPING:
-        if not common:
-            return []
-        h, m = vectors(common)
-        return [("all", h, m)]
-
-    index = 1 if mode is GroupingMode.GROUP_BY_ITEM else 0
-    grouped: dict[str, list[tuple[str, str]]] = {}
-    for key in common:
-        grouped.setdefault(key[index], []).append(key)
-    out: list[AlignedGroup] = []
-    for group_id in sorted(grouped):
-        h, m = vectors(grouped[group_id])
-        out.append((group_id, h, m))
-    return out
+        sizes = [len(keys)] if keys else []
+    else:
+        group_of = itemgetter(1 if mode is GroupingMode.GROUP_BY_ITEM else 0)
+        keys.sort(key=group_of)  # stable: (system, segment) order inside each group
+        sizes = [len(list(run)) for _, run in groupby(keys, group_of)]
+    return Aligned(np.fromiter(map(human._entries.__getitem__, keys), np.float64, len(keys)),
+                   np.fromiter(map(metric._entries.__getitem__, keys), np.float64, len(keys)),
+                   np.array(sizes, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -172,16 +167,12 @@ def mean_defined(values: np.ndarray) -> float | None:
     return float(np.nansum(values) / defined) if defined else None
 
 
-def _flatten(groups: list[AlignedGroup]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The groups' human and metric vectors concatenated, and their sizes."""
-    h = np.concatenate([h for _, h, _ in groups] + [np.empty(0)])
-    m = np.concatenate([m for _, _, m in groups] + [np.empty(0)])
-    return h, m, [hg.size for _, hg, _ in groups]
-
-
-def _tau_c_contexts(groups: list[AlignedGroup]) -> np.ndarray:
+def _tau_c_contexts(aligned: Aligned) -> np.ndarray:
     """TAU_C's (k, n) for every group, as a (2, groups) int64 array."""
-    return np.array([tau_c_context(h, m) for _, h, m in groups],
+    bounds = np.cumsum(aligned.sizes)[:-1]
+    # zip with the sizes: np.split yields one (empty) piece even for no groups
+    groups = zip(np.split(aligned.human, bounds), np.split(aligned.metric, bounds), aligned.sizes)
+    return np.array([tau_c_context(h, m) for h, m, _ in groups],
                     dtype=np.int64).reshape(-1, 2).T
 
 
@@ -197,9 +188,9 @@ def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
     directly.  Undefined results are reported as value None, never raised.
     """
     pol = _as_policy(eps)
-    groups = align(human, metric, mode)
-    counts = _pair_counts(*_flatten(groups), pol)
-    k, n = _tau_c_contexts(groups) if StatKind.TAU_C in kinds else (None, None)
+    aligned = align(human, metric, mode)
+    counts = _pair_counts(*aligned, pol)
+    k, n = _tau_c_contexts(aligned) if StatKind.TAU_C in kinds else (None, None)
     reports = []
     for kind in kinds:
         values = _stat_from_arrays(kind, *counts.T, k, n)
@@ -210,7 +201,7 @@ def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
             mode=mode,
             epsilon=pol,
             value=mean_defined(values),
-            groups_total=len(groups),
+            groups_total=aligned.sizes.size,
             groups_used=groups_used,
             pairs_total=int(counts.sum()),
             pairs_by_class=PairCounts(*counts[used].sum(axis=0).tolist()),

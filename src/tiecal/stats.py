@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 Scores = Sequence[float] | np.ndarray
 
@@ -78,9 +77,6 @@ class EpsilonPolicy:
             return d
         denom = np.maximum(np.abs(a), np.abs(b))
         return np.divide(d, denom, out=np.zeros_like(d), where=denom > 0)
-
-    def tie_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.gaps(a, b) <= self.epsilon
 
 
 def _as_policy(eps: EpsilonPolicy | float) -> EpsilonPolicy:
@@ -399,6 +395,7 @@ def spearman(x: Scores, y: Scores) -> float | None:
         raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
     if xv.size < 2:
         return None
+    from scipy.stats import rankdata  # deferred: slow, memory-heavy, needed only here
     return pearson(rankdata(xv), rankdata(yv))
 
 

@@ -1,17 +1,39 @@
 """Independent reference implementations used as test oracles.
 
 Everything here re-derives expected values directly from definitions
-(pure-python or flat-numpy enumeration); none of it shares code with the
-incremental or blocked paths it is used to check.  The only library pieces
-reused are the aggregation contract (mean over defined groups) and
-alignment, whose outputs the oracles re-consume.
+(pure-python or flat-numpy enumeration, plain-dict grouping); none of it
+shares code with the alignment, blocked or incremental paths it is used
+to check.  The only library piece reused is the aggregation contract
+(mean over defined groups).
 """
 
 import math
 
 import numpy as np
 
-from tiecal import PairCounts, align, mean_defined
+from tiecal import GroupingMode, PairCounts, mean_defined
+
+
+def oracle_groups(human, metric, mode):
+    """Per group, the (human, metric) vectors of the keys both matrices score.
+
+    Groups come in id order and entries in (system, segment) order inside
+    each; no-grouping pools every key in one group, and no common key
+    gives no group.
+    """
+    group_id = {GroupingMode.NO_GROUPING: lambda system, segment: "",
+                GroupingMode.GROUP_BY_ITEM: lambda system, segment: segment,
+                GroupingMode.GROUP_BY_SYSTEM: lambda system, segment: system}[mode]
+    grouped = {}
+    for system, segment, h in human.items():
+        if (system, segment) in metric:
+            grouped.setdefault(group_id(system, segment), []).append(((system, segment), h))
+    groups = []
+    for gid in sorted(grouped):
+        rows = sorted(grouped[gid])
+        groups.append((np.array([h for _, h in rows]),
+                       np.array([metric.get(*key) for key, _ in rows])))
+    return groups
 
 
 def oracle_gap(a, b, relative=False):
@@ -48,7 +70,7 @@ def naive_suff_stats(h, m, eps=0.0, relative=False):
 def pair_views(groups, relative=False):
     """Per group: (gaps, human-tie mask, concordance mask, (k, n)), by enumeration."""
     views = []
-    for _, hg, mg in groups:
+    for hg, mg in groups:
         h, m = hg.tolist(), mg.tolist()
         if len(h) < 2:
             views.append(None)
@@ -111,7 +133,7 @@ def brute_force_calibration(human, metric, mode, kind, relative=False):
     Candidates are zero plus every within-group gap; the smallest candidate
     attaining the maximum wins, mirroring the documented tie-break.
     """
-    groups = align(human, metric, mode)
+    groups = oracle_groups(human, metric, mode)
     views = pair_views(groups, relative)
     candidates = {0.0}
     for view in views:

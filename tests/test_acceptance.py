@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import brute_force_calibration, naive_suff_stats
+from oracles import brute_force_calibration, naive_suff_stats, oracle_groups
 
 from tiecal import (
     COEFFICIENT_TABLES,
@@ -19,7 +19,6 @@ from tiecal import (
     GroupingMode,
     ScoreMatrix,
     StatKind,
-    align,
     calibrate,
     counts_from_cells,
     grouped_stat,
@@ -178,13 +177,13 @@ def test_constant_metric_identities():
                 h.add(f"s{i}", f"g{j}", float(rng.integers(0, 3)))
                 m.add(f"s{i}", f"g{j}", 7.0)
         for mode in GroupingMode:
-            groups = align(h, m, mode)
+            groups = oracle_groups(h, m, mode)
             if not groups:
                 continue
             # independent per-group human tie fractions
             fractions = np.full(len(groups), np.nan)
             any_untied = False
-            for gi, (_, hg, _) in enumerate(groups):
+            for gi, (hg, _) in enumerate(groups):
                 pairs = tied = 0
                 for a in range(hg.size):
                     for b in range(a + 1, hg.size):
@@ -269,7 +268,7 @@ def test_nan_gaming_reproduction(tmp_path, capsys):
 
 def suff_stats_totals(human, mode):
     tied = total = 0
-    for _, hg, _ in align(human, human, mode):
+    for hg, _ in oracle_groups(human, human, mode):
         counts = suff_stats(hg, hg)
         tied += counts.tied_both
         total += counts.total
@@ -325,14 +324,14 @@ def test_incremental_sweep_consistency():
                 or any(a >= b for a, b in zip(epsilons, epsilons[1:]))):
             failures += 1
             continue
-        groups = align(h, m, mode)
+        groups = oracle_groups(h, m, mode)
         picks = rng.choice(len(checkpoints), size=min(20, len(checkpoints)),
                            replace=False)
         for idx in picks:
             eps, counts, value = checkpoints[idx]
             batch = grouped_stat(h, m, mode, StatKind.ACC_EQ, EpsilonPolicy(eps, eps_mode))
             failures += value != batch.value
-            for gi, (_, hg, mg) in enumerate(groups):
+            for gi, (hg, mg) in enumerate(groups):
                 if counts[gi] != naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative):
                     failures += 1
     report("incremental-sweep-consistency", failures == 0, f"{failures} failures")

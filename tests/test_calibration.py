@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import brute_force_calibration
+from oracles import brute_force_calibration, oracle_groups
 
 from tiecal import (
     CalibrationConfig,
@@ -111,13 +111,13 @@ class TestCalibrate:
             epsilons = [eps for eps, _, _ in checkpoints]
             assert epsilons[0] == 0.0
             assert all(a < b for a, b in zip(epsilons, epsilons[1:]))
-            groups = align(h, m, mode)
+            groups = oracle_groups(h, m, mode)
             picks = rng.choice(len(checkpoints), size=min(20, len(checkpoints)),
                                replace=False)
             for idx in picks:
                 eps, counts, value = checkpoints[idx]
                 assert value == grouped_stat(h, m, mode, config.kind, eps).value
-                for gi, (_, hg, mg) in enumerate(groups):
+                for gi, (hg, mg) in enumerate(groups):
                     assert counts[gi] == suff_stats(hg, mg, EpsilonPolicy(eps))
 
     def test_deterministic(self):
@@ -160,11 +160,11 @@ class TestCalibrate:
         rng = np.random.default_rng(31)
         for eps_mode in EpsilonMode:
             h, m = random_instance(rng)
-            groups = align(h, m, GroupingMode.GROUP_BY_ITEM)
-            gap, group, _, mid = _pairs(groups, eps_mode, midpoints=True)
+            mode = GroupingMode.GROUP_BY_ITEM
+            gap, group, _, mid = _pairs(align(h, m, mode), eps_mode, midpoints=True)
             pol = EpsilonPolicy(0.0, eps_mode)
             gaps, owners, mids = [], [], []
-            for gi, (_, _, mg) in enumerate(groups):
+            for gi, (_, mg) in enumerate(oracle_groups(h, m, mode)):
                 iu, ju = np.triu_indices(mg.size, k=1)
                 gaps.append(pol.gaps(mg[iu], mg[ju]))
                 owners.append(np.full(iu.size, gi))

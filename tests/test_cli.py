@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tiecal
 from tiecal import load_scores
 from tiecal.cli import main
 
@@ -379,6 +384,28 @@ class TestFailuresExitTwo:
         assert self.one_error_line(captured.err)
         assert "TIECAL_FORMAT" in captured.err and "'xml'" in captured.err
 
+    @pytest.mark.parametrize("spec", [",", "", " , "])
+    def test_empty_stat_list(self, tmp_path, capsys, spec):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        code = main(["correlate", "--human", str(h), "--metric", f"m={m}", "--stat", spec])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert "--stat names no statistic" in captured.err
+
+    @pytest.mark.parametrize("name", ["x\ty", "x\ry", "x\ny", "a,b", ","])
+    def test_metric_name_that_would_corrupt_output(self, tmp_path, capsys, name):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        code = main(["correlate", "--human", str(h), "--metric", f"{name}={m}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert "metric name" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["buckets"], ["tie-hist"], ["f1-curve", "--eps-grid", "0,0.1"],
     ])
@@ -390,3 +417,13 @@ class TestFailuresExitTwo:
         err = capsys.readouterr().err
         assert self.one_error_line(err)
         assert f"{argv[0]} takes exactly one --metric, got 2" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only spearman needs scipy; every CLI call would otherwise pay its import
+    src = Path(tiecal.__file__).resolve().parents[1]
+    code = "import sys, tiecal.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

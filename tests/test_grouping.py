@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import oracle_groups
 
 from tiecal import (
     EpsilonPolicy,
@@ -54,39 +55,63 @@ class TestScoreMatrix:
         assert matrix.systems == ("b", "a")
         assert matrix.segments == ("y", "x")
         assert len(matrix) == 3
+        assert repr(matrix) == "ScoreMatrix(3 entries, 2 systems, 2 segments)"
 
 
 class TestAlign:
     def test_complete_two_by_two(self):
         h = full_matrix({"s1": [1, 2], "s2": [3, 4]}, ["g1", "g2"])
-        m = full_matrix({"s1": [1, 2], "s2": [3, 4]}, ["g1", "g2"])
-        groups = align(h, m, GroupingMode.GROUP_BY_ITEM)
-        assert [(gid, len(hv)) for gid, hv, _ in groups] == [("g1", 2), ("g2", 2)]
+        m = full_matrix({"s1": [5, 6], "s2": [7, 8]}, ["g1", "g2"])
+        aligned = align(h, m, GroupingMode.GROUP_BY_ITEM)
+        assert aligned.sizes.tolist() == [2, 2]
+        # group g1 (s1, s2), then group g2 (s1, s2)
+        assert aligned.human.tolist() == [1, 3, 2, 4]
+        assert aligned.metric.tolist() == [5, 7, 6, 8]
 
     def test_intersection_rule_with_missing_entry(self):
         h = full_matrix({"s1": [1, 2], "s2": [3, 4]}, ["g1", "g2"])
         m = matrix_from([("s1", "g1", 1.0), ("s2", "g1", 3.0), ("s1", "g2", 2.0)])
-        groups = align(h, m, GroupingMode.GROUP_BY_ITEM)
-        assert [(gid, len(hv)) for gid, hv, _ in groups] == [("g1", 2), ("g2", 1)]
+        aligned = align(h, m, GroupingMode.GROUP_BY_ITEM)
+        assert aligned.sizes.tolist() == [2, 1]
+        assert aligned.human.tolist() == [1, 3, 2]
 
     def test_no_grouping_pools_everything(self):
         h = full_matrix({"s1": [1, 2], "s2": [3, 4], "s3": [5, 6]}, ["g1", "g2"])
         m = full_matrix({"s1": [1, 2], "s2": [3, 4], "s3": [5, 6]}, ["g1", "g2"])
-        groups = align(h, m, GroupingMode.NO_GROUPING)
-        assert len(groups) == 1
-        assert groups[0][1].size == 6
+        aligned = align(h, m, GroupingMode.NO_GROUPING)
+        assert aligned.sizes.tolist() == [6]
+        assert aligned.human.size == aligned.metric.size == 6
 
     def test_empty_intersection(self):
         h = matrix_from([("s1", "g1", 1.0)])
         m = matrix_from([("s2", "g2", 1.0)])
         for mode in GroupingMode:
-            assert align(h, m, mode) == []
+            aligned = align(h, m, mode)
+            assert aligned.sizes.size == aligned.human.size == aligned.metric.size == 0
 
     def test_group_by_system(self):
         h = full_matrix({"s1": [1, 2, 3], "s2": [4, 5, 6]}, ["g1", "g2", "g3"])
         m = full_matrix({"s1": [1, 2, 3], "s2": [4, 5, 6]}, ["g1", "g2", "g3"])
-        groups = align(h, m, GroupingMode.GROUP_BY_SYSTEM)
-        assert [(gid, len(hv)) for gid, hv, _ in groups] == [("s1", 3), ("s2", 3)]
+        aligned = align(h, m, GroupingMode.GROUP_BY_SYSTEM)
+        assert aligned.sizes.tolist() == [3, 3]
+        assert aligned.human.tolist() == [1, 2, 3, 4, 5, 6]
+
+    def test_matches_oracle_groups(self):
+        # sparse on both sides, shuffled insertion, and ids such as g10 < g2
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            h, m = random_matrices(rng, int(rng.integers(1, 7)), int(rng.integers(1, 13)),
+                                   missing=0.3)
+            rows_h = [row for row in h.items() if rng.random() >= 0.2]
+            rows_m = list(m.items())
+            h = ScoreMatrix([rows_h[i] for i in rng.permutation(len(rows_h))])
+            m = ScoreMatrix([rows_m[i] for i in rng.permutation(len(rows_m))])
+            for mode in GroupingMode:
+                aligned = align(h, m, mode)
+                groups = oracle_groups(h, m, mode)
+                assert aligned.sizes.tolist() == [hg.size for hg, _ in groups]
+                assert aligned.human.tolist() == [v for hg, _ in groups for v in hg.tolist()]
+                assert aligned.metric.tolist() == [v for _, mg in groups for v in mg.tolist()]
 
 
 class TestGroupedStat:
@@ -130,8 +155,8 @@ class TestGroupedStat:
         h, m = random_matrices(rng, 5, 8, missing=0.2)
         for mode in GroupingMode:
             report = grouped_stat(h, m, mode, StatKind.ACC_EQ)
-            groups = align(h, m, mode)
-            expected = sum(g[1].size * (g[1].size - 1) // 2 for g in groups)
+            groups = oracle_groups(h, m, mode)
+            expected = sum(hg.size * (hg.size - 1) // 2 for hg, _ in groups)
             assert report.pairs_total == expected
             # accuracy is defined for every group with at least one pair
             assert report.pairs_by_class.total == expected
