@@ -320,7 +320,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if args.baseline:
         if any(name == BASELINE_NAME for name, _ in metrics):
             raise ValueError(f"metric name {BASELINE_NAME!r} is reserved for --baseline")
-        constant = ScoreMatrix((system, segment, 0.0) for system, segment in human.keys())
+        constant = ScoreMatrix._from_checked(dict.fromkeys(human.keys(), 0.0))
         metrics = list(metrics) + [(BASELINE_NAME, constant)]
     values: dict[str, float | None] = {}
     details: dict[str, dict[str, Any]] = {}

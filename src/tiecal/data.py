@@ -39,12 +39,13 @@ def load_scores(path: str | Path) -> ScoreMatrix:
     Rejects malformed rows, non-finite or unparseable scores, and duplicate
     (system, segment) keys, naming the offending line.
     """
-    matrix = ScoreMatrix()
+    entries: dict[tuple[str, str], float] = {}
     seen_data = False
     with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
+            # a row of tabs is a row of empty columns, not a blank line
+            if (not line.strip() and "\t" not in line) or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if not seen_data and tuple(fields) == HEADER_FIELDS:
@@ -65,11 +66,12 @@ def load_scores(path: str | Path) -> ScoreMatrix:
                                      f"column 3: unparseable score {text!r}") from None
             if not math.isfinite(score):
                 raise ScoreFileError(path, lineno, f"column 3: non-finite score {text!r}")
-            if (system, segment) in matrix:
+            key = (system, segment)
+            if key in entries:
                 raise ScoreFileError(path, lineno,
                                      f"duplicate entry for system={system!r} segment={segment!r}")
-            matrix.add(system, segment, score)
-    return matrix
+            entries[key] = score
+    return ScoreMatrix._from_checked(entries)
 
 
 def dump_scores(matrix: ScoreMatrix) -> bytes:

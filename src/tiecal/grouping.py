@@ -25,7 +25,6 @@ from .stats import (
     _as_policy,
     _pair_counts,
     _stat_from_arrays,
-    tau_c_context,
 )
 
 
@@ -43,6 +42,14 @@ class ScoreMatrix:
         else:
             for system, segment, score in entries:
                 self.add(system, segment, score)
+
+    @classmethod
+    def _from_checked(cls, entries: dict[tuple[str, str], float]) -> "ScoreMatrix":
+        """Wrap ``entries``, whose keys are pairs of str and whose values are
+        finite floats, without checking them again."""
+        matrix = cls()
+        matrix._entries = entries
+        return matrix
 
     def add(self, system: str, segment: str, score: float) -> None:
         key = (str(system), str(segment))
@@ -168,12 +175,19 @@ def mean_defined(values: np.ndarray) -> float | None:
 
 
 def _tau_c_contexts(aligned: Aligned) -> np.ndarray:
-    """TAU_C's (k, n) for every group, as a (2, groups) int64 array."""
-    bounds = np.cumsum(aligned.sizes)[:-1]
-    # zip with the sizes: np.split yields one (empty) piece even for no groups
-    groups = zip(np.split(aligned.human, bounds), np.split(aligned.metric, bounds), aligned.sizes)
-    return np.array([tau_c_context(h, m) for h, m, _ in groups],
-                    dtype=np.int64).reshape(-1, 2).T
+    """TAU_C's (k, n) for every group, as a (2, groups) int64 array: k is
+    the smaller count of distinct values, each side counted from one sort
+    by (group, value)."""
+    group = np.repeat(np.arange(aligned.sizes.size), aligned.sizes)
+
+    def distinct(values: np.ndarray) -> np.ndarray:
+        v = values[np.lexsort((values, group))]
+        new = np.ones(v.size, dtype=bool)
+        new[1:] = (v[1:] != v[:-1]) | (group[1:] != group[:-1])  # -0.0 == 0.0, as in np.unique
+        return np.bincount(group[new], minlength=aligned.sizes.size)
+
+    return np.stack([np.minimum(distinct(aligned.human), distinct(aligned.metric)),
+                     aligned.sizes])
 
 
 def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,

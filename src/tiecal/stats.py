@@ -6,6 +6,14 @@ or tied in both.  All statistics here are pure functions of those five
 counts (plus, for one of them, the length and unique-value context of the
 input vectors).  Human ties are always exact score equality; metric ties
 are controlled by an epsilon policy.
+
+Per-group counts come from one of two exact paths.  The blocked kernel
+(``_pair_blocks``) classifies every pair, so its cost grows with the pairs;
+the calibration sweep, F1 curve and tie histogram read it for each pair's
+gap.  The sort count (``_sort_counts``) takes O(n log² n) time for n rows
+from windows and a dominance count over sorted scores.  ``_pair_counts``
+picks the sort count for large groups whenever the tie test is monotone
+along sorted scores: absolute mode, or epsilon 0.
 """
 
 from __future__ import annotations
@@ -22,6 +30,11 @@ Scores = Sequence[float] | np.ndarray
 # Pairs per kernel block.  A block's temporaries (about 1 MB) stay in cache,
 # and memory stays flat whatever the input size.
 _BLOCK_PAIRS = 1 << 14
+
+# Counting by sorting costs about as much as the blocked kernel at 6 pairs
+# per row and level (groups of ~90 rows, 20k rows in all), so it takes over
+# above 8.
+_SORT_PAIRS_PER_ROW_LEVEL = 8
 
 # The five pair classes, as the kernel encodes them.
 _CONC, _DISC, _TIED_H, _TIED_M, _TIED_BOTH = range(5)
@@ -333,9 +346,84 @@ def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: Epsilo
                (mi + mj) / 2.0 if midpoints else None)
 
 
+def _window_starts(m: np.ndarray, first: np.ndarray, eps: float) -> np.ndarray:
+    """For each row of ``m``, sorted ascending inside segments that start at
+    rows ``first``, the first row of its segment whose score is tied with it.
+
+    Bisects on the kernel's own test, m[i] - m[p] <= eps, which is monotone
+    in p along sorted scores.  m[p] >= m[i] - eps is not the same test:
+    0.1 + 0.3 reaches 0.4, but 0.4 - 0.1 = 0.30000000000000004 is no tie.
+    """
+    rows = np.arange(m.size)
+    lo, hi = first - 1, rows  # the test fails at lo (or lo is before the segment), holds at hi
+    for _ in range(int((rows - first).max(initial=0) + 1).bit_length()):
+        mid = (lo + hi) >> 1
+        tied = (m - m[mid] <= eps) & (mid > lo)
+        hi = np.where(tied, mid, hi)
+        lo = np.where(tied, lo, mid)
+    return hi
+
+
+def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray, eps: float) -> np.ndarray:
+    """Per-group class counts by sorting, in O(n log² n) for n rows, for a
+    metric tie test |m_i - m_j| <= eps.
+
+    In (group, metric) order each row's tie window gives the metric-tied
+    pairs; run lengths in (group, human, metric) order give the human-tied
+    pairs, and windows inside each run the tied-both pairs.  A dominance
+    count over dense human ranks gives the concordant pairs: rows before a
+    row's window (metric gap > eps) with a smaller human score.  The rest
+    are discordant.
+    """
+    rows = np.arange(h.size)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    first = np.repeat(bounds[:-1], sizes)  # each row's group start
+    group = np.repeat(np.arange(sizes.size), sizes)
+    rank = np.unique(h, return_inverse=True)[1]
+    span = int(rank.max(initial=0)) + 1
+    by_m = np.lexsort((m, group))
+    m, rank = m[by_m], rank[by_m]
+    start = _window_starts(m, first, eps)
+    key = group * span + rank
+    by_h = np.argsort(key, kind="stable")  # (group, human, metric) order
+    key = key[by_h]
+    run_first = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, rows, 0))
+    # Concordant pairs.  The ``width`` rows of a row's group before its
+    # window hold, for each set bit k of ``width``, one group-aligned block
+    # of 2**k rows.  Sorting every row's (block, rank) key at level k puts a
+    # block's keys after the first + (block << k) keys of earlier groups and
+    # blocks, so one searchsorted counts the smaller ranks inside the block.
+    local, width = rows - first, start - first
+    conc = np.zeros(h.size, dtype=np.int64)
+    for k in range(int(sizes.max(initial=0)).bit_length()):
+        ranks_by_block = np.sort((first + (local >> k)) * span + rank)
+        sel = np.flatnonzero((width >> k) & 1)
+        block = (width[sel] >> k) - 1
+        conc[sel] += (np.searchsorted(ranks_by_block, (first[sel] + block) * span + rank[sel])
+                      - first[sel] - (block << k))
+    per_row = np.stack([conc, rows - start, rows - run_first,
+                        rows - _window_starts(m[by_h], run_first, eps)], axis=1)
+    cumulative = np.concatenate((np.zeros((1, 4), dtype=np.int64), np.cumsum(per_row, axis=0)))
+    c, tied_m, tied_h, both = (cumulative[bounds[1:]] - cumulative[bounds[:-1]]).T
+    d = sizes * (sizes - 1) // 2 - tied_m - tied_h + both - c
+    return np.stack([c, d, tied_h - both, tied_m - both, both], axis=1)
+
+
 def _pair_counts(h: np.ndarray, m: np.ndarray, sizes: Sequence[int],
                  pol: EpsilonPolicy) -> np.ndarray:
-    """Per-group class counts, a (groups, 5) int64 array in class order."""
+    """Per-group class counts, a (groups, 5) int64 array in class order.
+
+    Counts by sorting when the metric tie test is monotone along sorted
+    scores (absolute mode, or epsilon 0) and the groups hold more than
+    ``_SORT_PAIRS_PER_ROW_LEVEL`` pairs per row and level (bit of the
+    largest group size); otherwise bincounts the blocked kernel's classes.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    pairs = int((sizes * (sizes - 1) // 2).sum())
+    levels = int(sizes.max(initial=0)).bit_length()
+    if ((pol.mode is EpsilonMode.ABSOLUTE or pol.epsilon == 0)
+            and pairs > _SORT_PAIRS_PER_ROW_LEVEL * h.size * levels):
+        return _sort_counts(h, m, sizes, pol.epsilon)
     counts = np.zeros((len(sizes), 5), dtype=np.int64)
     for _, group, cls, _ in _pair_blocks(h, m, sizes, pol):
         first, span = group[0], group[-1] - group[0] + 1  # a block's groups are contiguous
@@ -349,7 +437,9 @@ def suff_stats(human: Scores, metric: Scores, eps: EpsilonPolicy | float = 0.0) 
 
     Human ties are exact equality; metric ties are gap <= epsilon under the
     policy.  Vectors with fewer than two entries yield all-zero counts.
-    The enumeration is blocked so memory stays bounded for large inputs.
+    Long vectors are counted by sorting in O(n log² n) time when the tie
+    test is monotone along sorted scores (absolute mode, or epsilon 0);
+    otherwise the pairs are enumerated in blocks, so memory stays bounded.
     """
     h = as_score_vector(human)
     m = as_score_vector(metric)

@@ -3,6 +3,7 @@ pass/fail line and enforcing its stated tolerance and time budget."""
 
 import os
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -366,6 +367,27 @@ def test_performance():
     ok = t_pairs < 60.0 and t_sweep < 10.0
     report("performance", ok,
            f"suff_stats(20k)={t_pairs:.1f}s, calibrate(15x1500)={t_sweep:.1f}s")
+
+
+def test_pooled_counting_at_a_million():
+    """Pooled suff_stats on 10**6 scores at epsilon 0.01 counts every pair
+    in under 30 s (single-threaded) with under 512 MB of numpy memory at
+    its peak, as tracemalloc sees it."""
+    rng = np.random.default_rng(12)
+    n = 10**6
+    h = -rng.integers(0, 25, n).astype(float)
+    m = h + rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        counts = suff_stats(h, m, 0.01)
+        elapsed = time.perf_counter() - start
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    ok = counts.total == n * (n - 1) // 2 and elapsed < 30.0 and peak_mb < 512
+    report("pooled-counting-at-a-million", ok,
+           f"suff_stats(1e6)={elapsed:.1f}s, peak {peak_mb:.0f} MB")
 
 
 # Group-by-item accuracy-with-calibration values for WMT'22 en-de, used only

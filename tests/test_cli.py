@@ -384,6 +384,17 @@ class TestFailuresExitTwo:
         assert self.one_error_line(captured.err)
         assert "TIECAL_FORMAT" in captured.err and "'xml'" in captured.err
 
+    def test_tab_only_row_names_its_line(self, tmp_path, capsys):
+        h = tmp_path / "h.tsv"
+        h.write_text("s0\tg\t0\n\n\t\t\ns1\tg\t1\n", encoding="utf-8")
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        code = main(["correlate", "--human", str(h), "--metric", f"m={m}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert f"{h}:3: column 3: unparseable score ''" in captured.err
+
     @pytest.mark.parametrize("spec", [",", "", " , "])
     def test_empty_stat_list(self, tmp_path, capsys, spec):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))

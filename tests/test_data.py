@@ -58,6 +58,17 @@ class TestLoadScores:
         matrix = load_scores(write(tmp_path, text))
         assert len(matrix) == 1
 
+    @pytest.mark.parametrize("row, message", [
+        ("\t\t", "column 3: unparseable score ''"),
+        ("\t", "expected 3 tab-separated columns, got 2"),
+        (" \t \t", "column 3: unparseable score ''"),
+    ])
+    def test_tab_only_row_is_a_row_not_a_blank_line(self, tmp_path, row, message):
+        path = write(tmp_path, f"sysA\tseg1\t1\n\n  \n{row}\nsysA\tseg2\t2\n")
+        with pytest.raises(ScoreFileError, match=message) as info:
+            load_scores(path)
+        assert info.value.line == 4
+
     def test_header_only_recognized_on_first_data_line(self, tmp_path):
         text = "sysA\tseg1\t1\n"
         matrix = load_scores(write(tmp_path, text))

@@ -13,7 +13,9 @@ from tiecal import (
     bucketize,
     grouped_stat,
     mean_defined,
+    tau_c_context,
 )
+from tiecal.grouping import Aligned, _tau_c_contexts
 
 
 def matrix_from(rows):
@@ -206,6 +208,21 @@ class TestGroupedStat:
             h, m = random_matrices(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
             report = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, StatKind.ACC_EQ)
             assert report.groups_used == report.groups_total
+
+
+class TestTauCContexts:
+    def test_matches_tau_c_context_per_group(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            sizes = rng.choice([0, 1, 2, 3, 6], size=rng.integers(0, 7))
+            n = int(sizes.sum())
+            h = rng.choice([-0.0, 0.0, -5.0, -10.0], n)
+            m = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0, 2.5], n)
+            contexts = _tau_c_contexts(Aligned(h, m, np.asarray(sizes, dtype=np.int64)))
+            starts = np.concatenate(([0], np.cumsum(sizes)))
+            expected = [tau_c_context(h[a:b], m[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+            assert contexts.shape == (2, sizes.size)
+            assert list(zip(*contexts.tolist())) == expected
 
 
 class TestMeanDefined:

@@ -1,5 +1,6 @@
 """Tests for pair counting and the statistic formulas."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from tiecal import (
     break_ties_randomly,
     counts_from_cells,
     grouped_stat,
+    grouped_stats,
     mean_defined,
     pearson,
     spearman,
@@ -88,13 +90,16 @@ class TestSuffStats:
             counts = suff_stats(h, m, EpsilonPolicy(float(rng.uniform(0, 1))))
             assert counts.total == n * (n - 1) // 2
 
-    def test_blocked_enumeration_matches_naive_on_larger_input(self):
-        # exercise the multi-block path
+    def test_blocked_enumeration_matches_naive_on_larger_input(self, monkeypatch):
+        # this size counts by sorting; forcing the kernel exercises its multi-block path
         rng = np.random.default_rng(3)
         n = 3000
         h = rng.integers(0, 6, n).astype(float)
         m = rng.integers(0, 12, n) / 3.0
-        assert suff_stats(h, m, EpsilonPolicy(0.25)) == naive_suff_stats(h.tolist(), m.tolist(), 0.25)
+        expected = naive_suff_stats(h.tolist(), m.tolist(), 0.25)
+        assert suff_stats(h, m, EpsilonPolicy(0.25)) == expected
+        monkeypatch.setattr("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", math.inf)
+        assert suff_stats(h, m, EpsilonPolicy(0.25)) == expected
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
@@ -185,6 +190,103 @@ class TestPairKernel:
                 assert report.groups_used == len(used)
                 assert report.pairs_by_class == sum(used, PairCounts())
                 assert report.value == mean_defined(values)
+
+
+class TestSortCount:
+    """Counting by sorting and the blocked kernel both match the oracle."""
+
+    @pytest.fixture(params=[0, math.inf], ids=["sort", "kernel"])
+    def path(self, request, monkeypatch):
+        monkeypatch.setattr("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", request.param)
+
+    @staticmethod
+    def assert_oracle_counts(parts, pol):
+        h = np.concatenate([hg for hg, _ in parts] + [np.zeros(0)])
+        m = np.concatenate([mg for _, mg in parts] + [np.zeros(0)])
+        relative = pol.mode is EpsilonMode.RELATIVE
+        counts = _pair_counts(h, m, [hg.size for hg, _ in parts], pol)
+        assert counts.tolist() == [
+            list(naive_suff_stats(hg.tolist(), mg.tolist(), pol.epsilon, relative).as_tuple())
+            for hg, mg in parts]
+
+    @staticmethod
+    def random_parts(rng, sizes):
+        parts = []
+        for size in sizes:
+            h = -rng.integers(0, 4, size) * 5.0  # MQM-like: non-positive, mostly tied
+            if rng.random() < 0.5:
+                m = rng.integers(-8, 9, size) / 4.0
+            else:
+                m = np.round(rng.normal(size=size), 2)
+            parts.append((h, m))
+        return parts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_groups(self, path, seed):
+        rng = np.random.default_rng(300 + seed)
+        for _ in range(15):
+            sizes = rng.choice([0, 1, 2, 3, 5, 8, 13, 30], size=rng.integers(0, 7))
+            parts = self.random_parts(rng, sizes)
+            for eps in (0.0, 0.25, 0.5, 1.0):
+                self.assert_oracle_counts(parts, EpsilonPolicy(eps))
+
+    def test_epsilon_from_observed_gaps(self, path):
+        rng = np.random.default_rng(310)
+        for _ in range(30):
+            parts = self.random_parts(rng, rng.choice([0, 1, 2, 9, 25], size=3))
+            m = np.concatenate([mg for _, mg in parts])
+            if m.size < 2:
+                continue
+            i, j = rng.choice(m.size, size=2, replace=False)
+            self.assert_oracle_counts(parts, EpsilonPolicy(abs(float(m[i] - m[j]))))
+
+    def test_epsilon_that_the_sum_reaches_but_the_gap_exceeds(self, path):
+        # 0.1 + 0.3 >= 0.4, yet the gap 0.4 - 0.1 is 0.30000000000000004 > 0.3
+        m = np.array([0.4, 0.1, 0.7, 0.1, 1.0, 0.4])
+        parts = [(np.array([0.0, 1.0, 0.0, 2.0, 1.0, 1.0]), m), (np.zeros(2), np.array([0.1, 0.4]))]
+        self.assert_oracle_counts(parts, EpsilonPolicy(0.3))
+        assert suff_stats([0, 1], [0.1, 0.4], 0.3).tied_metric == 0
+
+    def test_negative_zero_next_to_zero(self, path):
+        h = np.array([0.0, -0.0, 0.0, -1.0, -0.0, 1.0, 0.0])
+        m = np.array([-0.0, 0.0, 0.0, -0.0, 1e-300, -1e-300, -0.0])
+        for eps in (0.0, 1e-300, 0.5):
+            self.assert_oracle_counts([(h, m), (h[::-1], m), (h[:2], m[:2])], EpsilonPolicy(eps))
+
+    def test_relative_mode_at_zero_epsilon(self, path):
+        rng = np.random.default_rng(320)
+        for _ in range(10):
+            parts = self.random_parts(rng, rng.choice([0, 1, 2, 7, 20], size=4))
+            self.assert_oracle_counts(parts, EpsilonPolicy(0.0, EpsilonMode.RELATIVE))
+
+    def test_tau_b_matches_scipy_on_the_sort_path(self):
+        from scipy.stats import kendalltau
+        rng = np.random.default_rng(330)
+        h = rng.integers(-10, 1, 3000).astype(float)
+        m = np.round(h + rng.normal(size=h.size), 1)
+        ours = stat_from_counts(StatKind.TAU_B, suff_stats(h, m))
+        assert ours == pytest.approx(kendalltau(h, m, variant="b").statistic, abs=1e-12)
+
+    def test_selection(self, monkeypatch):
+        def kernel_reached(*args, **kwargs):
+            raise AssertionError("blocked kernel reached")
+
+        monkeypatch.setattr("tiecal.stats._pair_blocks", kernel_reached)
+        rng = np.random.default_rng(340)
+        n = 5000
+        h = rng.integers(0, 10, n).astype(float)
+        m = h + rng.normal(size=n)
+        human = ScoreMatrix((f"s{i}", f"g{i % 15}", v) for i, v in enumerate(h))
+        metric = ScoreMatrix((f"s{i}", f"g{i % 15}", v) for i, v in enumerate(m))
+        kinds = [StatKind.ACC_EQ, StatKind.TAU_B]
+        pooled = GroupingMode.NO_GROUPING
+        for pol in (EpsilonPolicy(0.01), EpsilonPolicy(0.0, EpsilonMode.RELATIVE)):
+            reports = grouped_stats(human, metric, pooled, kinds, pol)
+            assert reports[0].pairs_total == n * (n - 1) // 2
+        with pytest.raises(AssertionError, match="blocked kernel"):
+            grouped_stats(human, metric, pooled, kinds, EpsilonPolicy(0.01, EpsilonMode.RELATIVE))
+        with pytest.raises(AssertionError, match="blocked kernel"):  # 15 rows a group
+            grouped_stats(human, metric, GroupingMode.GROUP_BY_SYSTEM, kinds, EpsilonPolicy(0.01))
 
 
 class TestStatFromCounts:
