@@ -25,9 +25,9 @@ from .grouping import (
     CorrelationReport,
     GroupingMode,
     ScoreMatrix,
+    _reports,
     _tau_c_contexts,
     align,
-    grouped_stat,
     mean_defined,
 )
 from .stats import (
@@ -94,10 +94,11 @@ def _pairs(aligned: Aligned, eps_mode: EpsilonMode, *, midpoints: bool = False
 def _moves(gap: np.ndarray, group: np.ndarray, cls0: np.ndarray, n_groups: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-group counts at threshold zero, then the gap, group and class of
-    the pairs a positive threshold can tie, stably sorted by gap."""
+    the pairs a positive threshold can tie, sorted by gap.  The sort need
+    not be stable: moves of equal gap enter at one candidate together."""
     counts = np.bincount(group * 5 + cls0, minlength=5 * n_groups).reshape(n_groups, 5)
     moving = np.flatnonzero(gap > 0.0)
-    order = moving[np.argsort(gap[moving], kind="stable")]
+    order = moving[np.argsort(gap[moving])]
     return counts, gap[order], group[order], cls0[order]
 
 
@@ -119,7 +120,8 @@ def _value_changes(kind: StatKind, counts: np.ndarray, grp: np.ndarray, src: np.
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per gap-ordered move: the change of its group's value (NaN read as 0)
     and of its definedness (+1, 0 or -1)."""
-    by_group = np.argsort(grp, kind="stable")
+    by_group = np.argsort(grp.astype(np.uint16) if counts.shape[0] <= 2**16 else grp,
+                          kind="stable")  # keeps each group's move order; radix on uint16
     g = grp[by_group]
     s = src[by_group]
     starts = np.flatnonzero(np.diff(g, prepend=-1))
@@ -229,8 +231,7 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
             best_val = value
             best_eps = cand_list[pick]
 
-    report = grouped_stat(human, metric, config.mode, kind,
-                          EpsilonPolicy(best_eps, config.eps_mode))
+    report = _reports(aligned, config.mode, [kind], EpsilonPolicy(best_eps, config.eps_mode))[0]
     if report.value != best_val:
         raise RuntimeError(
             "calibration sweep disagrees with batch re-evaluation at "

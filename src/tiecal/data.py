@@ -41,36 +41,44 @@ def load_scores(path: str | Path) -> ScoreMatrix:
     """
     entries: dict[tuple[str, str], float] = {}
     seen_data = False
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\r\n")
-            # a row of tabs is a row of empty columns, not a blank line
-            if (not line.strip() and "\t" not in line) or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if not seen_data and tuple(fields) == HEADER_FIELDS:
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\r\n")
+                # a row of tabs is a row of empty columns, not a blank line
+                if (not line.strip() and "\t" not in line) or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if not seen_data and tuple(fields) == HEADER_FIELDS:
+                    seen_data = True
+                    continue
                 seen_data = True
-                continue
-            seen_data = True
-            if len(fields) != 3:
-                raise ScoreFileError(path, lineno,
-                                     f"expected 3 tab-separated columns, got {len(fields)}")
-            system, segment, text = fields
+                if len(fields) != 3:
+                    raise ScoreFileError(path, lineno,
+                                         f"expected 3 tab-separated columns, got {len(fields)}")
+                system, segment, text = fields
+                try:
+                    # float() alone also takes padding, "_" separators and non-ASCII digits
+                    if not text.isascii() or "_" in text or text != text.strip():
+                        raise ValueError
+                    score = float(text)
+                except ValueError:
+                    raise ScoreFileError(path, lineno,
+                                         f"column 3: unparseable score {text!r}") from None
+                if not math.isfinite(score):
+                    raise ScoreFileError(path, lineno, f"column 3: non-finite score {text!r}")
+                key = (system, segment)
+                if key in entries:
+                    raise ScoreFileError(
+                        path, lineno, f"duplicate entry for system={system!r} segment={segment!r}")
+                entries[key] = score
+    except UnicodeDecodeError:  # bytes split into lines at \n, \r and \r\n, as text mode does
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
             try:
-                # float() alone also takes padding, "_" separators and non-ASCII digits
-                if not text.isascii() or "_" in text or text != text.strip():
-                    raise ValueError
-                score = float(text)
-            except ValueError:
-                raise ScoreFileError(path, lineno,
-                                     f"column 3: unparseable score {text!r}") from None
-            if not math.isfinite(score):
-                raise ScoreFileError(path, lineno, f"column 3: non-finite score {text!r}")
-            key = (system, segment)
-            if key in entries:
-                raise ScoreFileError(path, lineno,
-                                     f"duplicate entry for system={system!r} segment={segment!r}")
-            entries[key] = score
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ScoreFileError(path, lineno, "not valid UTF-8") from None
+        raise
     return ScoreMatrix._from_checked(entries)
 
 

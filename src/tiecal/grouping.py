@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -31,11 +31,12 @@ from .stats import (
 class ScoreMatrix:
     """Sparse mapping (system_id, segment_id) -> finite score."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_aligned")
 
     def __init__(self, entries: Mapping[tuple[str, str], float] |
                  Iterable[tuple[str, str, float]] = ()):
         self._entries: dict[tuple[str, str], float] = {}
+        self._aligned: dict[GroupingMode, tuple] = {}  # align's human side, per mode
         if isinstance(entries, Mapping):
             for (system, segment), score in entries.items():
                 self.add(system, segment, score)
@@ -59,6 +60,7 @@ class ScoreMatrix:
         if key in self._entries:
             raise ValueError(f"duplicate entry for system={key[0]!r} segment={key[1]!r}")
         self._entries[key] = value
+        self._aligned.clear()
 
     @property
     def systems(self) -> tuple[str, ...]:
@@ -124,25 +126,41 @@ class Aligned(NamedTuple):
     sizes: np.ndarray
 
 
+def _human_side(human: ScoreMatrix, mode: GroupingMode
+                ) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
+    """Every human key in align's order, the human vector and each key's
+    group index; computed once per matrix and mode."""
+    side = human._aligned.get(mode)
+    if side is None:
+        keys = sorted(human._entries)  # often already sorted, which keeps the sort cheap
+        if mode is GroupingMode.NO_GROUPING:
+            sizes = [len(keys)]
+        else:
+            group_of = itemgetter(1 if mode is GroupingMode.GROUP_BY_ITEM else 0)
+            keys.sort(key=group_of)  # stable: (system, segment) order inside each group
+            sizes = [len(list(run)) for _, run in groupby(keys, group_of)]
+        side = human._aligned[mode] = (
+            keys, np.fromiter(map(human._entries.__getitem__, keys), np.float64, len(keys)),
+            np.repeat(np.arange(len(sizes)), sizes))
+    return side
+
+
 def align(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode) -> Aligned:
     """Pair up scores present in both matrices and split them into groups.
 
     Only (system, segment) keys present in both matrices contribute.  Groups
     are ordered by id and the entries inside each by (system, segment), so
     the output is independent of insertion order.  Groups with a single
-    aligned entry are still emitted; they simply produce zero pairs.
+    aligned entry are still emitted; they simply produce zero pairs.  The
+    human side is ordered once per matrix and mode; each metric then costs
+    one lookup per human key.
     """
-    # in insertion order, often already sorted, which keeps the sort cheap
-    keys = sorted([key for key in human._entries if key in metric._entries])
-    if mode is GroupingMode.NO_GROUPING:
-        sizes = [len(keys)] if keys else []
-    else:
-        group_of = itemgetter(1 if mode is GroupingMode.GROUP_BY_ITEM else 0)
-        keys.sort(key=group_of)  # stable: (system, segment) order inside each group
-        sizes = [len(list(run)) for _, run in groupby(keys, group_of)]
-    return Aligned(np.fromiter(map(human._entries.__getitem__, keys), np.float64, len(keys)),
-                   np.fromiter(map(metric._entries.__getitem__, keys), np.float64, len(keys)),
-                   np.array(sizes, dtype=np.int64))
+    keys, h, group = _human_side(human, mode)
+    # NaN marks a missing key: matrices hold finite scores only
+    m = np.fromiter(map(metric._entries.get, keys, repeat(np.nan)), np.float64, len(keys))
+    common = ~np.isnan(m)
+    sizes = np.bincount(group[common])
+    return Aligned(h[common], m[common], sizes[sizes > 0])
 
 
 @dataclass(frozen=True)
@@ -201,8 +219,12 @@ def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
     statistic is defined; NO_GROUPING evaluates the pooled vectors
     directly.  Undefined results are reported as value None, never raised.
     """
-    pol = _as_policy(eps)
-    aligned = align(human, metric, mode)
+    return _reports(align(human, metric, mode), mode, kinds, _as_policy(eps))
+
+
+def _reports(aligned: Aligned, mode: GroupingMode, kinds: Sequence[StatKind],
+             pol: EpsilonPolicy) -> list[CorrelationReport]:
+    """:func:`grouped_stats` on scores already aligned under ``mode``."""
     counts = _pair_counts(*aligned, pol)
     k, n = _tau_c_contexts(aligned) if StatKind.TAU_C in kinds else (None, None)
     reports = []

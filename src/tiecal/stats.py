@@ -346,22 +346,29 @@ def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: Epsilo
                (mi + mj) / 2.0 if midpoints else None)
 
 
-def _window_starts(m: np.ndarray, first: np.ndarray, eps: float) -> np.ndarray:
+def _window_starts(m: np.ndarray, first: np.ndarray, eps: float,
+                   values: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """For each row of ``m``, sorted ascending inside segments that start at
-    rows ``first``, the first row of its segment whose score is tied with it.
+    rows ``first``, the first row of its segment whose score is tied with it;
+    ``rank`` is each row's index in the distinct scores ``values``.
 
-    Bisects on the kernel's own test, m[i] - m[p] <= eps, which is monotone
-    in p along sorted scores.  m[p] >= m[i] - eps is not the same test:
-    0.1 + 0.3 reaches 0.4, but 0.4 - 0.1 = 0.30000000000000004 is no tie.
+    The test is the kernel's own, m[i] - m[p] <= eps, monotone in p along
+    sorted scores.  m[p] >= m[i] - eps is not the same test (0.1 + 0.3
+    reaches 0.4, but 0.4 - 0.1 = 0.30000000000000004 is no tie), so it
+    only guesses the starts, by one searchsorted over (segment, rank) keys;
+    rows whose guess fails the kernel's test are bisected.
     """
-    rows = np.arange(m.size)
-    lo, hi = first - 1, rows  # the test fails at lo (or lo is before the segment), holds at hi
-    for _ in range(int((rows - first).max(initial=0) + 1).bit_length()):
+    key = first * values.size + rank  # ascending: segments in order, sorted inside
+    start = np.searchsorted(key, first * values.size + np.searchsorted(values, m - eps))
+    miss = np.flatnonzero((m - m[start] > eps) | (start > first) & (m - m[start - 1] <= eps))
+    lo, hi = first[miss] - 1, miss  # the test fails at lo (or lo is outside), holds at hi
+    for _ in range(int((miss - first[miss]).max(initial=0) + 1).bit_length()):
         mid = (lo + hi) >> 1
-        tied = (m - m[mid] <= eps) & (mid > lo)
+        tied = (m[miss] - m[mid] <= eps) & (mid > lo)
         hi = np.where(tied, mid, hi)
         lo = np.where(tied, lo, mid)
-    return hi
+    start[miss] = hi
+    return start
 
 
 def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray, eps: float) -> np.ndarray:
@@ -381,9 +388,10 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray, eps: float) ->
     group = np.repeat(np.arange(sizes.size), sizes)
     rank = np.unique(h, return_inverse=True)[1]
     span = int(rank.max(initial=0)) + 1
+    values, m_rank = np.unique(m, return_inverse=True)
     by_m = np.lexsort((m, group))
-    m, rank = m[by_m], rank[by_m]
-    start = _window_starts(m, first, eps)
+    m, rank, m_rank = m[by_m], rank[by_m], m_rank[by_m]
+    start = _window_starts(m, first, eps, values, m_rank)
     key = group * span + rank
     by_h = np.argsort(key, kind="stable")  # (group, human, metric) order
     key = key[by_h]
@@ -402,7 +410,8 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray, eps: float) ->
         conc[sel] += (np.searchsorted(ranks_by_block, (first[sel] + block) * span + rank[sel])
                       - first[sel] - (block << k))
     per_row = np.stack([conc, rows - start, rows - run_first,
-                        rows - _window_starts(m[by_h], run_first, eps)], axis=1)
+                        rows - _window_starts(m[by_h], run_first, eps, values, m_rank[by_h])],
+                       axis=1)
     cumulative = np.concatenate((np.zeros((1, 4), dtype=np.int64), np.cumsum(per_row, axis=0)))
     c, tied_m, tied_h, both = (cumulative[bounds[1:]] - cumulative[bounds[:-1]]).T
     d = sizes * (sizes - 1) // 2 - tied_m - tied_h + both - c

@@ -18,7 +18,8 @@ from tiecal import (
     suff_stats,
     tie_location_histogram,
 )
-from tiecal.calibration import _pairs
+from tiecal.calibration import _moves, _pairs, _value_changes
+from tiecal.stats import _stat_from_arrays
 
 
 def single_group(h_scores, m_scores):
@@ -178,6 +179,49 @@ class TestCalibrate:
             CalibrationConfig(sample_fraction=0.0)
         with pytest.raises(ValueError):
             CalibrationConfig(sample_fraction=1.5)
+
+
+class TestManySmallGroups:
+    """The sweep's sorts: gaps unstably, group ids stably as uint16 up to
+    2**16 groups and as int32 beyond, over long runs of equal gaps."""
+
+    @pytest.fixture(scope="class", params=[2**16, 2**16 + 1], ids=["uint16", "int32"])
+    def campaign(self, request):
+        n_groups = request.param
+        rng = np.random.default_rng(n_groups)
+        sizes = rng.integers(2, 4, n_groups)
+        sizes[[0, -1]] = 3
+        h = rng.integers(0, 3, sizes.sum()).astype(float)
+        m = 3 * h + rng.integers(-1, 2, sizes.sum())  # integer gaps 0..8
+        # the first and last groups' moves interleave in gap order (1, 2, 2,
+        # 3, 4, 4), so ids that wrapped around would mix their counts
+        h[:3], m[:3], h[-3:], m[-3:] = [0, 0, 1], [0, 1, 4], [0, 1, 1], [0, 2, 4]
+        keys = [(f"s{i}", f"g{j:06d}") for j, size in enumerate(sizes.tolist())
+                for i in range(size)]
+        return (ScoreMatrix(dict(zip(keys, h.tolist()))),
+                ScoreMatrix(dict(zip(keys, m.tolist()))), n_groups)
+
+    @pytest.mark.parametrize("kind", [StatKind.ACC_EQ, StatKind.TIES_F1])
+    def test_matches_every_candidate(self, campaign, kind):
+        h, m, n_groups = campaign
+        mode = GroupingMode.GROUP_BY_ITEM
+        batch = [grouped_stat(h, m, mode, kind, float(eps)).value for eps in range(9)]
+        result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode))
+        assert result.candidates_evaluated == 9
+        assert result.stat_star == max(batch)
+        assert result.epsilon_star == batch.index(max(batch)) > 0
+        assert result.report.groups_total == n_groups
+
+        # the cumulative value changes track the batch values at every candidate
+        aligned = align(h, m, mode)
+        counts, gaps, grp, src = _moves(*_pairs(aligned, EpsilonMode.ABSOLUTE)[:3], n_groups)
+        start = _stat_from_arrays(kind, *counts.T)
+        d_value, d_defined = _value_changes(kind, counts, grp, src, start, None)
+        at = np.searchsorted(gaps, np.arange(9.0), "right")
+        sums = np.nansum(start) + np.concatenate(([0.0], np.cumsum(d_value)))[at]
+        defined = np.count_nonzero(~np.isnan(start)) + np.concatenate(
+            ([0], np.cumsum(d_defined)))[at]
+        assert (sums / defined).tolist() == pytest.approx(batch, rel=0, abs=1e-12)
 
 
 class TestApplyEpsilon:

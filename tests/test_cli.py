@@ -221,6 +221,44 @@ class TestRank:
         assert float(row["epsilon"]) == 0.05
         assert float(row["value"]) == 1.0
 
+    def test_calibrated_ranking_aligns_once_per_metric(self, tmp_path, capsys, monkeypatch):
+        # 17 metrics and the baseline: each is aligned once, for its sweep and
+        # its re-verification alike, against one shared human side
+        import tiecal.calibration
+        import tiecal.grouping
+        rng = np.random.default_rng(6)
+        rows = [(f"s{i}", f"g{j}") for i in range(5) for j in range(8)]
+        h = write_scores(tmp_path / "h.tsv", [(*key, float(rng.integers(0, 3))) for key in rows])
+        argv = ["rank", "--human", str(h), "--mode", "group-by-item", "--calibrate", "--baseline"]
+        for k in range(17):
+            m = write_scores(tmp_path / f"m{k}.tsv", [(*key, float(rng.normal())) for key in rows])
+            argv += ["--metric", f"m{k}={m}"]
+        aligns, sides = [], set()
+
+        def counting_align(*args):
+            aligns.append(args[2])
+            return align(*args)
+
+        def recording_side(*args):
+            side = human_side(*args)
+            sides.add(id(side))
+            return side
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("grouped_stat called")
+
+        align, human_side = tiecal.calibration.align, tiecal.grouping._human_side
+        monkeypatch.setattr("tiecal.calibration.align", counting_align)
+        monkeypatch.setattr("tiecal.grouping.align", counting_align)
+        monkeypatch.setattr("tiecal.grouping._human_side", recording_side)
+        for name in ("grouping.grouped_stat", "grouping.grouped_stats", "cli.grouped_stat",
+                     "cli.grouped_stats"):
+            monkeypatch.setattr(f"tiecal.{name}", no_batch)
+        assert main(argv) == 0
+        assert len(parse_tsv(capsys.readouterr().out)) == 18
+        assert aligns == [tiecal.GroupingMode.GROUP_BY_ITEM] * 18
+        assert len(sides) == 1
+
     def test_calibrated_ranking_warns_for_tie_averse_stat(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2, 3]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.1, 0.9, 0.4, 2.0]))
@@ -394,6 +432,22 @@ class TestFailuresExitTwo:
         assert captured.out == ""
         assert self.one_error_line(captured.err)
         assert f"{h}:3: column 3: unparseable score ''" in captured.err
+
+    @pytest.mark.parametrize("head, newline, bad_line", [
+        (b"", b"\n", 3), (b"\xef\xbb\xbf", b"\r\n", 3), (b"", b"\r", 3), (b"", b"\n", 2001),
+    ], ids=["lf", "bom-crlf", "cr", "past-first-chunk"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys, head, newline,
+                                               bad_line):
+        rows = [f"s{i}\tg\t{i}".encode() for i in range(bad_line - 1)]
+        h = tmp_path / "h.tsv"
+        h.write_bytes(head + newline.join([*rows, b"s\xff\tg\t9", b"t\tg\t1"]) + newline)
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        code = main(["correlate", "--human", str(h), "--metric", f"m={m}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert captured.err == f"error: {h}:{bad_line}: not valid UTF-8\n"
 
     @pytest.mark.parametrize("spec", [",", "", " , "])
     def test_empty_stat_list(self, tmp_path, capsys, spec):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import oracle_groups
 
 from tiecal import (
@@ -114,6 +116,36 @@ class TestAlign:
                 assert aligned.sizes.tolist() == [hg.size for hg, _ in groups]
                 assert aligned.human.tolist() == [v for hg, _ in groups for v in hg.tolist()]
                 assert aligned.metric.tolist() == [v for _, mg in groups for v in mg.tolist()]
+
+    # ids such as s10 < s2 and g10 < g2, so sorted and insertion order differ
+    KEYS = [(f"s{i}", f"g{j}") for i in (2, 10, 1) for j in (3, 10, 2, 0)]
+    SCORES = st.floats(-4, 4, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
+    SPARSE = st.dictionaries(st.sampled_from(KEYS), SCORES)
+    STEPS = st.lists(st.tuples(st.sampled_from(KEYS), SCORES) | st.booleans(), max_size=12)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(human=SPARSE, a=SPARSE, b=SPARSE, steps=STEPS)
+    def test_memoised_human_side_matches_oracle(self, human, a, b, steps):
+        # a step is a human.add (a key and score) or the aligns of both
+        # metrics in every mode, A then B (True) or B then A (False)
+        human = ScoreMatrix(human)
+        metrics = [ScoreMatrix(a), ScoreMatrix(b)]
+        for step in [True, *steps, False]:
+            if isinstance(step, tuple):
+                (system, segment), score = step
+                if (system, segment) not in human:
+                    human.add(system, segment, score)
+                continue
+            for metric in metrics if step else metrics[::-1]:
+                for mode in GroupingMode:
+                    aligned = align(human, metric, mode)
+                    groups = oracle_groups(human, metric, mode)
+                    assert aligned.sizes.dtype == np.int64
+                    assert aligned.sizes.tolist() == [hg.size for hg, _ in groups]
+                    for got, side in ((aligned.human, 0), (aligned.metric, 1)):
+                        want = [v for group in groups for v in group[side].tolist()]
+                        assert got.tolist() == want
+                        assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
 class TestGroupedStat:
