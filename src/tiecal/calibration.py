@@ -4,17 +4,19 @@ The statistic induced by a gap-threshold tie rule is a step function that
 only changes at observed pair gaps, so the candidate set is exactly zero
 plus every distinct within-group gap.  Passing a pair's gap moves the pair
 from its zero-threshold class (concordant, discordant or tied-human) to
-tied-metric or tied-both.  Restarting cumulative sums over the moves in
-(group, gap) order give each group's counts and value after each move; the
-value changes, summed in gap order, give the grouped mean at every
-candidate up to last-ulp drift.  Candidates within a stated rounding bound
-of the best are replayed exactly, in ascending order, with the reduction
-``grouped_stat`` uses, so ties in the maximum resolve to the smallest
-threshold.
+tied-metric or tied-both.  One pass over the pair kernel keeps only the
+moving pairs, and one sort puts them in gap order.  A walk over them, a
+block at a time, carries each group's counts and value and gives the
+grouped mean at every candidate up to last-ulp drift.  Candidates within a
+stated rounding bound of the best are replayed exactly, in ascending order,
+with the reduction ``grouped_stat`` uses, so ties in the maximum resolve to
+the smallest threshold.  The F1 curve and the tie histogram read the
+kernel's blocks once and keep no pair.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -31,8 +33,6 @@ from .grouping import (
     mean_defined,
 )
 from .stats import (
-    _CONC,
-    _DISC,
     _TIED_BOTH,
     _TIED_H,
     _TIED_M,
@@ -46,6 +46,15 @@ from .stats import (
 )
 
 CheckpointHook = Callable[[float, list[PairCounts], "float | None"], None]
+
+# Moves per block of the approximate sweep: its temporaries stay near 3 MB.
+_SWEEP_MOVES = 1 << 14
+# Peak bytes per pair of a sweep: the moving pairs' gaps and packed group and
+# class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room.
+_SWEEP_BYTES_PER_PAIR = 32
+# A move's change to its group's counts, by its class at threshold zero
+# (concordant, discordant, tied-human): it becomes tied-metric or tied-both.
+_MOVE = np.array([[-1, 0, 0, 1, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1]])
 
 
 @dataclass(frozen=True)
@@ -80,26 +89,31 @@ class CalibrationResult:
     report: CorrelationReport
 
 
-def _pairs(aligned: Aligned, eps_mode: EpsilonMode, *, midpoints: bool = False
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The pair kernel's blocks at threshold zero, concatenated: every
-    within-group pair's gap, group, class and, on request, midpoint."""
-    empty = (np.empty(0), np.empty(0, np.int32), np.empty(0, np.int8), np.empty(0))
-    columns = list(zip(empty, *_pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode),
-                                            midpoints=midpoints)))
-    gap, group, cls0 = (np.concatenate(column) for column in columns[:3])
-    return gap, group, cls0, np.concatenate(columns[3]) if midpoints else None
-
-
-def _moves(gap: np.ndarray, group: np.ndarray, cls0: np.ndarray, n_groups: int
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-group counts at threshold zero, then the gap, group and class of
-    the pairs a positive threshold can tie, sorted by gap.  The sort need
-    not be stable: moves of equal gap enter at one candidate together."""
-    counts = np.bincount(group * 5 + cls0, minlength=5 * n_groups).reshape(n_groups, 5)
-    moving = np.flatnonzero(gap > 0.0)
-    order = moving[np.argsort(gap[moving])]
-    return counts, gap[order], group[order], cls0[order]
+def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int,
+                  picked: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """One pass over the pair kernel at threshold zero, for ``total`` pairs:
+    the per-group class counts; the gaps of the pairs a positive threshold
+    can tie, sorted (not stably: moves of equal gap enter at one candidate
+    together), and each one's ``group << 2 | class``; and the gaps of the
+    pairs at the sorted indices ``picked``, if given."""
+    counts = np.zeros((aligned.sizes.size, 5), dtype=np.int64)
+    gaps, packed, sampled = np.empty(total), np.empty(total, dtype=np.int32), [np.empty(0)]
+    p0 = n = 0
+    for gap, group, cls, _ in _pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode)):
+        first, span = group[0], group[-1] - group[0] + 1  # a block's groups are contiguous
+        counts[first:first + span] += np.bincount(
+            (group - first) * 5 + cls, minlength=5 * span).reshape(span, 5)
+        if picked is not None:
+            lo, hi = np.searchsorted(picked, [p0, p0 + gap.size])
+            sampled.append(gap[picked[lo:hi] - p0])
+        p0, moving = p0 + gap.size, np.flatnonzero(gap > 0.0)
+        gaps[n:n + moving.size] = gap[moving]
+        packed[n:n + moving.size] = (group[moving] << 2) | cls[moving]
+        n += moving.size
+    order = np.argsort(gaps[:n])
+    gaps = gaps[:n][order]
+    return counts, gaps, packed[:n][order], None if picked is None else np.concatenate(sampled)
 
 
 def _replay(counts: np.ndarray, grp: np.ndarray, src: np.ndarray,
@@ -115,42 +129,41 @@ def _replay(counts: np.ndarray, grp: np.ndarray, src: np.ndarray,
         yield np.unique(g)
 
 
-def _value_changes(kind: StatKind, counts: np.ndarray, grp: np.ndarray, src: np.ndarray,
-                   start_values: np.ndarray, contexts: np.ndarray | None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Per gap-ordered move: the change of its group's value (NaN read as 0)
-    and of its definedness (+1, 0 or -1)."""
-    by_group = np.argsort(grp.astype(np.uint16) if counts.shape[0] <= 2**16 else grp,
-                          kind="stable")  # keeps each group's move order; radix on uint16
-    g = grp[by_group]
-    s = src[by_group]
-    starts = np.flatnonzero(np.diff(g, prepend=-1))
-    lengths = np.diff(np.append(starts, g.size))
-    narrow = np.int32 if g.size < 2**31 else np.int64
-
-    def so_far(moved: np.ndarray) -> np.ndarray:  # own-group moves up to here, inclusive
-        total = np.cumsum(moved, dtype=narrow)
-        return total - np.repeat(total[starts] - moved[starts], lengths)
-
-    at0 = counts.astype(narrow)
-    c_out, d_out, h_out = so_far(s == _CONC), so_far(s == _DISC), so_far(s == _TIED_H)
-    k, n = (None, None) if contexts is None else contexts[:, g]
-    values = _stat_from_arrays(
-        kind, at0[g, _CONC] - c_out, at0[g, _DISC] - d_out, at0[g, _TIED_H] - h_out,
-        at0[g, _TIED_M] + c_out + d_out, at0[g, _TIED_BOTH] + h_out, k, n)
-    del c_out, d_out, h_out, k, n
-    before = np.empty_like(values)
-    before[1:] = values[:-1]
-    before[starts] = start_values[g[starts]]
-    defined = np.isnan(before).astype(np.int8) - np.isnan(values)
-    np.nan_to_num(values, copy=False)
-    values -= np.nan_to_num(before, copy=False)
-    del before
-    out_values = np.empty_like(values)
-    out_values[by_group] = values
-    out_defined = np.empty_like(defined)
-    out_defined[by_group] = defined
-    return out_values, out_defined
+def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
+                  contexts: np.ndarray | None, packed: np.ndarray, at: np.ndarray
+                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per block of ``_SWEEP_MOVES`` gap-ordered moves, (first candidate,
+    sums, defined): the sum of defined group values, a few ulps from exact,
+    and the count of defined groups after each prefix length in ``at``.
+    Restarting cumulative sums in (group, gap) order give each move's group
+    counts and value; copies of ``counts`` and ``values`` carry them on."""
+    counts, values = counts.copy(), values.copy()
+    total, defined = np.nansum(values), np.count_nonzero(~np.isnan(values))
+    yield 0, np.array([total]), np.array([defined])  # at[0] == 0: no move yet
+    narrow = np.uint16 if counts.shape[0] <= 2**16 else np.int32
+    for b0 in range(0, packed.size, _SWEEP_MOVES):
+        block = packed[b0:b0 + _SWEEP_MOVES]
+        by_group = np.argsort((block >> 2).astype(narrow), kind="stable")  # radix on uint16
+        g, one_hot = block[by_group] >> 2, (block[by_group] & 3)[:, None] == np.arange(3)
+        starts = np.flatnonzero(np.diff(g, prepend=-1))
+        lengths = np.diff(np.append(starts, g.size))
+        moved = np.cumsum(one_hot, axis=0)  # own-group moves up to here, inclusive, by class
+        moved -= np.repeat(moved[starts] - one_hot[starts], lengths, axis=0)
+        now = counts[g] + moved @ _MOVE
+        k, n = (None, None) if contexts is None else contexts[:, g]
+        after = _stat_from_arrays(kind, *now.T, k, n)
+        before = np.concatenate(([np.nan], after[:-1]))
+        before[starts] = values[g[starts]]
+        last = starts + lengths - 1
+        counts[g[last]], values[g[last]] = now[last], after[last]
+        change, defined_change = np.empty_like(after), np.empty(g.size, dtype=np.int64)
+        change[by_group] = np.nan_to_num(after) - np.nan_to_num(before)
+        defined_change[by_group] = np.isnan(before).astype(np.int64) - np.isnan(after)
+        change[0] += total
+        sums, defs = np.cumsum(change), defined + np.cumsum(defined_change)
+        total, defined = sums[-1], defs[-1]
+        i0, i1 = np.searchsorted(at, [b0 + 1, b0 + block.size + 1])
+        yield i0, sums[at[i0:i1] - 1 - b0], defs[at[i0:i1] - 1 - b0]
 
 
 def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
@@ -166,70 +179,74 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     Raises ValueError when no group has two aligned entries.
     """
     aligned = align(human, metric, config.mode)
-    gap, group, cls0, _ = _pairs(aligned, config.eps_mode)
-    total_pairs = gap.size
+    total_pairs = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
     if total_pairs == 0:
         raise ValueError("nothing to calibrate: no group has two aligned entries")
+    need = total_pairs * _SWEEP_BYTES_PER_PAIR
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryError(f"calibrating {total_pairs:,} within-group pairs needs about "
+                          f"{need / 2**30:.3g} GiB, more than this machine's "
+                          f"{have / 2**30:.3g} GiB of memory")
 
-    if config.sample_fraction >= 1.0:
-        candidates = np.unique(gap)
-        exact = True
-    else:
+    picked = None
+    if config.sample_fraction < 1.0:
         rng = np.random.default_rng(config.seed)
         size = max(1, int(round(config.sample_fraction * total_pairs)))
-        picked = rng.choice(total_pairs, size=size, replace=False)
-        candidates = np.unique(gap[picked])
-        exact = False
-    if candidates.size == 0 or candidates[0] != 0.0:
-        candidates = np.concatenate(([0.0], candidates))
+        picked = np.sort(rng.choice(total_pairs, size=size, replace=False))
+    counts, gaps, packed, sampled = _sorted_moves(aligned, config.eps_mode, total_pairs, picked)
+    # Each candidate as the number of moves it ties: 0, then the ends of the
+    # runs of equal gaps (every run, or the runs of the sampled gaps).
+    if sampled is None:
+        at = np.flatnonzero(np.concatenate(([True], gaps[1:] != gaps[:-1], [gaps.size > 0])))
+    else:
+        at = np.union1d(0, np.searchsorted(gaps, np.unique(sampled), "right"))
 
     kind = config.kind
     n_groups = aligned.sizes.size
     contexts = _tau_c_contexts(aligned) if kind is StatKind.TAU_C else None
-    counts, gaps, grp, src = _moves(gap, group, cls0, n_groups)
-    del gap, group, cls0
 
     def group_values(rows: np.ndarray | slice) -> np.ndarray:
         k, n = (None, None) if contexts is None else contexts[:, rows]
         return _stat_from_arrays(kind, *counts[rows].T, k, n)
 
     values = group_values(slice(None))
-    start_defined = int(np.count_nonzero(~np.isnan(values)))
-
-    # Approximate grouped mean at every candidate, from cumulative changes.
-    d_value, d_defined = _value_changes(kind, counts, grp, src, values, contexts)
-    at = np.searchsorted(gaps, candidates, side="right")
-    defined = start_defined + np.concatenate(([0], np.cumsum(d_defined, dtype=np.int64)))[at]
-    sums = np.nansum(values) + np.concatenate(([0.0], np.cumsum(d_value)))[at]
-    del d_value, d_defined
-    approx = np.divide(sums, defined, out=np.full(sums.size, np.nan), where=defined > 0)
-
-    picks = np.flatnonzero(defined > 0)
-    if checkpoint_hook is not None:
-        picks = np.arange(candidates.size)
-    elif picks.size:
+    n_candidates, ends = at.size, at
+    if checkpoint_hook is None:
         # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum
         # of group values or of their changes exceeds M = 2G, and a float sum
         # of N terms with partial sums below M is within N*M*u of exact.  The
-        # cumulative path sums G + 2E terms, the exact path G, and each then
-        # rounds once more dividing by the defined count.  Twice the summed
-        # error keeps the true maximizer.
+        # sequential path sums G + 2E terms, the exact path G, and each then
+        # rounds once more dividing by the defined count D: err(D) =
+        # bound / D + 2u.  Twice the summed error keeps the true maximizer.
+        # The walk prunes with err(1), never tighter than the final err.
         u = np.finfo(np.float64).eps / 2
-        err = (2 * n_groups + 2 * gaps.size) * 2 * n_groups * u / defined[picks].min() + 2 * u
-        picks = picks[approx[picks] >= approx[picks].max() - 2 * err]
+        bound = (2 * n_groups + 2 * gaps.size) * 2 * n_groups * u
+        best, fewest, kept = -np.inf, n_groups, [(np.empty(0, dtype=at.dtype), np.empty(0))]
+        for first, sums, defined in _approx_means(kind, counts, values, contexts, packed, at):
+            live = np.flatnonzero(defined > 0)
+            approx = sums[live] / defined[live]
+            best = max(best, approx.max(initial=-np.inf))
+            fewest = min(fewest, defined[live].min(initial=n_groups))
+            keep = approx >= best - 2 * (bound + 2 * u)
+            kept.append((at[first + live[keep]], approx[keep]))
+        ends, approx = (np.concatenate(column) for column in zip(*kept))
+        ends = ends[approx >= best - 2 * (bound / fewest + 2 * u)]
+        del at, kept, approx
 
     best_eps = 0.0
     best_val: float | None = None
-    cand_list = candidates.tolist()
-    for pick, touched in zip(picks.tolist(), _replay(counts, grp, src, at[picks])):
+    src = (packed & 3).astype(np.int8)
+    grp = np.right_shift(packed, 2, out=packed)
+    for end, touched in zip(ends.tolist(), _replay(counts, grp, src, ends)):
         values[touched] = group_values(touched)
         value = mean_defined(values)
+        eps = float(gaps[end - 1]) if end else 0.0
         if checkpoint_hook is not None:
-            checkpoint_hook(cand_list[pick], [PairCounts(*row) for row in counts.tolist()],
-                            value)
+            checkpoint_hook(eps, [PairCounts(*row) for row in counts.tolist()], value)
         if value is not None and (best_val is None or value > best_val):
             best_val = value
-            best_eps = cand_list[pick]
+            best_eps = eps
 
     report = _reports(aligned, config.mode, [kind], EpsilonPolicy(best_eps, config.eps_mode))[0]
     if report.value != best_val:
@@ -239,8 +256,8 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     return CalibrationResult(
         epsilon_star=float(best_eps),
         stat_star=report.value,
-        candidates_evaluated=candidates.size,
-        exact=exact,
+        candidates_evaluated=n_candidates,
+        exact=picked is None,
         config=config,
         report=report,
     )
@@ -271,14 +288,32 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     pol = _as_policy(eps)
-    gap, _, _, mid = _pairs(align(human, metric, mode), pol.mode, midpoints=True)
-    if gap.size == 0:
+    aligned = align(human, metric, mode)
+    paired = aligned.sizes >= 2
+    if not paired.any():
         edges = np.linspace(0.0, 1.0, bins + 1)
         zeros = np.zeros(bins, dtype=np.int64)
         return TieHistogram(edges, zeros, zeros.copy())
-    all_counts, edges = np.histogram(mid, bins=bins)
-    new_counts, _ = np.histogram(mid[(gap > 0.0) & (gap <= pol.epsilon)], bins=edges)
-    return TieHistogram(edges, all_counts.astype(np.int64), new_counts.astype(np.int64))
+    # Rounding is monotone, so the extreme midpoints are those of each
+    # group's two lowest and two highest scores.
+    owner = np.repeat(np.arange(paired.size), aligned.sizes)
+    m = aligned.metric[np.lexsort((aligned.metric, owner))]
+    top = np.cumsum(aligned.sizes)[paired] - 1
+    low = top - aligned.sizes[paired] + 1
+    lo, hi = ((m[low] + m[low + 1]) / 2.0).min(), ((m[top - 1] + m[top]) / 2.0).max()
+    edges = np.histogram_bin_edges([lo, hi], bins)  # what np.histogram(mid, bins) uses
+    all_counts, new_counts = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
+    zero_signs: set[bool] = set()
+    for gap, _, _, mid in _pair_blocks(*aligned, pol, midpoints=True):
+        all_counts += np.histogram(mid, bins, range=(lo, hi))[0]
+        new_counts += np.histogram(mid[(gap > 0.0) & (gap <= pol.epsilon)], edges)[0]
+        if hi == 0.0:
+            zero_signs.update(np.signbit(mid[mid == 0.0]).tolist())
+    if lo < hi and zero_signs == {False, True}:
+        # A top edge of 0.0 carries the sign np.max picks from all midpoints.
+        blocks = _pair_blocks(*aligned, pol, midpoints=True)
+        edges[-1] = np.concatenate([mid for _, _, _, mid in blocks]).max()
+    return TieHistogram(edges, all_counts, new_counts)
 
 
 @dataclass(frozen=True)
@@ -294,8 +329,10 @@ def f1_curve(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
              eps_mode: EpsilonMode = EpsilonMode.ABSOLUTE) -> list[F1CurvePoint]:
     """Tie-F1, correct-rank-F1, and pairwise accuracy along a threshold grid.
 
-    One pass over the gap-ordered pairs reads the per-group counts out at
-    each grid point; values equal ``grouped_stat`` at that point exactly.
+    One pass over the pair kernel bins each group's pairs by class and by
+    the number of grid points below their gap; summing the bins along the
+    grid gives the per-group counts at each grid point, so values equal
+    ``grouped_stat`` there exactly.
     """
     if len(eps_grid) == 0:
         raise ValueError("eps_grid must not be empty")
@@ -303,15 +340,24 @@ def f1_curve(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
     for eps in grid:
         EpsilonPolicy(eps, eps_mode)  # rejects a negative or non-finite threshold
     aligned = align(human, metric, mode)
-    gap, group, cls0, _ = _pairs(aligned, eps_mode)
-    counts, gaps, grp, src = _moves(gap, group, cls0, aligned.sizes.size)
-    del gap, group, cls0
+    # binned[g, c, i]: group g's pairs of class c at threshold zero whose
+    # gap exceeds exactly i grid points; from grid point i on they are tied.
+    thresholds, width = np.array(grid), len(grid) + 1
+    binned = np.zeros((aligned.sizes.size, 5, width), dtype=np.int64)
+    for gap, group, cls, _ in _pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode)):
+        first, span = group[0], group[-1] - group[0] + 1  # a block's groups are contiguous
+        key = ((group - first) * 5 + cls).astype(np.intp) * width
+        key += np.searchsorted(thresholds, gap)
+        binned[first:first + span] += np.bincount(
+            key, minlength=5 * width * span).reshape(span, 5, width)
+    counts = binned.sum(axis=2)
 
     def grouped(kind: StatKind) -> float | None:
         return mean_defined(_stat_from_arrays(kind, *counts.T))
 
     points = []
-    for eps, _ in zip(grid, _replay(counts, grp, src, np.searchsorted(gaps, grid, "right"))):
+    for i, eps in enumerate(grid):
+        counts += binned[:, :3, i] @ _MOVE
         points.append(F1CurvePoint(
             epsilon=eps,
             ties_f1=grouped(StatKind.TIES_F1),

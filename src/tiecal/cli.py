@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__, data
 from .calibration import (
@@ -182,6 +182,13 @@ def _parse_stats(spec: str) -> list[StatKind]:
     if not kinds:
         raise ValueError(f"--stat names no statistic: {spec!r}")
     return kinds
+
+
+def _parse_list(spec: str, flag: str, convert: Callable[[str], Any]) -> list[Any]:
+    try:
+        return [convert(part) for part in spec.split(",") if part.strip()]
+    except ValueError as exc:  # float and int name the bad entry
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _require_one_metric(args: argparse.Namespace) -> None:
@@ -363,7 +370,7 @@ def _cmd_buckets(args: argparse.Namespace) -> int:
     _require_one_metric(args)
     kind = StatKind.parse(args.stat)
     mode = GroupingMode.parse(args.mode)
-    k_list = [int(part) for part in args.k_list.split(",") if part.strip()]
+    k_list = _parse_list(args.k_list, "--k-list", int)
     if not k_list or any(k < 1 for k in k_list):
         raise ValueError(f"--k-list must contain positive integers, got {args.k_list!r}")
     human, metrics, digests = _load_inputs(args)
@@ -416,7 +423,7 @@ def _cmd_f1_curve(args: argparse.Namespace) -> int:
     _require_one_metric(args)
     mode = GroupingMode.parse(args.mode)
     eps_mode = EpsilonMode.parse(args.eps_mode)
-    grid = [float(part) for part in args.eps_grid.split(",") if part.strip()]
+    grid = _parse_list(args.eps_grid, "--eps-grid", float)
     human, metrics, digests = _load_inputs(args)
     (_, matrix), = metrics
     rows = [{

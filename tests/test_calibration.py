@@ -1,5 +1,7 @@
 """Tests for the tie-calibration sweep and its companions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import brute_force_calibration, oracle_groups
@@ -18,8 +20,8 @@ from tiecal import (
     suff_stats,
     tie_location_histogram,
 )
-from tiecal.calibration import _moves, _pairs, _value_changes
-from tiecal.stats import _stat_from_arrays
+from tiecal.calibration import _approx_means, _sorted_moves
+from tiecal.stats import _pair_blocks, _stat_from_arrays
 
 
 def single_group(h_scores, m_scores):
@@ -162,8 +164,9 @@ class TestCalibrate:
         for eps_mode in EpsilonMode:
             h, m = random_instance(rng)
             mode = GroupingMode.GROUP_BY_ITEM
-            gap, group, _, mid = _pairs(align(h, m, mode), eps_mode, midpoints=True)
             pol = EpsilonPolicy(0.0, eps_mode)
+            gap, group, _, mid = (np.concatenate(column) for column in zip(
+                *_pair_blocks(*align(h, m, mode), pol, midpoints=True)))
             gaps, owners, mids = [], [], []
             for gi, (_, mg) in enumerate(oracle_groups(h, m, mode)):
                 iu, ju = np.triu_indices(mg.size, k=1)
@@ -173,6 +176,25 @@ class TestCalibrate:
             assert gap.tolist() == np.concatenate(gaps).tolist()
             assert group.tolist() == np.concatenate(owners).tolist()
             assert mid.tolist() == np.concatenate(mids).tolist()
+
+    def test_refuses_more_pairs_than_physical_memory(self, monkeypatch):
+        h, m = single_group(np.arange(300) % 4, np.arange(300) / 7)  # 44,850 pairs
+        config = CalibrationConfig(mode=GroupingMode.NO_GROUPING)
+
+        def machine(memory):
+            monkeypatch.setattr("tiecal.calibration.os.sysconf", lambda name: {
+                "SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}[name])
+
+        machine(32 * 44_850 - 1)
+        with pytest.raises(MemoryError) as info:
+            calibrate(h, m, config)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "44,850 within-group pairs" in message
+        assert f"about {32 * 44_850 / 2**30:.3g} GiB" in message
+        assert f"machine's {(32 * 44_850 - 1) / 2**30:.3g} GiB of memory" in message
+        machine(32 * 44_850)
+        assert calibrate(h, m, config).exact
 
     def test_invalid_sample_fraction(self):
         with pytest.raises(ValueError):
@@ -212,16 +234,57 @@ class TestManySmallGroups:
         assert result.epsilon_star == batch.index(max(batch)) > 0
         assert result.report.groups_total == n_groups
 
-        # the cumulative value changes track the batch values at every candidate
+        # the blocked sweep's approximate means track the batch values at every candidate
         aligned = align(h, m, mode)
-        counts, gaps, grp, src = _moves(*_pairs(aligned, EpsilonMode.ABSOLUTE)[:3], n_groups)
+        total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
+        counts, gaps, packed, _ = _sorted_moves(aligned, EpsilonMode.ABSOLUTE, total, None)
         start = _stat_from_arrays(kind, *counts.T)
-        d_value, d_defined = _value_changes(kind, counts, grp, src, start, None)
         at = np.searchsorted(gaps, np.arange(9.0), "right")
-        sums = np.nansum(start) + np.concatenate(([0.0], np.cumsum(d_value)))[at]
-        defined = np.count_nonzero(~np.isnan(start)) + np.concatenate(
-            ([0], np.cumsum(d_defined)))[at]
-        assert (sums / defined).tolist() == pytest.approx(batch, rel=0, abs=1e-12)
+        _, sums, defined = zip(*_approx_means(kind, counts, start, None, packed, at))
+        means = np.concatenate(sums) / np.concatenate(defined)
+        assert means.tolist() == pytest.approx(batch, rel=0, abs=1e-12)
+
+
+class TestPairMemory:
+    """Peak traced memory on the system-calibrate-curves shape: 15 systems
+    of 400 segments, a BLEU-like metric with about 1.2 million distinct relative
+    gaps among its 1,197,000 within-system pairs."""
+
+    PAIRS = 15 * 400 * 399 // 2
+    MODE = GroupingMode.GROUP_BY_SYSTEM
+
+    @pytest.fixture(scope="class")
+    def campaign(self):
+        rng = np.random.default_rng(4)
+        keys = [(f"sys{i:02d}", f"seg{j:05d}") for i in range(15) for j in range(400)]
+        human = -rng.integers(0, 5, len(keys)) * (rng.random(len(keys)) < 0.5)
+        metric = np.round(40 + 10 * rng.normal(size=len(keys)), 4)
+        return (ScoreMatrix(dict(zip(keys, human.astype(float).tolist()))),
+                ScoreMatrix(dict(zip(keys, metric.tolist()))))
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_f1_curve_holds_no_pairs(self, campaign):
+        h, m = campaign
+        grid = [0, 0.005, 0.01, 0.02, 0.03, 0.05, 0.075, 0.1, 0.15, 0.2]
+        assert self.peak(lambda: f1_curve(h, m, self.MODE, grid, EpsilonMode.RELATIVE)) < 8e6
+
+    def test_tie_histogram_holds_no_pairs(self, campaign):
+        h, m = campaign
+        pol = EpsilonPolicy(0.02, EpsilonMode.RELATIVE)
+        assert self.peak(lambda: tie_location_histogram(h, m, pol, 20, self.MODE)) < 8e6
+
+    def test_calibration_holds_under_40_bytes_a_pair(self, campaign):
+        h, m = campaign
+        config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
+        assert self.peak(lambda: calibrate(h, m, config)) < 40 * self.PAIRS
 
 
 class TestApplyEpsilon:

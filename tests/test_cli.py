@@ -411,6 +411,35 @@ class TestFailuresExitTwo:
         assert code == 2
         assert self.one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv, flag, entry", [
+        (["f1-curve", "--eps-grid", "0,x"], "--eps-grid", "'x'"),
+        (["f1-curve", "--eps-grid", "0.1, 1e-3 ,nan?"], "--eps-grid", "'nan?'"),
+        (["buckets", "--k-list", "2,y"], "--k-list", "'y'"),
+        (["buckets", "--k-list", "4,2.5"], "--k-list", "'2.5'"),
+    ])
+    def test_bad_list_entry_names_flag_and_entry(self, tmp_path, capsys, argv, flag, entry):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        code = main([*argv, "--human", str(h), "--metric", f"m={m}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert flag in captured.err and entry in captured.err
+
+    def test_calibration_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("tiecal.calibration.os.sysconf",
+                            lambda name: {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 1}[name])
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
+                     "--mode", "no-grouping"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert "calibrating 3 within-group pairs" in captured.err
+
     def test_invalid_format_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TIECAL_FORMAT", "xml")
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
