@@ -33,9 +33,6 @@ from .grouping import (
     mean_defined,
 )
 from .stats import (
-    _TIED_BOTH,
-    _TIED_H,
-    _TIED_M,
     EpsilonMode,
     EpsilonPolicy,
     PairCounts,
@@ -116,17 +113,22 @@ def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int,
     return counts, gaps, packed[:n][order], None if picked is None else np.concatenate(sampled)
 
 
-def _replay(counts: np.ndarray, grp: np.ndarray, src: np.ndarray,
+def _replay(counts: np.ndarray, packed: np.ndarray,
             ends: Sequence[int]) -> Iterator[np.ndarray]:
     """Apply the gap-ordered moves to ``counts`` in place, up to each
-    ascending prefix length in ``ends``; yields the groups each step touched."""
-    start = 0
+    ascending prefix length in ``ends``; yields the groups each step touched.
+    A step bincounts its moves by (group, class), ``_SWEEP_MOVES`` at a time."""
+    n_groups, start = counts.shape[0], 0
     for end in ends:
-        g, s = grp[start:end], src[start:end]
-        np.subtract.at(counts, (g, s), 1)
-        np.add.at(counts, (g, np.where(s == _TIED_H, _TIED_BOTH, _TIED_M)), 1)
+        moved = np.zeros((n_groups, 3), dtype=np.int64)
+        for b0 in range(start, end, _SWEEP_MOVES):
+            block = packed[b0:min(end, b0 + _SWEEP_MOVES)]
+            moved += np.bincount((block >> 2) * 3 + (block & 3),
+                                 minlength=3 * n_groups).reshape(n_groups, 3)
+        touched = np.flatnonzero(moved.any(axis=1))
+        counts[touched] += moved[touched] @ _MOVE
         start = end
-        yield np.unique(g)
+        yield touched
 
 
 def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
@@ -136,28 +138,33 @@ def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
     sums, defined): the sum of defined group values, a few ulps from exact,
     and the count of defined groups after each prefix length in ``at``.
     Restarting cumulative sums in (group, gap) order give each move's group
-    counts and value; copies of ``counts`` and ``values`` carry them on."""
-    counts, values = counts.copy(), values.copy()
+    counts and value; copies of ``counts`` (as columns) and ``values`` carry them on."""
+    columns, values = counts.T.copy(), values.copy()
     total, defined = np.nansum(values), np.count_nonzero(~np.isnan(values))
     yield 0, np.array([total]), np.array([defined])  # at[0] == 0: no move yet
     narrow = np.uint16 if counts.shape[0] <= 2**16 else np.int32
     for b0 in range(0, packed.size, _SWEEP_MOVES):
         block = packed[b0:b0 + _SWEEP_MOVES]
         by_group = np.argsort((block >> 2).astype(narrow), kind="stable")  # radix on uint16
-        g, one_hot = block[by_group] >> 2, (block[by_group] & 3)[:, None] == np.arange(3)
+        g, cls = block[by_group] >> 2, block[by_group] & 3
         starts = np.flatnonzero(np.diff(g, prepend=-1))
         lengths = np.diff(np.append(starts, g.size))
-        moved = np.cumsum(one_hot, axis=0)  # own-group moves up to here, inclusive, by class
-        moved -= np.repeat(moved[starts] - one_hot[starts], lengths, axis=0)
-        now = counts[g] + moved @ _MOVE
+        # own-group moves of each class up to here, inclusive
+        is_class = cls == np.arange(3)[:, None]
+        moved = np.cumsum(is_class, axis=1, dtype=np.int32)
+        moved -= np.repeat(moved[:, starts] - is_class[:, starts], lengths, axis=1)
+        a, b, t = moved
+        c, d, th, tm, thm = columns.take(g, axis=1)
+        now = (c - a, d - b, th - t, tm + a + b, thm + t)  # the rows of _MOVE
         k, n = (None, None) if contexts is None else contexts[:, g]
-        after = _stat_from_arrays(kind, *now.T, k, n)
+        after = _stat_from_arrays(kind, *now, k, n)
         before = np.concatenate(([np.nan], after[:-1]))
         before[starts] = values[g[starts]]
         last = starts + lengths - 1
-        counts[g[last]], values[g[last]] = now[last], after[last]
+        columns[:, g[last]], values[g[last]] = [column[last] for column in now], after[last]
         change, defined_change = np.empty_like(after), np.empty(g.size, dtype=np.int64)
-        change[by_group] = np.nan_to_num(after) - np.nan_to_num(before)
+        change[by_group] = (np.where(np.isnan(after), 0, after)
+                            - np.where(np.isnan(before), 0, before))
         defined_change[by_group] = np.isnan(before).astype(np.int64) - np.isnan(after)
         change[0] += total
         sums, defs = np.cumsum(change), defined + np.cumsum(defined_change)
@@ -236,9 +243,7 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
 
     best_eps = 0.0
     best_val: float | None = None
-    src = (packed & 3).astype(np.int8)
-    grp = np.right_shift(packed, 2, out=packed)
-    for end, touched in zip(ends.tolist(), _replay(counts, grp, src, ends)):
+    for end, touched in zip(ends.tolist(), _replay(counts, packed, ends)):
         values[touched] = group_values(touched)
         value = mean_defined(values)
         eps = float(gaps[end - 1]) if end else 0.0

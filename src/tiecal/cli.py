@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from . import __version__, data
 from .calibration import (
@@ -55,6 +55,20 @@ _REPORT_COLUMNS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so main reports them as one ``error:`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
+def _seed(text: str) -> int:
+    """A --seed value: the sampling and tie-breaking generators take none below 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _default_format() -> str:
     fmt = os.environ.get("TIECAL_FORMAT", "tsv")
     if fmt not in ("tsv", "json"):
@@ -83,7 +97,7 @@ _SHARED_OPTIONS: dict[str, dict[str, Any]] = {
                        help="compare gaps absolutely or relative to score magnitude"),
     "--sample-fraction": dict(type=float, default=1.0,
                               help="fraction of pairs drawn as threshold candidates (1 = exact)"),
-    "--seed": dict(type=int, default=0, help="sampling seed"),
+    "--seed": dict(type=_seed, default=0, help="sampling seed"),
 }
 
 
@@ -93,7 +107,7 @@ def _add_shared_options(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tiecal",
         description="Meta-evaluate metric scores against human scores with "
                     "tie-aware ranking statistics.")
@@ -153,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", metavar="FILE",
                    help="output path, '-' for stdout (default)")
     _add_shared_options(p, "--epsilon", "--eps-mode")
-    p.add_argument("--seed", type=int, default=0, help="tie-breaking seed")
+    p.add_argument("--seed", type=_seed, default=0, help="tie-breaking seed")
     p.set_defaults(func=_cmd_perturb)
 
     return parser

@@ -11,13 +11,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Mapping
 
 from .grouping import ScoreMatrix
 
 HEADER_FIELDS = ("system", "segment", "score")
+# Characters of whole lines load_scores reads at a time.
+_CHUNK_CHARS = 1 << 20
 
 
 class ScoreFileError(ValueError):
@@ -37,8 +41,47 @@ def load_scores(path: str | Path) -> ScoreMatrix:
     """Parse a three-column score TSV into a ScoreMatrix.
 
     Rejects malformed rows, non-finite or unparseable scores, and duplicate
-    (system, segment) keys, naming the offending line.
+    (system, segment) keys, naming the offending line.  Chunks of lines are
+    checked and converted at once; a failing chunk hands the file to the
+    line-by-line parser.  Ids are interned: matrices share their strings.
     """
+    entries: dict[tuple[str, str], float] = {}
+    may_be_header = True
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            while text := "".join(handle.readlines(_CHUNK_CHARS)):
+                lines = text.removesuffix("\n").split("\n")  # text mode ends lines with \n only
+                if text.startswith("#") or "\n#" in text or text.count("\t") != 2 * len(lines):
+                    # drop comments and blank lines; a row of tabs is not blank
+                    lines = [line for line in lines
+                             if not line.startswith("#") and ("\t" in line or line.strip())]
+                if not set(map(str.count, lines, repeat("\t"))) <= {2}:
+                    raise ValueError
+                if may_be_header and lines:
+                    may_be_header = False
+                    if lines[0] == "\t".join(HEADER_FIELDS):
+                        del lines[0]
+                fields = "\t".join(lines).split("\t")
+                texts = fields[2::3]
+                # float() alone also takes padding, "_" separators and non-ASCII
+                # digits; split() drops empty scores and splits at whitespace
+                joined = "\t".join(texts)
+                if not joined.isascii() or "_" in joined or joined.split() != texts:
+                    raise ValueError
+                scores = list(map(float, texts))
+                del lines, texts  # fewer young lists for each garbage collection to scan
+                rows = len(entries) + len(scores)
+                entries.update(zip(zip(map(sys.intern, islice(fields, 0, None, 3)),
+                                       map(sys.intern, islice(fields, 1, None, 3))), scores))
+                if len(entries) != rows or not all(map(math.isfinite, scores)):
+                    raise ValueError  # a duplicate key or a non-finite score
+    except ValueError:  # UnicodeDecodeError included
+        return _load_lines(path)
+    return ScoreMatrix._from_checked(entries)
+
+
+def _load_lines(path: str | Path) -> ScoreMatrix:
+    """:func:`load_scores` one line at a time, raising the first error."""
     entries: dict[tuple[str, str], float] = {}
     seen_data = False
     try:

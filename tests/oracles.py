@@ -8,6 +8,7 @@ to check.  The only library piece reused is the aggregation contract
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -169,3 +170,46 @@ def brute_force_calibration(human, metric, mode, kind, relative=False, sample=No
             best_val = value
             best_eps = eps
     return best_eps, best_val
+
+
+# README's score format: a finite base-10 decimal in ASCII digits, optionally
+# signed, with an optional exponent; and the spellings float() reads as
+# non-finite.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.IGNORECASE)
+
+
+def oracle_load_scores(path):
+    """README's score-file rules, one line at a time, for a UTF-8 file.
+
+    Returns the ((system, segment), score) entries in file order, or the
+    first error as "path:line: message".
+    """
+    text = open(path, "rb").read().decode("utf-8").removeprefix("\ufeff")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":  # the last line's terminator starts no line
+        lines.pop()
+    entries = {}
+    header_allowed = True
+    for number, line in enumerate(lines, start=1):
+        where = f"{path}:{number}: "
+        if line.startswith("#") or ("\t" not in line and (line == "" or line.isspace())):
+            continue
+        if header_allowed and line == "system\tsegment\tscore":
+            header_allowed = False
+            continue
+        header_allowed = False
+        fields = line.split("\t")
+        if len(fields) != 3:
+            return where + f"expected 3 tab-separated columns, got {len(fields)}"
+        system, segment, score = fields
+        if _NON_FINITE.fullmatch(score):
+            return where + f"column 3: non-finite score {score!r}"
+        if not _DECIMAL.fullmatch(score):
+            return where + f"column 3: unparseable score {score!r}"
+        if math.isinf(float(score)):  # a decimal beyond the float range
+            return where + f"column 3: non-finite score {score!r}"
+        if (system, segment) in entries:
+            return where + f"duplicate entry for system={system!r} segment={segment!r}"
+        entries[(system, segment)] = float(score)
+    return list(entries.items())

@@ -20,7 +20,7 @@ from tiecal import (
     suff_stats,
     tie_location_histogram,
 )
-from tiecal.calibration import _approx_means, _sorted_moves
+from tiecal.calibration import _approx_means, _replay, _sorted_moves
 from tiecal.stats import _pair_blocks, _stat_from_arrays
 
 
@@ -285,6 +285,17 @@ class TestPairMemory:
         h, m = campaign
         config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
         assert self.peak(lambda: calibrate(h, m, config)) < 40 * self.PAIRS
+
+    def test_replay_step_holds_no_per_move_arrays(self, campaign):
+        aligned = align(*campaign, self.MODE)
+        counts, _, packed, _ = _sorted_moves(aligned, EpsilonMode.RELATIVE, self.PAIRS, None)
+        expected = counts.copy()  # past the largest gap, every pair is metric-tied
+        expected[:, 3] += expected[:, 0] + expected[:, 1]
+        expected[:, 4] += expected[:, 2]
+        expected[:, :3] = 0
+        step = _replay(counts, packed, [packed.size])
+        assert self.peak(lambda: next(step)) < 2**20
+        assert counts.tolist() == expected.tolist()
 
 
 class TestApplyEpsilon:

@@ -427,6 +427,45 @@ class TestFailuresExitTwo:
         assert self.one_error_line(captured.err)
         assert flag in captured.err and entry in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["tie-hist", "--bins", "abc"], "argument --bins: invalid int value: 'abc'"),
+        (["correlate", "--mode", "pooled"], "argument --mode: invalid choice: 'pooled'"),
+        (["calibrate", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+        (["rank", "--seed", "-3"], "argument --seed: expected a non-negative integer"),
+        (["perturb", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+        (["rank", "--seed", "x"], "argument --seed: expected a non-negative integer"),
+    ])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        human = [] if argv[0] == "perturb" else ["--human", str(h)]
+        code = main([*argv, *human, "--metric", f"m={m}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["correlate", "--metric", "m=m.tsv"], "the following arguments are required: --human"),
+    ])
+    def test_missing_or_unknown_command_or_option(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["rank", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(("usage: tiecal", "tiecal ")) and captured.err == ""
+
     def test_calibration_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("tiecal.calibration.os.sysconf",
                             lambda name: {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 1}[name])

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from tiecal import (
@@ -132,6 +134,30 @@ class TestLoadScores:
     ])
     def test_decimal_forms_accepted(self, tmp_path, text, value):
         assert load_scores(write(tmp_path, f"sysA\tseg1\t{text}\n")).get("sysA", "seg1") == value
+
+
+class TestSharedKeyStrings:
+    """Matrices loaded from files of one key set share their id strings."""
+
+    def test_ten_files_retain_under_150_bytes_a_row(self, tmp_path):
+        keys = [(f"sys{i:02d}", f"seg{j:05d}") for i in range(15) for j in range(400)]
+        rng = np.random.default_rng(0)
+        paths = [tmp_path / f"m{f}.tsv" for f in range(10)]
+        for path in paths:
+            scores = rng.random(len(keys)).tolist()
+            path.write_text("".join(f"{system}\t{segment}\t{score!r}\n"
+                                    for (system, segment), score in zip(keys, scores)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrices = [load_scores(path) for path in paths]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 150 * len(keys) * len(paths)
+        first, second = (list(matrix.keys()) for matrix in matrices[:2])
+        assert first == keys
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(first, second))
 
 
 class TestFormatting:

@@ -1,0 +1,106 @@
+"""Property tests for score-file loading: hypothesis draws files of rows,
+comments, blank lines, headers and malformed rows, with every line ending,
+with and without a byte-order mark, and with the loader's chunk size
+patched down so that files span many chunks.  ``load_scores`` must return
+what a line-by-line restatement of README's format rules returns, or
+raise the same ``path:line: message``."""
+
+import contextlib
+import io
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_load_scores
+
+from tiecal import ScoreFileError, ScoreMatrix, dump_scores, load_scores
+from tiecal import data
+from tiecal.cli import main
+
+PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+
+# Ids with non-ASCII letters, spaces, separators text mode does not split
+# lines at, and a system id that turns its row into a comment.
+IDS = st.one_of(st.sampled_from(["a", "sysB", "\u00e9", "\u65e5\u672c", "x y", "", "#c",
+                                 "a\u2028b", "\x0c"]),
+                st.integers(0, 40).map(str))
+VALID_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1", "-0", "+2", ".5", "3.", "1E3", "-1.25e-2", "0007", "1e-999"]))
+BAD_SCORES = st.sampled_from([
+    " 1", "1 ", "1_000", "\u0661", "\uff11.5", "1\x0c", "\x1c1", "1\x85", "", "abc", "0x10",
+    "score", "nan", "-inf", "+Infinity", "1e999", "1,5"])
+ROWS = st.tuples(IDS, IDS, VALID_SCORES).map("\t".join)
+HEADER = "system\tsegment\tscore"
+SKIPPED = st.sampled_from(["", " ", "\x0b\x1f\u3000", "\x85", "# note", "#\t\t"])
+MALFORMED = st.one_of(
+    st.tuples(IDS, IDS, BAD_SCORES).map("\t".join),
+    st.tuples(IDS, IDS, BAD_SCORES).map("\t".join),
+    # tab-only rows; a header, which is an error anywhere after the first row
+    st.sampled_from(["\t", "\t\t", " \t \t", "\t\t\t", HEADER]),
+    st.sampled_from([1, 2, 4]).flatmap(lambda n: st.lists(IDS, min_size=n, max_size=n))
+    .map("\t".join),
+)
+
+
+@st.composite
+def score_files(draw):
+    lines = draw(st.lists(st.one_of(ROWS, ROWS, ROWS, SKIPPED), max_size=30))
+    if draw(st.booleans()):  # a header before the first row is skipped
+        lines = [*draw(st.lists(SKIPPED, max_size=2)), HEADER, *lines]
+    if lines and draw(st.booleans()):  # a repeated row is a duplicate
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(MALFORMED))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if lines and not draw(st.booleans()):  # no newline after the last line
+        text = text.removesuffix(endings[-1])
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("scores") / "scores.tsv"
+
+
+@PROFILE
+@given(text=score_files(), chunk=st.sampled_from([1, 2, 7, 30, data._CHUNK_CHARS]))
+def test_load_scores_equals_line_oracle(path, text, chunk):
+    path.write_bytes(text.encode("utf-8"))
+    expected = oracle_load_scores(path)
+    with mock.patch("tiecal.data._CHUNK_CHARS", chunk), \
+            mock.patch("tiecal.data._load_lines", wraps=data._load_lines) as line_loop:
+        try:
+            got = list(load_scores(path)._entries.items())
+        except ScoreFileError as exc:
+            got = str(exc)
+    assert got == expected
+    # only a file with an error reaches the line-by-line parser
+    assert line_loop.called == isinstance(expected, str)
+    if isinstance(expected, str):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["perturb", "--metric", f"m={path}"]) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: {expected}\n")
+
+
+# dump_scores writes ids verbatim, so they hold no line break or tab, and
+# a system id starting with '#' would make its row a comment.
+DUMPABLE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                   max_size=6)
+
+
+@PROFILE
+@given(entries=st.dictionaries(
+    st.tuples(DUMPABLE.filter(lambda s: not s.startswith("#")), DUMPABLE),
+    st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def test_dump_then_load_round_trips(path, entries):
+    matrix = ScoreMatrix(entries)
+    path.write_bytes(dump_scores(matrix))
+    loaded = load_scores(path)
+    assert list(loaded.items()) == sorted(matrix.items())
+    assert [repr(score) for *_, score in loaded.items()] == \
+        [repr(score) for *_, score in sorted(matrix.items())]
