@@ -10,7 +10,9 @@ block at a time, carries each group's counts and value and gives the
 grouped mean at every candidate up to last-ulp drift.  Candidates within a
 stated rounding bound of the best are replayed exactly, in ascending order,
 with the reduction ``grouped_stat`` uses, so ties in the maximum resolve to
-the smallest threshold.  The F1 curve and the tie histogram read the
+the smallest threshold, and the winner is re-verified by a batch
+evaluation.  Walk, shortlist, exact replay, re-verification: calibration
+has no other path.  The F1 curve and the tie histogram read the
 kernel's blocks once and keep no pair.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,14 +37,12 @@ from .grouping import (
 from .stats import (
     EpsilonMode,
     EpsilonPolicy,
-    PairCounts,
     StatKind,
     _as_policy,
+    _fold,
     _pair_blocks,
     _stat_from_arrays,
 )
-
-CheckpointHook = Callable[[float, list[PairCounts], "float | None"], None]
 
 # Moves per block of the approximate sweep: its temporaries stay near 3 MB.
 _SWEEP_MOVES = 1 << 14
@@ -72,6 +72,8 @@ class CalibrationConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.sample_fraction <= 1.0):
             raise ValueError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,7 @@ def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int,
     gaps, packed, sampled = np.empty(total), np.empty(total, dtype=np.int32), [np.empty(0)]
     p0 = n = 0
     for gap, group, cls, _ in _pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode)):
-        first, span = group[0], group[-1] - group[0] + 1  # a block's groups are contiguous
-        counts[first:first + span] += np.bincount(
-            (group - first) * 5 + cls, minlength=5 * span).reshape(span, 5)
+        _fold(counts, group, cls)
         if picked is not None:
             lo, hi = np.searchsorted(picked, [p0, p0 + gap.size])
             sampled.append(gap[picked[lo:hi] - p0])
@@ -174,14 +174,12 @@ def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
 
 
 def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
-              config: CalibrationConfig = CalibrationConfig(), *,
-              checkpoint_hook: CheckpointHook | None = None) -> CalibrationResult:
+              config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
     """Find the tie threshold maximizing the configured statistic.
 
-    Returns the smallest threshold achieving the maximum; the reported
-    value is re-verified against a fresh batch evaluation at that
-    threshold.  ``checkpoint_hook``, when given, is called at every
-    candidate threshold with (epsilon, per-group counts, grouped value).
+    Returns the smallest threshold achieving the maximum.  The one path is
+    an approximate walk over every candidate, a shortlist near the best, its
+    exact replay, and a batch re-verification (RuntimeError on a mismatch).
 
     Raises ValueError when no group has two aligned entries.
     """
@@ -218,28 +216,27 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         return _stat_from_arrays(kind, *counts[rows].T, k, n)
 
     values = group_values(slice(None))
-    n_candidates, ends = at.size, at
-    if checkpoint_hook is None:
-        # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum
-        # of group values or of their changes exceeds M = 2G, and a float sum
-        # of N terms with partial sums below M is within N*M*u of exact.  The
-        # sequential path sums G + 2E terms, the exact path G, and each then
-        # rounds once more dividing by the defined count D: err(D) =
-        # bound / D + 2u.  Twice the summed error keeps the true maximizer.
-        # The walk prunes with err(1), never tighter than the final err.
-        u = np.finfo(np.float64).eps / 2
-        bound = (2 * n_groups + 2 * gaps.size) * 2 * n_groups * u
-        best, fewest, kept = -np.inf, n_groups, [(np.empty(0, dtype=at.dtype), np.empty(0))]
-        for first, sums, defined in _approx_means(kind, counts, values, contexts, packed, at):
-            live = np.flatnonzero(defined > 0)
-            approx = sums[live] / defined[live]
-            best = max(best, approx.max(initial=-np.inf))
-            fewest = min(fewest, defined[live].min(initial=n_groups))
-            keep = approx >= best - 2 * (bound + 2 * u)
-            kept.append((at[first + live[keep]], approx[keep]))
-        ends, approx = (np.concatenate(column) for column in zip(*kept))
-        ends = ends[approx >= best - 2 * (bound / fewest + 2 * u)]
-        del at, kept, approx
+    n_candidates = at.size
+    # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum of
+    # group values or of their changes exceeds M = 2G, and a float sum of N
+    # terms with partial sums below M is within N*M*u of exact.  The walk
+    # sums G + 2E terms, the exact replay G, and each then rounds once more
+    # dividing by the defined count D: err(D) = bound / D + 2u.  Twice the
+    # summed error keeps the true maximizer.  The walk prunes with err(1),
+    # never tighter than the final err.
+    u = np.finfo(np.float64).eps / 2
+    bound = (2 * n_groups + 2 * gaps.size) * 2 * n_groups * u
+    best, fewest, kept = -np.inf, n_groups, [(np.empty(0, dtype=at.dtype), np.empty(0))]
+    for first, sums, defined in _approx_means(kind, counts, values, contexts, packed, at):
+        live = np.flatnonzero(defined > 0)
+        approx = sums[live] / defined[live]
+        best = max(best, approx.max(initial=-np.inf))
+        fewest = min(fewest, defined[live].min(initial=n_groups))
+        keep = approx >= best - 2 * (bound + 2 * u)
+        kept.append((at[first + live[keep]], approx[keep]))
+    ends, approx = (np.concatenate(column) for column in zip(*kept))
+    ends = ends[approx >= best - 2 * (bound / fewest + 2 * u)]
+    del at, kept, approx
 
     best_eps = 0.0
     best_val: float | None = None
@@ -247,8 +244,6 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         values[touched] = group_values(touched)
         value = mean_defined(values)
         eps = float(gaps[end - 1]) if end else 0.0
-        if checkpoint_hook is not None:
-            checkpoint_hook(eps, [PairCounts(*row) for row in counts.tolist()], value)
         if value is not None and (best_val is None or value > best_val):
             best_val = value
             best_eps = eps
@@ -350,11 +345,7 @@ def f1_curve(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
     thresholds, width = np.array(grid), len(grid) + 1
     binned = np.zeros((aligned.sizes.size, 5, width), dtype=np.int64)
     for gap, group, cls, _ in _pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode)):
-        first, span = group[0], group[-1] - group[0] + 1  # a block's groups are contiguous
-        key = ((group - first) * 5 + cls).astype(np.intp) * width
-        key += np.searchsorted(thresholds, gap)
-        binned[first:first + span] += np.bincount(
-            key, minlength=5 * width * span).reshape(span, 5, width)
+        _fold(binned, group, cls.astype(np.intp) * width + np.searchsorted(thresholds, gap))
     counts = binned.sum(axis=2)
 
     def grouped(kind: StatKind) -> float | None:

@@ -285,28 +285,27 @@ def _warn_if_tie_averse(kind: StatKind) -> None:
               file=sys.stderr)
 
 
+def _calibration_config(args: argparse.Namespace) -> CalibrationConfig:
+    """The config that calibrate and rank --calibrate build from their flags."""
+    return CalibrationConfig(kind=StatKind.parse(args.stat), mode=GroupingMode.parse(args.mode),
+                             eps_mode=EpsilonMode.parse(args.eps_mode),
+                             sample_fraction=args.sample_fraction, seed=args.seed)
+
+
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    kind = StatKind.parse(args.stat)
-    mode = GroupingMode.parse(args.mode)
-    config = CalibrationConfig(
-        kind=kind,
-        mode=mode,
-        eps_mode=EpsilonMode.parse(args.eps_mode),
-        sample_fraction=args.sample_fraction,
-        seed=args.seed,
-    )
-    _warn_if_tie_averse(kind)
+    config = _calibration_config(args)
+    _warn_if_tie_averse(config.kind)
     human, metrics, digests = _load_inputs(args)
     rows = []
     epsilon_lines = []
     for name, matrix in metrics:
         result = calibrate(human, matrix, config)
         value_text = "NaN" if result.stat_star is None else f"{result.stat_star:.6f}"
-        print(f"metric={name} epsilon={result.epsilon_star:.6g} {kind.value}={value_text}")
+        print(f"metric={name} epsilon={result.epsilon_star:.6g} {config.kind.value}={value_text}")
         rows.append({
             "metric": name,
-            "stat": kind.value,
-            "mode": mode.value,
+            "stat": config.kind.value,
+            "mode": config.mode.value,
             "eps_mode": config.eps_mode.value,
             "sample_fraction": config.sample_fraction,
             "seed": config.seed,
@@ -343,12 +342,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             raise ValueError(f"metric name {BASELINE_NAME!r} is reserved for --baseline")
         constant = ScoreMatrix._from_checked(dict.fromkeys(human.keys(), 0.0))
         metrics = list(metrics) + [(BASELINE_NAME, constant)]
+    config = _calibration_config(args) if args.calibrate else None
     values: dict[str, float | None] = {}
     details: dict[str, dict[str, Any]] = {}
     for name, matrix in metrics:
-        if args.calibrate:
-            config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode,
-                                       sample_fraction=args.sample_fraction, seed=args.seed)
+        if config is not None:
             result = calibrate(human, matrix, config)
             report = result.report
             epsilon = result.epsilon_star

@@ -81,54 +81,53 @@ def load_scores(path: str | Path) -> ScoreMatrix:
 
 
 def _load_lines(path: str | Path) -> ScoreMatrix:
-    """:func:`load_scores` one line at a time, raising the first error."""
+    """:func:`load_scores` one line at a time, raising the first error.  Lines
+    split where text mode splits them and decode one by one: a bad byte is
+    an error in its line's place."""
     entries: dict[tuple[str, str], float] = {}
     seen_data = False
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\r\n")
-                # a row of tabs is a row of empty columns, not a blank line
-                if (not line.strip() and "\t" not in line) or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if not seen_data and tuple(fields) == HEADER_FIELDS:
-                    seen_data = True
-                    continue
-                seen_data = True
-                if len(fields) != 3:
-                    raise ScoreFileError(path, lineno,
-                                         f"expected 3 tab-separated columns, got {len(fields)}")
-                system, segment, text = fields
-                try:
-                    # float() alone also takes padding, "_" separators and non-ASCII digits
-                    if not text.isascii() or "_" in text or text != text.strip():
-                        raise ValueError
-                    score = float(text)
-                except ValueError:
-                    raise ScoreFileError(path, lineno,
-                                         f"column 3: unparseable score {text!r}") from None
-                if not math.isfinite(score):
-                    raise ScoreFileError(path, lineno, f"column 3: non-finite score {text!r}")
-                key = (system, segment)
-                if key in entries:
-                    raise ScoreFileError(
-                        path, lineno, f"duplicate entry for system={system!r} segment={segment!r}")
-                entries[key] = score
-    except UnicodeDecodeError:  # bytes split into lines at \n, \r and \r\n, as text mode does
-        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ScoreFileError(path, lineno, "not valid UTF-8") from None
-        raise
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
+        except UnicodeDecodeError:
+            raise ScoreFileError(path, lineno, "not valid UTF-8") from None
+        # a row of tabs is a row of empty columns, not a blank line
+        if (not line.strip() and "\t" not in line) or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if not seen_data and tuple(fields) == HEADER_FIELDS:
+            seen_data = True
+            continue
+        seen_data = True
+        if len(fields) != 3:
+            raise ScoreFileError(path, lineno,
+                                 f"expected 3 tab-separated columns, got {len(fields)}")
+        system, segment, text = fields
+        try:
+            # float() alone also takes padding, "_" separators and non-ASCII digits
+            if not text.isascii() or "_" in text or text != text.strip():
+                raise ValueError
+            score = float(text)
+        except ValueError:
+            raise ScoreFileError(path, lineno,
+                                 f"column 3: unparseable score {text!r}") from None
+        if not math.isfinite(score):
+            raise ScoreFileError(path, lineno, f"column 3: non-finite score {text!r}")
+        if (system, segment) in entries:
+            raise ScoreFileError(
+                path, lineno, f"duplicate entry for system={system!r} segment={segment!r}")
+        entries[system, segment] = score
     return ScoreMatrix._from_checked(entries)
 
 
 def dump_scores(matrix: ScoreMatrix) -> bytes:
-    """Serialize a matrix to the same TSV schema, sorted, with exact floats."""
+    """Serialize a matrix to the same TSV schema, sorted, with exact floats.
+    An id the schema cannot hold ('#' leading a system id, a tab or line
+    break anywhere) raises ValueError naming its key."""
     lines = ["\t".join(HEADER_FIELDS)]
     for system, segment in sorted(matrix.keys()):
+        if system.startswith("#") or any(c in system + segment for c in "\t\r\n"):
+            raise ValueError(f"cannot write system={system!r} segment={segment!r} to a score file")
         lines.append(f"{system}\t{segment}\t{matrix.get(system, segment)!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

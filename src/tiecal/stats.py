@@ -346,6 +346,16 @@ def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: Epsilo
                (mi + mj) / 2.0 if midpoints else None)
 
 
+def _fold(out: np.ndarray, group: np.ndarray, key: np.ndarray) -> None:
+    """Add a kernel block's count of each (group, key) to ``out``, a
+    groups-first array whose other axes, flattened, ``key`` indexes.  A
+    block's groups are contiguous, so one bincount covers their rows."""
+    first, span, width = group[0], group[-1] - group[0] + 1, out[0].size
+    out[first:first + span] += np.bincount(
+        np.subtract(group, first, dtype=np.intp) * width + key,
+        minlength=width * span).reshape(span, *out.shape[1:])
+
+
 def _window_starts(m: np.ndarray, first: np.ndarray, eps: float,
                    values: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """For each row of ``m``, sorted ascending inside segments that start at
@@ -435,9 +445,7 @@ def _pair_counts(h: np.ndarray, m: np.ndarray, sizes: Sequence[int],
         return _sort_counts(h, m, sizes, pol.epsilon)
     counts = np.zeros((len(sizes), 5), dtype=np.int64)
     for _, group, cls, _ in _pair_blocks(h, m, sizes, pol):
-        first, span = group[0], group[-1] - group[0] + 1  # a block's groups are contiguous
-        counts[first:first + span] += np.bincount(
-            (group - first) * 5 + cls, minlength=5 * span).reshape(span, 5)
+        _fold(counts, group, cls)
     return counts
 
 

@@ -180,19 +180,26 @@ _NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.IGNORECASE)
 
 
 def oracle_load_scores(path):
-    """README's score-file rules, one line at a time, for a UTF-8 file.
+    """README's score-file rules, one line at a time.
 
+    Lines end at \\n, \\r\\n or \\r and each is decoded as UTF-8 on its
+    own, so a line that is not UTF-8 is an error at its place in the file.
     Returns the ((system, segment), score) entries in file order, or the
     first error as "path:line: message".
     """
-    text = open(path, "rb").read().decode("utf-8").removeprefix("\ufeff")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":  # the last line's terminator starts no line
+    lines = re.split(rb"\r\n|\r|\n", open(path, "rb").read())
+    if lines[-1] == b"":  # the last line's terminator starts no line
         lines.pop()
     entries = {}
     header_allowed = True
-    for number, line in enumerate(lines, start=1):
+    for number, raw in enumerate(lines, start=1):
         where = f"{path}:{number}: "
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return where + "not valid UTF-8"
+        if number == 1:
+            line = line.removeprefix("\ufeff")
         if line.startswith("#") or ("\t" not in line and (line == "" or line.isspace())):
             continue
         if header_allowed and line == "system\tsegment\tscore":

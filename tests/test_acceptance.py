@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import brute_force_calibration, naive_suff_stats, oracle_groups
+from oracles import brute_force_calibration, naive_suff_stats, oracle_groups, pair_views
 
 from tiecal import (
     COEFFICIENT_TABLES,
@@ -20,6 +20,7 @@ from tiecal import (
     GroupingMode,
     ScoreMatrix,
     StatKind,
+    align,
     calibrate,
     counts_from_cells,
     grouped_stat,
@@ -30,7 +31,9 @@ from tiecal import (
     suff_stats,
     tau_c_context,
 )
+from tiecal.calibration import _approx_means, _replay, _sorted_moves
 from tiecal.cli import main as cli_main
+from tiecal.stats import _stat_from_arrays
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -304,37 +307,37 @@ def test_downsampling_tolerance():
 
 
 def test_incremental_sweep_consistency():
-    """The checkpoint hook fires once per candidate, in strictly ascending
-    threshold order from 0; at 20 random checkpoints per instance the
-    incrementally maintained counts equal a fresh enumeration at that
-    threshold and the grouped value equals a batch evaluation, exactly."""
+    """At every candidate threshold (zero and each distinct within-group gap,
+    from the oracle) the sweep's exact replay holds the counts of a fresh
+    enumeration and its approximate walk the batch grouped value within
+    1e-12, grouped and pooled, in both epsilon modes; the calibration
+    evaluates exactly those candidates."""
     rng = np.random.default_rng(606)
     failures = 0
-    for trial in range(10):
+    for trial in range(12):
         relative = trial % 2 == 1
         h, m = _random_instance(rng, signed=relative)
-        mode = GroupingMode.GROUP_BY_ITEM
+        mode = GroupingMode.NO_GROUPING if trial % 4 >= 2 else GroupingMode.GROUP_BY_ITEM
         eps_mode = EpsilonMode.RELATIVE if relative else EpsilonMode.ABSOLUTE
-        checkpoints = []
-        result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ, mode=mode,
-                                                   eps_mode=eps_mode),
-                           checkpoint_hook=lambda eps, counts, value:
-                           checkpoints.append((eps, counts, value)))
-        epsilons = [eps for eps, _, _ in checkpoints]
-        if (len(checkpoints) != result.candidates_evaluated or epsilons[0] != 0.0
-                or any(a >= b for a, b in zip(epsilons, epsilons[1:]))):
-            failures += 1
-            continue
         groups = oracle_groups(h, m, mode)
-        picks = rng.choice(len(checkpoints), size=min(20, len(checkpoints)),
-                           replace=False)
-        for idx in picks:
-            eps, counts, value = checkpoints[idx]
+        candidates = sorted({0.0, *(float(gap) for view in pair_views(groups, relative)
+                                    if view is not None for gap in view[0])})
+        result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ, mode=mode,
+                                                   eps_mode=eps_mode))
+        failures += result.candidates_evaluated != len(candidates)
+        aligned = align(h, m, mode)
+        total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
+        counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total, None)
+        ends = np.searchsorted(gaps, candidates, "right")
+        start = _stat_from_arrays(StatKind.ACC_EQ, *counts.T)
+        _, sums, defined = zip(*_approx_means(StatKind.ACC_EQ, counts, start, None, packed, ends))
+        means = np.concatenate(sums) / np.concatenate(defined)
+        for eps, mean, _ in zip(candidates, means, _replay(counts, packed, ends)):
             batch = grouped_stat(h, m, mode, StatKind.ACC_EQ, EpsilonPolicy(eps, eps_mode))
-            failures += value != batch.value
+            failures += not abs(mean - batch.value) <= 1e-12
             for gi, (hg, mg) in enumerate(groups):
-                if counts[gi] != naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative):
-                    failures += 1
+                expected = naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative)
+                failures += tuple(counts[gi].tolist()) != expected.as_tuple()
     report("incremental-sweep-consistency", failures == 0, f"{failures} failures")
 
 

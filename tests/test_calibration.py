@@ -1,10 +1,11 @@
 """Tests for the tie-calibration sweep and its companions."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import brute_force_calibration, oracle_groups
+from oracles import brute_force_calibration, naive_suff_stats, oracle_groups, pair_views
 
 from tiecal import (
     CalibrationConfig,
@@ -17,10 +18,10 @@ from tiecal import (
     calibrate,
     f1_curve,
     grouped_stat,
-    suff_stats,
     tie_location_histogram,
 )
 from tiecal.calibration import _approx_means, _replay, _sorted_moves
+from tiecal.grouping import _tau_c_contexts
 from tiecal.stats import _pair_blocks, _stat_from_arrays
 
 
@@ -100,28 +101,41 @@ class TestCalibrate:
             assert result.epsilon_star == expect_eps
 
     def test_incremental_counts_match_fresh_suff_stats(self):
+        # at the oracle's candidates, zero and every distinct within-group gap,
+        # the exact replay's counts and the walk's grouped means, grouped and
+        # pooled, in both epsilon modes
         rng = np.random.default_rng(55)
-        for _ in range(5):
+        for mode, eps_mode, kind in itertools.product(
+                (GroupingMode.GROUP_BY_ITEM, GroupingMode.NO_GROUPING), EpsilonMode,
+                (StatKind.ACC_EQ, StatKind.TIES_F1, StatKind.TAU_B, StatKind.TAU_C)):
+            relative = eps_mode is EpsilonMode.RELATIVE
             h, m = random_instance(rng)
-            mode = GroupingMode.GROUP_BY_ITEM
-            checkpoints = []
-            config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=mode)
-            result = calibrate(h, m, config,
-                               checkpoint_hook=lambda eps, counts, value:
-                               checkpoints.append((eps, counts, value)))
-            # one call per candidate, thresholds strictly ascending from zero
-            assert len(checkpoints) == result.candidates_evaluated
-            epsilons = [eps for eps, _, _ in checkpoints]
-            assert epsilons[0] == 0.0
-            assert all(a < b for a, b in zip(epsilons, epsilons[1:]))
             groups = oracle_groups(h, m, mode)
-            picks = rng.choice(len(checkpoints), size=min(20, len(checkpoints)),
-                               replace=False)
-            for idx in picks:
-                eps, counts, value = checkpoints[idx]
-                assert value == grouped_stat(h, m, mode, config.kind, eps).value
+            candidates = sorted({0.0, *(float(gap) for view in pair_views(groups, relative)
+                                        if view is not None for gap in view[0])})
+            result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode))
+            assert result.candidates_evaluated == len(candidates)
+
+            aligned = align(h, m, mode)
+            total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
+            counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total, None)
+            contexts = _tau_c_contexts(aligned) if kind is StatKind.TAU_C else None
+            k, n = (None, None) if contexts is None else contexts
+            ends = np.searchsorted(gaps, candidates, "right")
+            _, sums, defined = zip(*_approx_means(
+                kind, counts, _stat_from_arrays(kind, *counts.T, k, n), contexts, packed, ends))
+            sums, defined = np.concatenate(sums), np.concatenate(defined)
+            for eps, end, total_value, n_defined, _ in zip(candidates, ends, sums, defined,
+                                                           _replay(counts, packed, ends)):
+                assert end == 0 or gaps[end - 1] == eps
                 for gi, (hg, mg) in enumerate(groups):
-                    assert counts[gi] == suff_stats(hg, mg, EpsilonPolicy(eps))
+                    expected = naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative)
+                    assert tuple(counts[gi].tolist()) == expected.as_tuple()
+                batch = grouped_stat(h, m, mode, kind, EpsilonPolicy(eps, eps_mode)).value
+                if batch is None:
+                    assert n_defined == 0
+                else:
+                    assert total_value / n_defined == pytest.approx(batch, rel=0, abs=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(77)
@@ -201,6 +215,12 @@ class TestCalibrate:
             CalibrationConfig(sample_fraction=0.0)
         with pytest.raises(ValueError):
             CalibrationConfig(sample_fraction=1.5)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            CalibrationConfig(sample_fraction=0.5, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            CalibrationConfig(seed=-1)
 
 
 class TestManySmallGroups:

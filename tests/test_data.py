@@ -107,6 +107,31 @@ class TestLoadScores:
         matrix = load_scores(path)
         assert list(matrix.items()) == [("sysA", "seg1", 2.5)]
 
+    def test_first_error_in_line_order_precedes_a_later_bad_byte(self, tmp_path):
+        # the bad byte sits about 3 KB in, past what a text decoder reads ahead
+        rows = [f"sys\tseg{i:03d}\t{i}\n".encode() for i in range(2, 300)]
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"sys\tseg001\t1\nsys\tseg002\tabc\n" + b"".join(rows)
+                         + b"sys\tseg\xff\t1\n")
+        with pytest.raises(ScoreFileError) as info:
+            load_scores(path)
+        assert str(info.value) == f"{path}:2: column 3: unparseable score 'abc'"
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_bad_byte_names_its_line(self, tmp_path, ending):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(ending.join([b"\xef\xbb\xbfa\tx\t1", b"# \xc3", b"b\ty\t2", b""]))
+        with pytest.raises(ScoreFileError) as info:
+            load_scores(path)
+        assert str(info.value) == f"{path}:2: not valid UTF-8"
+
+    @pytest.mark.parametrize("key", [("#a", "b"), ("a", "b\tc"), ("a\rb", "c"), ("a", "\n")])
+    def test_dump_rejects_ids_the_format_cannot_hold(self, key):
+        matrix = ScoreMatrix([("x", "y", 2.0), (*key, 1.0)])
+        with pytest.raises(ValueError) as info:
+            dump_scores(matrix)
+        assert f"system={key[0]!r} segment={key[1]!r}" in str(info.value)
+
     @pytest.mark.parametrize("text", [
         "1_000", " 1.5", "1.5 ", "\u0661", "\uff11.5", "1.5\u00a0", "0x10", "1e", ".", "+",
         "", "1,5", "--1",

@@ -1,5 +1,6 @@
 """Property tests for score-file loading: hypothesis draws files of rows,
-comments, blank lines, headers and malformed rows, with every line ending,
+comments, blank lines, headers, malformed rows and lines that are not
+UTF-8, with every line ending,
 with and without a byte-order mark, and with the loader's chunk size
 patched down so that files span many chunks.  ``load_scores`` must return
 what a line-by-line restatement of README's format rules returns, or
@@ -41,6 +42,9 @@ MALFORMED = st.one_of(
     st.sampled_from(["\t", "\t\t", " \t \t", "\t\t\t", HEADER]),
     st.sampled_from([1, 2, 4]).flatmap(lambda n: st.lists(IDS, min_size=n, max_size=n))
     .map("\t".join),
+    # bytes that are not UTF-8 (each surrogate escape writes one byte), in a
+    # row, a comment or a line of their own
+    st.sampled_from(["\udcff", "a\tb\t1\udcff", "#\udcc3", "x\udcc3\ty\t1", "\udce2\udc82"]),
 )
 
 
@@ -69,7 +73,7 @@ def path(tmp_path_factory):
 @PROFILE
 @given(text=score_files(), chunk=st.sampled_from([1, 2, 7, 30, data._CHUNK_CHARS]))
 def test_load_scores_equals_line_oracle(path, text, chunk):
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     expected = oracle_load_scores(path)
     with mock.patch("tiecal.data._CHUNK_CHARS", chunk), \
             mock.patch("tiecal.data._load_lines", wraps=data._load_lines) as line_loop:
@@ -87,18 +91,29 @@ def test_load_scores_equals_line_oracle(path, text, chunk):
         assert (out.getvalue(), err.getvalue()) == ("", f"error: {expected}\n")
 
 
-# dump_scores writes ids verbatim, so they hold no line break or tab, and
-# a system id starting with '#' would make its row a comment.
-DUMPABLE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+# dump_scores must reject, not write, a system id starting with '#' (its
+# row would be a comment) and an id with a tab or line break.  Half the
+# matrices draw ids without tabs and line breaks, so most of those round-trip.
+WRITABLE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
                    max_size=6)
+DUMPABLE = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                             st.sampled_from("#\t\r\n")), max_size=6)
+SCORES = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @PROFILE
-@given(entries=st.dictionaries(
-    st.tuples(DUMPABLE.filter(lambda s: not s.startswith("#")), DUMPABLE),
-    st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+@given(entries=st.one_of(st.dictionaries(st.tuples(WRITABLE, WRITABLE), SCORES, max_size=20),
+                         st.dictionaries(st.tuples(DUMPABLE, DUMPABLE), SCORES, max_size=20)))
 def test_dump_then_load_round_trips(path, entries):
     matrix = ScoreMatrix(entries)
+    unwritable = [(system, segment) for system, segment in sorted(entries)
+                  if system.startswith("#") or set(system + segment) & {"\t", "\r", "\n"}]
+    if unwritable:
+        with pytest.raises(ValueError) as info:
+            dump_scores(matrix)
+        system, segment = unwritable[0]
+        assert f"system={system!r} segment={segment!r}" in str(info.value)
+        return
     path.write_bytes(dump_scores(matrix))
     loaded = load_scores(path)
     assert list(loaded.items()) == sorted(matrix.items())
