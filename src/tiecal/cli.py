@@ -3,7 +3,8 @@
 Subcommands: correlate, calibrate, rank, buckets, tie-hist, f1-curve,
 perturb.  All outputs are plot-ready data tables (TSV or JSON); exit code
 is 0 on success (undefined statistic values are results, not failures) and
-2 on usage or input errors.
+2 on usage or input errors.  Each subcommand returns what it writes and
+``main`` serializes it to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Sequence
 
@@ -29,7 +31,14 @@ from .data import (
     sha256_digest,
     write_report,
 )
-from .grouping import GroupingMode, ScoreMatrix, bucketize, grouped_stat, grouped_stats
+from .grouping import (
+    CorrelationReport,
+    GroupingMode,
+    ScoreMatrix,
+    bucketize,
+    grouped_stat,
+    grouped_stats,
+)
 from .stats import (
     OVERALL_STAT_KINDS,
     EpsilonMode,
@@ -76,14 +85,14 @@ def _default_format() -> str:
     return fmt
 
 
-def _add_io_options(parser: argparse.ArgumentParser, multi_metric: bool) -> None:
+def _add_io_options(parser: argparse.ArgumentParser, multi_metric: bool,
+                    out_help: str = "output path, '-' for stdout (default)") -> None:
     parser.add_argument("--human", required=True, metavar="FILE",
                         help="TSV file with the human scores")
     parser.add_argument("--metric", required=True, action="append", metavar="NAME=FILE",
                         help="metric name and its TSV score file"
                              + ("; repeatable" if multi_metric else ""))
-    parser.add_argument("--out", default="-", metavar="FILE",
-                        help="output path, '-' for stdout (default)")
+    parser.add_argument("--out", default="-", metavar="FILE", help=out_help)
     parser.add_argument("--format", choices=("tsv", "json"), default=_default_format(),
                         help="report format (default from TIECAL_FORMAT, else tsv)")
 
@@ -101,9 +110,10 @@ _SHARED_OPTIONS: dict[str, dict[str, Any]] = {
 }
 
 
-def _add_shared_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+def _add_shared_options(parser: argparse.ArgumentParser, *flags: str, note: str = "") -> None:
     for flag in flags:
-        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
+        options = _SHARED_OPTIONS[flag]
+        parser.add_argument(flag, **{**options, "help": options["help"] + note})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("calibrate", help="find the threshold maximizing a statistic")
-    _add_io_options(p, multi_metric=True)
+    _add_io_options(p, multi_metric=True,
+                    out_help="report path; the default '-' writes no report (each metric's "
+                             "'metric=NAME epsilon=E STAT=VALUE' line is printed either way)")
     _add_shared_options(p, "--mode", "--eps-mode", "--sample-fraction", "--seed")
     p.add_argument("--stat", default="acc_eq", help="statistic to maximize")
     p.add_argument("--emit-epsilon", metavar="FILE",
@@ -132,7 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank metrics by a statistic")
     _add_io_options(p, multi_metric=True)
-    _add_shared_options(p, "--mode", "--epsilon", "--eps-mode", "--sample-fraction", "--seed")
+    _add_shared_options(p, "--mode")
+    _add_shared_options(p, "--epsilon", note="; not used with --calibrate")
+    _add_shared_options(p, "--eps-mode")
+    _add_shared_options(p, "--sample-fraction", "--seed", note="; only used with --calibrate")
     p.add_argument("--stat", default="acc_eq", help="statistic to rank by")
     p.add_argument("--calibrate", action="store_true",
                    help="calibrate the threshold per metric before ranking")
@@ -205,37 +220,39 @@ def _parse_list(spec: str, flag: str, convert: Callable[[str], Any]) -> list[Any
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _require_one_metric(args: argparse.Namespace) -> None:
+def _one_metric(args: argparse.Namespace) -> tuple[str, Path]:
+    """The --metric of a subcommand that takes exactly one."""
     if len(args.metric) != 1:
         raise ValueError(f"{args.command} takes exactly one --metric, got {len(args.metric)}")
+    return _parse_metrics(args.metric)[0]
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple[ScoreMatrix, list[tuple[str, ScoreMatrix]], dict[str, str]]:
+def _policy(args: argparse.Namespace) -> EpsilonPolicy:
+    return EpsilonPolicy(args.epsilon, EpsilonMode.parse(args.eps_mode))
+
+
+def _load_inputs(human_path: str, metrics: Sequence[tuple[str, Path]]
+                 ) -> tuple[ScoreMatrix, list[tuple[str, ScoreMatrix]], dict[str, str]]:
     # data.load_scores is looked up at call time, so a wrapper installed on
     # the data module (perfbench/spans.py) sees every file load.
-    human = data.load_scores(args.human)
-    digests = {"human": sha256_digest(args.human)}
+    human = data.load_scores(human_path)
+    digests = {"human": sha256_digest(human_path)}
     loaded = []
-    for name, path in _parse_metrics(args.metric):
+    for name, path in metrics:
         loaded.append((name, data.load_scores(path)))
         digests[f"metric:{name}"] = sha256_digest(path)
     return human, loaded, digests
 
 
-def _emit(args: argparse.Namespace, payload: bytes) -> None:
-    if args.out == "-":
-        sys.stdout.write(payload.decode("utf-8"))
-    else:
-        Path(args.out).write_bytes(payload)
-
-
-def _document(command: str, digests: dict[str, str], columns: tuple[str, ...],
+def _document(args: argparse.Namespace, digests: dict[str, str], columns: tuple[str, ...],
               rows: list[dict[str, Any]], ranking: list[str] | None = None) -> ReportDocument:
-    return ReportDocument(version=__version__, command=command, inputs=digests,
+    return ReportDocument(version=__version__, command=args.command, inputs=digests,
                           columns=columns, rows=rows, ranking=ranking)
 
 
-def _report_row(name: str, report: Any) -> dict[str, Any]:
+def _row(name: str, report: CorrelationReport, **extra: Any) -> dict[str, Any]:
+    """Every report column that ``report`` fills, plus ``extra``; a command's
+    column tuple picks the ones it writes."""
     pc = report.pairs_by_class
     return {
         "metric": name,
@@ -252,24 +269,20 @@ def _report_row(name: str, report: Any) -> dict[str, Any]:
         "tied_human_only": pc.tied_human,
         "tied_metric_only": pc.tied_metric,
         "tied_both": pc.tied_both,
+        **extra,
     }
 
 
-def _cmd_correlate(args: argparse.Namespace) -> int:
+def _cmd_correlate(args: argparse.Namespace) -> ReportDocument:
     kinds = _parse_stats(args.stat)
     mode = GroupingMode.parse(args.mode)
-    pol = EpsilonPolicy(args.epsilon, EpsilonMode.parse(args.eps_mode))
-    human, metrics, digests = _load_inputs(args)
-    rows = []
-    values: dict[str, float | None] = {}
-    for name, matrix in metrics:
-        for report in grouped_stats(human, matrix, mode, kinds, pol):
-            rows.append(_report_row(name, report))
-            values[name] = report.value
+    pol = _policy(args)
+    human, metrics, digests = _load_inputs(args.human, _parse_metrics(args.metric))
+    rows = [_row(name, report) for name, matrix in metrics
+            for report in grouped_stats(human, matrix, mode, kinds, pol)]
+    values = {row["metric"]: row["value"] for row in rows}
     ranking = rank_metrics(values) if len(kinds) == 1 else None
-    doc = _document("correlate", digests, _REPORT_COLUMNS, rows, ranking)
-    _emit(args, write_report(doc, args.format))
-    return 0
+    return _document(args, digests, _REPORT_COLUMNS, rows, ranking)
 
 
 _CALIBRATE_COLUMNS = (
@@ -278,195 +291,130 @@ _CALIBRATE_COLUMNS = (
 )
 
 
-def _warn_if_tie_averse(kind: StatKind) -> None:
-    if kind in TIE_AVERSE_KINDS:
-        print(f"warning: tie calibration with {kind.value} may lead to unexpected "
+def _calibration_config(args: argparse.Namespace) -> CalibrationConfig:
+    """The config that calibrate and rank --calibrate build from their flags;
+    warns on stderr when its statistic does not reward correct ties."""
+    config = CalibrationConfig(kind=StatKind.parse(args.stat), mode=GroupingMode.parse(args.mode),
+                               eps_mode=EpsilonMode.parse(args.eps_mode),
+                               sample_fraction=args.sample_fraction, seed=args.seed)
+    if config.kind in TIE_AVERSE_KINDS:
+        print(f"warning: tie calibration with {config.kind.value} may lead to unexpected "
               "results; the statistic does not reward correctly predicted ties",
               file=sys.stderr)
+    return config
 
 
-def _calibration_config(args: argparse.Namespace) -> CalibrationConfig:
-    """The config that calibrate and rank --calibrate build from their flags."""
-    return CalibrationConfig(kind=StatKind.parse(args.stat), mode=GroupingMode.parse(args.mode),
-                             eps_mode=EpsilonMode.parse(args.eps_mode),
-                             sample_fraction=args.sample_fraction, seed=args.seed)
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> ReportDocument | None:
     config = _calibration_config(args)
-    _warn_if_tie_averse(config.kind)
-    human, metrics, digests = _load_inputs(args)
+    human, metrics, digests = _load_inputs(args.human, _parse_metrics(args.metric))
     rows = []
-    epsilon_lines = []
     for name, matrix in metrics:
         result = calibrate(human, matrix, config)
         value_text = "NaN" if result.stat_star is None else f"{result.stat_star:.6f}"
         print(f"metric={name} epsilon={result.epsilon_star:.6g} {config.kind.value}={value_text}")
-        rows.append({
-            "metric": name,
-            "stat": config.kind.value,
-            "mode": config.mode.value,
-            "eps_mode": config.eps_mode.value,
-            "sample_fraction": config.sample_fraction,
-            "seed": config.seed,
-            "exact": result.exact,
-            "candidates": result.candidates_evaluated,
-            "epsilon_star": result.epsilon_star,
-            "value": result.stat_star,
-            "groups_total": result.report.groups_total,
-            "groups_used": result.report.groups_used,
-            "pairs_total": result.report.pairs_total,
-        })
-        epsilon_lines.append(f"{name}\t{result.epsilon_star!r}\n")
+        rows.append(_row(name, result.report, sample_fraction=config.sample_fraction,
+                         seed=config.seed, exact=result.exact,
+                         candidates=result.candidates_evaluated,
+                         epsilon_star=result.epsilon_star))
     if args.emit_epsilon:
-        Path(args.emit_epsilon).write_text("".join(epsilon_lines), encoding="utf-8")
-    if args.out != "-":
-        doc = _document("calibrate", digests, _CALIBRATE_COLUMNS, rows)
-        _emit(args, write_report(doc, args.format))
-    return 0
+        Path(args.emit_epsilon).write_text(
+            "".join(f"{row['metric']}\t{row['epsilon_star']!r}\n" for row in rows),
+            encoding="utf-8")
+    return None if args.out == "-" else _document(args, digests, _CALIBRATE_COLUMNS, rows)
 
 
 _RANK_COLUMNS = ("rank", "metric", "stat", "mode", "value", "epsilon",
                  "groups_total", "groups_used")
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
-    kind = StatKind.parse(args.stat)
-    mode = GroupingMode.parse(args.mode)
-    eps_mode = EpsilonMode.parse(args.eps_mode)
+def _cmd_rank(args: argparse.Namespace) -> ReportDocument:
     if args.calibrate:
-        _warn_if_tie_averse(kind)
-    human, metrics, digests = _load_inputs(args)
+        config = _calibration_config(args)
+    else:
+        kind, mode, pol = StatKind.parse(args.stat), GroupingMode.parse(args.mode), _policy(args)
+    human, metrics, digests = _load_inputs(args.human, _parse_metrics(args.metric))
     if args.baseline:
         if any(name == BASELINE_NAME for name, _ in metrics):
             raise ValueError(f"metric name {BASELINE_NAME!r} is reserved for --baseline")
         constant = ScoreMatrix._from_checked(dict.fromkeys(human.keys(), 0.0))
-        metrics = list(metrics) + [(BASELINE_NAME, constant)]
-    config = _calibration_config(args) if args.calibrate else None
-    values: dict[str, float | None] = {}
-    details: dict[str, dict[str, Any]] = {}
-    for name, matrix in metrics:
-        if config is not None:
-            result = calibrate(human, matrix, config)
-            report = result.report
-            epsilon = result.epsilon_star
-        else:
-            report = grouped_stat(human, matrix, mode, kind, EpsilonPolicy(args.epsilon, eps_mode))
-            epsilon = args.epsilon
-        values[name] = report.value
-        details[name] = {
-            "metric": name,
-            "stat": kind.value,
-            "mode": mode.value,
-            "value": report.value,
-            "epsilon": epsilon,
-            "groups_total": report.groups_total,
-            "groups_used": report.groups_used,
-        }
-    ranking = rank_metrics(values)
-    rows = []
-    for position, name in enumerate(ranking, start=1):
-        row = {"rank": position}
-        row.update(details[name])
-        rows.append(row)
-    doc = _document("rank", digests, _RANK_COLUMNS, rows, ranking)
-    _emit(args, write_report(doc, args.format))
-    return 0
+        metrics.append((BASELINE_NAME, constant))
+    reports = {name: calibrate(human, matrix, config).report if args.calibrate
+               else grouped_stat(human, matrix, mode, kind, pol) for name, matrix in metrics}
+    ranking = rank_metrics({name: report.value for name, report in reports.items()})
+    rows = [_row(name, reports[name], rank=position)
+            for position, name in enumerate(ranking, start=1)]
+    return _document(args, digests, _RANK_COLUMNS, rows, ranking)
 
 
 _BUCKET_COLUMNS = ("metric", "stat", "mode", "k", "value",
                    "groups_total", "groups_used", "pairs_total")
 
 
-def _cmd_buckets(args: argparse.Namespace) -> int:
-    _require_one_metric(args)
+def _cmd_buckets(args: argparse.Namespace) -> ReportDocument:
+    metric = _one_metric(args)
     kind = StatKind.parse(args.stat)
     mode = GroupingMode.parse(args.mode)
     k_list = _parse_list(args.k_list, "--k-list", int)
     if not k_list or any(k < 1 for k in k_list):
         raise ValueError(f"--k-list must contain positive integers, got {args.k_list!r}")
-    human, metrics, digests = _load_inputs(args)
-    (name, matrix), = metrics
-    rows = []
-    for k in k_list:
-        report = grouped_stat(human, bucketize(matrix, k), mode, kind, 0.0)
-        rows.append({
-            "metric": name,
-            "stat": kind.value,
-            "mode": mode.value,
-            "k": k,
-            "value": report.value,
-            "groups_total": report.groups_total,
-            "groups_used": report.groups_used,
-            "pairs_total": report.pairs_total,
-        })
-    doc = _document("buckets", digests, _BUCKET_COLUMNS, rows)
-    _emit(args, write_report(doc, args.format))
-    return 0
+    human, ((name, matrix),), digests = _load_inputs(args.human, [metric])
+    rows = [_row(name, grouped_stat(human, bucketize(matrix, k), mode, kind, 0.0), k=k)
+            for k in k_list]
+    return _document(args, digests, _BUCKET_COLUMNS, rows)
 
 
 _HIST_COLUMNS = ("bin_start", "bin_end", "all_pairs", "newly_tied")
 
 
-def _cmd_tie_hist(args: argparse.Namespace) -> int:
-    _require_one_metric(args)
+def _cmd_tie_hist(args: argparse.Namespace) -> ReportDocument:
+    metric = _one_metric(args)
     mode = GroupingMode.parse(args.mode)
-    pol = EpsilonPolicy(args.epsilon, EpsilonMode.parse(args.eps_mode))
-    human, metrics, digests = _load_inputs(args)
-    (_, matrix), = metrics
+    pol = _policy(args)
+    human, ((_, matrix),), digests = _load_inputs(args.human, [metric])
     hist = tie_location_histogram(human, matrix, pol, args.bins, mode)
-    rows = []
-    for i in range(len(hist.all_pairs)):
-        rows.append({
-            "bin_start": float(hist.bin_edges[i]),
-            "bin_end": float(hist.bin_edges[i + 1]),
-            "all_pairs": int(hist.all_pairs[i]),
-            "newly_tied": int(hist.newly_tied[i]),
-        })
-    doc = _document("tie-hist", digests, _HIST_COLUMNS, rows)
-    _emit(args, write_report(doc, args.format))
-    return 0
+    edges = hist.bin_edges.tolist()
+    rows = [dict(zip(_HIST_COLUMNS, row)) for row in zip(
+        edges[:-1], edges[1:], hist.all_pairs.tolist(), hist.newly_tied.tolist())]
+    return _document(args, digests, _HIST_COLUMNS, rows)
 
 
 _F1_COLUMNS = ("epsilon", "ties_f1", "rank_f1", "acc_eq")
 
 
-def _cmd_f1_curve(args: argparse.Namespace) -> int:
-    _require_one_metric(args)
+def _cmd_f1_curve(args: argparse.Namespace) -> ReportDocument:
+    metric = _one_metric(args)
     mode = GroupingMode.parse(args.mode)
     eps_mode = EpsilonMode.parse(args.eps_mode)
     grid = _parse_list(args.eps_grid, "--eps-grid", float)
-    human, metrics, digests = _load_inputs(args)
-    (_, matrix), = metrics
-    rows = [{
-        "epsilon": point.epsilon,
-        "ties_f1": point.ties_f1,
-        "rank_f1": point.rank_f1,
-        "acc_eq": point.acc_eq,
-    } for point in f1_curve(human, matrix, mode, grid, eps_mode)]
-    doc = _document("f1-curve", digests, _F1_COLUMNS, rows)
-    _emit(args, write_report(doc, args.format))
-    return 0
+    human, ((_, matrix),), digests = _load_inputs(args.human, [metric])
+    rows = [asdict(point) for point in f1_curve(human, matrix, mode, grid, eps_mode)]
+    return _document(args, digests, _F1_COLUMNS, rows)
 
 
-def _cmd_perturb(args: argparse.Namespace) -> int:
-    _require_one_metric(args)
-    pol = EpsilonPolicy(args.epsilon, EpsilonMode.parse(args.eps_mode))
-    ((_, path),) = _parse_metrics(args.metric)
+def _cmd_perturb(args: argparse.Namespace) -> bytes:
+    _, path = _one_metric(args)
+    pol = _policy(args)
     matrix = data.load_scores(path)
     keys = sorted(matrix.keys())
     scores = [matrix.get(*key) for key in keys]
     ranks = break_ties_randomly(scores, pol, seed=args.seed)
     perturbed = ScoreMatrix((system, segment, float(rank))
                             for (system, segment), rank in zip(keys, ranks))
-    _emit(args, dump_scores(perturbed))
-    return 0
+    return dump_scores(perturbed)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # a report document, perturb's score file, or None (calibrate --out -)
+        output = args.func(args)
+        if isinstance(output, ReportDocument):
+            output = write_report(output, args.format)
+        if output is not None and args.out == "-":
+            sys.stdout.write(output.decode("utf-8"))
+        elif output is not None:
+            Path(args.out).write_bytes(output)
+        return 0
     except (ScoreFileError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2

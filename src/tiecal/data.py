@@ -184,6 +184,19 @@ def rank_metrics(values: Mapping[str, float | None]) -> list[str]:
     return sorted(values, key=key)
 
 
+def _table(doc: ReportDocument) -> list[list[Any]]:
+    """Each row's values in column order.  A row may hold other keys too;
+    one without a column raises ValueError naming the column and the row,
+    so a misspelt key cannot pass for an undefined value."""
+    table = []
+    for index, row in enumerate(doc.rows):
+        try:
+            table.append([row[col] for col in doc.columns])
+        except KeyError as exc:
+            raise ValueError(f"report row {index} has no column {exc.args[0]!r}") from None
+    return table
+
+
 def write_report(doc: ReportDocument, fmt: str = "tsv") -> bytes:
     """Serialize a report deterministically as TSV or JSON."""
     if fmt == "tsv":
@@ -193,8 +206,8 @@ def write_report(doc: ReportDocument, fmt: str = "tsv") -> bytes:
         if doc.ranking is not None:
             lines.append("# ranking=" + ",".join(doc.ranking))
         lines.append("\t".join(doc.columns))
-        for row in doc.rows:
-            lines.append("\t".join(_cell(row.get(col)) for col in doc.columns))
+        for values in _table(doc):
+            lines.append("\t".join(map(_cell, values)))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
         payload = {
@@ -202,8 +215,8 @@ def write_report(doc: ReportDocument, fmt: str = "tsv") -> bytes:
             "command": doc.command,
             "inputs": doc.inputs,
             "columns": list(doc.columns),
-            "results": [{col: _json_value(row.get(col)) for col in doc.columns}
-                        for row in doc.rows],
+            "results": [dict(zip(doc.columns, map(_json_value, values)))
+                        for values in _table(doc)],
             "ranking": doc.ranking,
         }
         return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")

@@ -255,21 +255,20 @@ def bucketize(metric: ScoreMatrix, k: int) -> ScoreMatrix:
     """Map every score to one of ``k`` equal-width buckets over the global range.
 
     Bucket index is min(k - 1, floor((s - lo) / (hi - lo) * k)) with lo/hi
-    the global extremes of the matrix; a constant matrix maps to all zeros.
+    the global extremes of the matrix; a constant matrix maps to all zeros,
+    and a range beyond the float range raises ValueError.
     """
     if k < 1:
         raise ValueError(f"bucket count must be >= 1, got {k}")
     if len(metric) == 0:
         raise ValueError("cannot bucketize an empty matrix")
     values = metric.scores()
-    lo = float(values.min())
-    hi = float(values.max())
-    out = ScoreMatrix()
-    for system, segment, score in metric.items():
-        if hi == lo:
-            bucket = 0
-        else:
-            t = (score - lo) / (hi - lo)
-            bucket = min(k - 1, math.floor(t * k))
-        out.add(system, segment, float(bucket))
-    return out
+    lo, hi = float(values.min()), float(values.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"cannot bucketize scores from {lo!r} to {hi!r}: their range "
+                         "overflows a float")
+    if hi == lo:
+        buckets = np.zeros_like(values)
+    else:  # + 0.0: a score of -0.0 above a minimum of 0.0 gets bucket 0.0, not -0.0
+        buckets = np.minimum(k - 1, np.floor((values - lo) / (hi - lo) * k)) + 0.0
+    return ScoreMatrix._from_checked(dict(zip(metric.keys(), buckets.tolist())))

@@ -9,6 +9,7 @@ to check.  The only library piece reused is the aggregation contract
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -187,7 +188,7 @@ def oracle_load_scores(path):
     Returns the ((system, segment), score) entries in file order, or the
     first error as "path:line: message".
     """
-    lines = re.split(rb"\r\n|\r|\n", open(path, "rb").read())
+    lines = re.split(rb"\r\n|\r|\n", Path(path).read_bytes())
     if lines[-1] == b"":  # the last line's terminator starts no line
         lines.pop()
     entries = {}

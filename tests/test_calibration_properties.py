@@ -1,6 +1,7 @@
-"""Property tests for the calibration sweep, the F1 curve and the tie
-histogram: hypothesis searches small grouped campaigns (heavy human ties,
-negative scores, signed zeros, groups of 0, 1 and 2 rows) and checks each
+"""Property tests for pair counting, the calibration sweep, the F1 curve
+and the tie histogram: hypothesis searches small grouped campaigns (heavy
+human ties, negative scores, signed zeros, groups of 0, 1 and 2 rows) and
+checks the counts and every statistic against the oracles, and each
 read-out against batch evaluation or brute force, with the kernel and
 sweep block sizes patched down so that blocks split groups and runs of
 equal gaps."""
@@ -12,7 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_calibration, oracle_gap, oracle_groups
+from oracles import (
+    brute_force_calibration,
+    naive_suff_stats,
+    oracle_gap,
+    oracle_groups,
+    oracle_stat,
+)
 
 from tiecal import (
     CalibrationConfig,
@@ -25,9 +32,11 @@ from tiecal import (
     calibrate,
     f1_curve,
     grouped_stat,
+    grouped_stats,
+    mean_defined,
     tie_location_histogram,
 )
-from tiecal.stats import _BLOCK_PAIRS, _pair_blocks
+from tiecal.stats import _BLOCK_PAIRS, _pair_blocks, _pair_counts, _sort_counts
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -72,6 +81,38 @@ def observed_gaps(human, metric, mode, relative):
 
 def eps_mode_of(relative):
     return EpsilonMode.RELATIVE if relative else EpsilonMode.ABSOLUTE
+
+
+@PROFILE
+@given(campaign=campaigns(), mode=MODES, relative=st.booleans(), block=KERNEL_BLOCKS,
+       sort_level=st.sampled_from([0, math.inf]), data=st.data())
+def test_pair_counts_and_every_statistic_equal_the_oracles(campaign, mode, relative, block,
+                                                           sort_level, data):
+    human, metric = campaign
+    eps = data.draw(st.sampled_from(observed_gaps(human, metric, mode, relative)))
+    pol = EpsilonPolicy(eps, eps_mode_of(relative))
+    groups = oracle_groups(human, metric, mode)
+    expected = [list(naive_suff_stats(h.tolist(), m.tolist(), eps, relative).as_tuple())
+                for h, m in groups]
+    h, m, sizes = align(human, metric, mode)
+    with mock.patch("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", math.inf), \
+            mock.patch("tiecal.stats._BLOCK_PAIRS", block):
+        assert _pair_counts(h, m, sizes, pol).tolist() == expected  # the kernel
+    if not relative or eps == 0.0:  # where the tie test is monotone along sorted scores
+        assert _sort_counts(h, m, sizes, eps).tolist() == expected
+
+    # every statistic, through whichever counting path sort_level selects
+    with mock.patch("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", sort_level):
+        reports = grouped_stats(human, metric, mode, list(StatKind), pol)
+    for kind, report in zip(StatKind, reports):
+        values = [oracle_stat(kind, *counts, min(len(set(hg.tolist())), len(set(mg.tolist()))),
+                              hg.size) for counts, (hg, mg) in zip(expected, groups)]
+        used = [counts for counts, value in zip(expected, values) if value is not None]
+        assert report.kind is kind
+        assert report.value == mean_defined(np.array(values, dtype=float))
+        assert (report.groups_total, report.groups_used) == (len(groups), len(used))
+        assert report.pairs_total == sum(map(sum, expected))
+        assert list(report.pairs_by_class.as_tuple()) == [sum(c) for c in zip(*used, [0] * 5)]
 
 
 @PROFILE

@@ -235,3 +235,18 @@ class TestWriteReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             write_report(sample_document(), "xml")
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_row_without_a_column_rejected(self, fmt):
+        # a misspelt key must not pass for an undefined value (NaN / null)
+        doc = sample_document()
+        doc.rows[1] = {"metric": "m2", "valeu": None, "count": 0}
+        with pytest.raises(ValueError, match=r"^report row 1 has no column 'value'$"):
+            write_report(doc, fmt)
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_keys_beyond_the_columns_are_not_written(self, fmt):
+        doc = sample_document()
+        for row in doc.rows:
+            row["pairs_total"] = 7
+        assert write_report(doc, fmt) == write_report(sample_document(), fmt)

@@ -1,5 +1,7 @@
 """Tests for score matrices, alignment, grouped statistics, and bucketing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,26 @@ class TestBucketize:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             bucketize(ScoreMatrix(), 4)
+
+    def test_equals_the_formula_one_score_at_a_time(self):
+        # bit for bit: a score of -0.0 gets bucket 0.0 as math.floor gives it
+        rng = np.random.default_rng(8)
+        for values in (rng.normal(size=120) * 1e3, rng.integers(-3, 4, 120) / 4,
+                       rng.choice([-0.0, 0.0, 1.0, 5e-324], 120),
+                       np.array([-0.0, 0.0, 1.0])):  # np.min gives 0.0 here
+            values = values.tolist()
+            m = matrix_from((f"s{i % 5}", f"g{i}", v) for i, v in enumerate(values))
+            lo, hi = min(values), max(values)
+            for k in (1, 2, 3, 7, 64):
+                expected = [float(min(k - 1, math.floor((v - lo) / (hi - lo) * k)))
+                            for v in values]
+                got = [score for _, _, score in bucketize(m, k).items()]
+                assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_range_beyond_the_float_range_rejected(self):
+        m = matrix_from([("s1", "g1", -1e308), ("s2", "g1", 0.0), ("s3", "g1", 1e308)])
+        with pytest.raises(ValueError, match="overflows"):
+            bucketize(m, 4)
 
     def test_bucket_nesting(self):
         rng = np.random.default_rng(6)
