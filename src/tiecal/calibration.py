@@ -12,8 +12,9 @@ stated rounding bound of the best are replayed exactly, in ascending order,
 with the reduction ``grouped_stat`` uses, so ties in the maximum resolve to
 the smallest threshold, and the winner is re-verified by a batch
 evaluation.  Walk, shortlist, exact replay, re-verification: calibration
-has no other path.  The F1 curve and the tie histogram read the
-kernel's blocks once and keep no pair.
+has no other path.  The F1 curve is the batch evaluation at each grid
+point, and the tie histogram reads the kernel's blocks once and keeps no
+pair.
 """
 
 from __future__ import annotations
@@ -327,37 +328,14 @@ class F1CurvePoint:
 def f1_curve(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
              eps_grid: Sequence[float],
              eps_mode: EpsilonMode = EpsilonMode.ABSOLUTE) -> list[F1CurvePoint]:
-    """Tie-F1, correct-rank-F1, and pairwise accuracy along a threshold grid.
-
-    One pass over the pair kernel bins each group's pairs by class and by
-    the number of grid points below their gap; summing the bins along the
-    grid gives the per-group counts at each grid point, so values equal
-    ``grouped_stat`` there exactly.
-    """
+    """Tie-F1, correct-rank-F1, and pairwise accuracy along a threshold grid,
+    in ascending order: ``grouped_stats`` at each grid point."""
     if len(eps_grid) == 0:
         raise ValueError("eps_grid must not be empty")
-    grid = sorted(float(e) for e in eps_grid)
-    for eps in grid:
-        EpsilonPolicy(eps, eps_mode)  # rejects a negative or non-finite threshold
+    # rejects a negative or non-finite threshold before any work
+    policies = [EpsilonPolicy(eps, eps_mode) for eps in sorted(float(e) for e in eps_grid)]
     aligned = align(human, metric, mode)
-    # binned[g, c, i]: group g's pairs of class c at threshold zero whose
-    # gap exceeds exactly i grid points; from grid point i on they are tied.
-    thresholds, width = np.array(grid), len(grid) + 1
-    binned = np.zeros((aligned.sizes.size, 5, width), dtype=np.int64)
-    for gap, group, cls, _ in _pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode)):
-        _fold(binned, group, cls.astype(np.intp) * width + np.searchsorted(thresholds, gap))
-    counts = binned.sum(axis=2)
-
-    def grouped(kind: StatKind) -> float | None:
-        return mean_defined(_stat_from_arrays(kind, *counts.T))
-
-    points = []
-    for i, eps in enumerate(grid):
-        counts += binned[:, :3, i] @ _MOVE
-        points.append(F1CurvePoint(
-            epsilon=eps,
-            ties_f1=grouped(StatKind.TIES_F1),
-            rank_f1=grouped(StatKind.RANK_F1),
-            acc_eq=grouped(StatKind.ACC_EQ),
-        ))
-    return points
+    kinds = (StatKind.TIES_F1, StatKind.RANK_F1, StatKind.ACC_EQ)
+    return [F1CurvePoint(pol.epsilon, *(report.value for report in
+                                        _reports(aligned, mode, kinds, pol)))
+            for pol in policies]

@@ -93,7 +93,7 @@ def _add_io_options(parser: argparse.ArgumentParser, multi_metric: bool,
                         help="metric name and its TSV score file"
                              + ("; repeatable" if multi_metric else ""))
     parser.add_argument("--out", default="-", metavar="FILE", help=out_help)
-    parser.add_argument("--format", choices=("tsv", "json"), default=_default_format(),
+    parser.add_argument("--format", choices=("tsv", "json"),
                         help="report format (default from TIECAL_FORMAT, else tsv)")
 
 
@@ -406,6 +406,12 @@ def _cmd_perturb(args: argparse.Namespace) -> bytes:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if hasattr(args, "format"):  # a report command
+            args.format = args.format or _default_format()
+        outputs = ("--out", args.out), ("--emit-epsilon", getattr(args, "emit_epsilon", None))
+        for flag, path in outputs:  # fail before any work on a missing directory
+            if path not in (None, "-") and not Path(path).parent.is_dir():
+                raise ValueError(f"{flag} {path}: no such directory {str(Path(path).parent)!r}")
         # a report document, perturb's score file, or None (calibrate --out -)
         output = args.func(args)
         if isinstance(output, ReportDocument):

@@ -9,11 +9,11 @@ are controlled by an epsilon policy.
 
 Per-group counts come from one of two exact paths.  The blocked kernel
 (``_pair_blocks``) classifies every pair, so its cost grows with the pairs;
-the calibration sweep, F1 curve and tie histogram read it for each pair's
-gap.  The sort count (``_sort_counts``) takes O(n log² n) time for n rows
-from windows and a dominance count over sorted scores.  ``_pair_counts``
-picks the sort count for large groups whenever the tie test is monotone
-along sorted scores: absolute mode, or epsilon 0.
+the calibration sweep and tie histogram read it for each pair's gap.  The
+sort count (``_sort_counts``) takes O(n log² n) time for n rows from
+windows and a dominance count over sorted scores.  ``_pair_counts`` picks
+the sort count for large groups unless the policy is relative with
+epsilon >= 1, the one rule that ties scores of opposite signs.
 """
 
 from __future__ import annotations
@@ -130,9 +130,6 @@ class PairCounts:
             "tied_metric": self.tied_metric,
             "tied_both": self.tied_both,
         }
-
-    def __add__(self, other: "PairCounts") -> "PairCounts":
-        return PairCounts(*(a + b for a, b in zip(self.as_tuple(), other.as_tuple())))
 
 
 class StatKind(enum.Enum):
@@ -346,81 +343,99 @@ def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: Epsilo
                (mi + mj) / 2.0 if midpoints else None)
 
 
-def _fold(out: np.ndarray, group: np.ndarray, key: np.ndarray) -> None:
-    """Add a kernel block's count of each (group, key) to ``out``, a
-    groups-first array whose other axes, flattened, ``key`` indexes.  A
-    block's groups are contiguous, so one bincount covers their rows."""
-    first, span, width = group[0], group[-1] - group[0] + 1, out[0].size
-    out[first:first + span] += np.bincount(
-        np.subtract(group, first, dtype=np.intp) * width + key,
-        minlength=width * span).reshape(span, *out.shape[1:])
+def _fold(counts: np.ndarray, group: np.ndarray, cls: np.ndarray) -> None:
+    """Add a kernel block's classes to the (groups, 5) ``counts``.  A block's
+    groups are contiguous, so one bincount covers their rows."""
+    first, span = group[0], group[-1] - group[0] + 1
+    counts[first:first + span] += np.bincount(
+        np.subtract(group, first, dtype=np.intp) * 5 + cls, minlength=5 * span).reshape(span, 5)
 
 
-def _window_starts(m: np.ndarray, first: np.ndarray, eps: float,
+def _window_starts(m: np.ndarray, first: np.ndarray, pol: EpsilonPolicy,
                    values: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """For each row of ``m``, sorted ascending inside segments that start at
-    rows ``first``, the first row of its segment whose score is tied with it;
-    ``rank`` is each row's index in the distinct scores ``values``.
+    rows ``first`` (and non-negative in relative mode), the first row of its
+    segment whose score is tied with it; ``rank`` is each row's index in the
+    distinct scores ``values``.
 
-    The test is the kernel's own, m[i] - m[p] <= eps, monotone in p along
-    sorted scores.  m[p] >= m[i] - eps is not the same test (0.1 + 0.3
-    reaches 0.4, but 0.4 - 0.1 = 0.30000000000000004 is no tie), so it
-    only guesses the starts, by one searchsorted over (segment, rank) keys;
-    rows whose guess fails the kernel's test are bisected.
+    The test is the kernel's own, pol.gaps(m[i], m[p]) <= epsilon, monotone
+    in p along sorted scores.  m[p] >= m[i] - eps (relative: m[i] - eps *
+    m[i]) is not the same test (0.1 + 0.3 reaches 0.4, but 0.4 - 0.1 =
+    0.30000000000000004 is no tie), so it only guesses the starts, by one
+    searchsorted over (segment, rank) keys; rows whose guess fails the
+    kernel's test are bisected.
     """
+    eps, scale = pol.epsilon, m if pol.mode is EpsilonMode.RELATIVE else 1.0
     key = first * values.size + rank  # ascending: segments in order, sorted inside
-    start = np.searchsorted(key, first * values.size + np.searchsorted(values, m - eps))
-    miss = np.flatnonzero((m - m[start] > eps) | (start > first) & (m - m[start - 1] <= eps))
+    start = np.searchsorted(key, first * values.size + np.searchsorted(values, m - eps * scale))
+    miss = np.flatnonzero((pol.gaps(m, m[start]) > eps)
+                          | (start > first) & (pol.gaps(m, m[start - 1]) <= eps))
     lo, hi = first[miss] - 1, miss  # the test fails at lo (or lo is outside), holds at hi
     for _ in range(int((miss - first[miss]).max(initial=0) + 1).bit_length()):
         mid = (lo + hi) >> 1
-        tied = (m[miss] - m[mid] <= eps) & (mid > lo)
+        tied = (pol.gaps(m[miss], m[mid]) <= eps) & (mid > lo)
         hi = np.where(tied, mid, hi)
         lo = np.where(tied, lo, mid)
     start[miss] = hi
     return start
 
 
-def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray, eps: float) -> np.ndarray:
-    """Per-group class counts by sorting, in O(n log² n) for n rows, for a
-    metric tie test |m_i - m_j| <= eps.
+def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
+                 pol: EpsilonPolicy) -> np.ndarray:
+    """Per-group class counts by sorting, in O(n log² n) for n rows, for an
+    absolute policy or a relative one with epsilon < 1.
 
-    In (group, metric) order each row's tie window gives the metric-tied
-    pairs; run lengths in (group, human, metric) order give the human-tied
-    pairs, and windows inside each run the tied-both pairs.  A dominance
-    count over dense human ranks gives the concordant pairs: rows before a
-    row's window (metric gap > eps) with a smaller human score.  The rest
-    are discordant.
+    In relative mode a group's negative rows form a segment of their own,
+    negated and with human ranks reversed, which keeps every pair's class;
+    no pair of opposite signs is tied, and its class is concordant when its
+    non-negative row has the higher human score.  In (segment, metric)
+    order each row's tie window gives the metric-tied pairs; run lengths in
+    (segment, human, metric) order give the human-tied pairs, and windows
+    inside each run the tied-both pairs.  A dominance count over dense human
+    ranks gives the concordant pairs: rows before a row's window with a
+    smaller human score.  The rest are discordant.
     """
     rows = np.arange(h.size)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
-    first = np.repeat(bounds[:-1], sizes)  # each row's group start
     group = np.repeat(np.arange(sizes.size), sizes)
     rank = np.unique(h, return_inverse=True)[1]
     span = int(rank.max(initial=0)) + 1
-    values, m_rank = np.unique(m, return_inverse=True)
-    by_m = np.lexsort((m, group))
-    m, rank, m_rank = m[by_m], rank[by_m], m_rank[by_m]
-    start = _window_starts(m, first, eps, values, m_rank)
+    # Opposite-sign pairs, by the non-negative row: the negative rows of its
+    # group with a smaller or an equal human score.
+    neg = (m < 0) & (pol.mode is EpsilonMode.RELATIVE)
     key = group * span + rank
-    by_h = np.argsort(key, kind="stable")  # (group, human, metric) order
+    below = np.sort(key[neg])
+    smaller, equal_or_smaller = np.searchsorted(below, key), np.searchsorted(below, key, "right")
+    cross_c = np.where(neg, 0, smaller - np.searchsorted(below, group * span))
+    cross_h = np.where(neg, 0, equal_or_smaller - smaller)
+    segment, m, rank = 2 * group + ~neg, np.where(neg, -m, m), np.where(neg, span - 1 - rank, rank)
+    seg_sizes = np.bincount(segment, minlength=2 * sizes.size)
+    first = np.repeat(np.cumsum(seg_sizes) - seg_sizes, seg_sizes)  # each row's segment start
+    values, m_rank = np.unique(m, return_inverse=True)
+    by_m = np.lexsort((m, segment))
+    m, rank, m_rank, segment = m[by_m], rank[by_m], m_rank[by_m], segment[by_m]
+    start = _window_starts(m, first, pol, values, m_rank)
+    key = segment * span + rank
+    by_h = np.argsort(key, kind="stable")  # (segment, human, metric) order
     key = key[by_h]
     run_first = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, rows, 0))
-    # Concordant pairs.  The ``width`` rows of a row's group before its
-    # window hold, for each set bit k of ``width``, one group-aligned block
+    # Concordant pairs.  The ``width`` rows of a row's segment before its
+    # window hold, for each set bit k of ``width``, one segment-aligned block
     # of 2**k rows.  Sorting every row's (block, rank) key at level k puts a
-    # block's keys after the first + (block << k) keys of earlier groups and
-    # blocks, so one searchsorted counts the smaller ranks inside the block.
+    # block's keys after the first + (block << k) keys of earlier segments
+    # and blocks, so one searchsorted counts the smaller ranks inside the block.
     local, width = rows - first, start - first
     conc = np.zeros(h.size, dtype=np.int64)
-    for k in range(int(sizes.max(initial=0)).bit_length()):
+    for k in range(int(seg_sizes.max(initial=0)).bit_length()):
         ranks_by_block = np.sort((first + (local >> k)) * span + rank)
         sel = np.flatnonzero((width >> k) & 1)
         block = (width[sel] >> k) - 1
         conc[sel] += (np.searchsorted(ranks_by_block, (first[sel] + block) * span + rank[sel])
                       - first[sel] - (block << k))
-    per_row = np.stack([conc, rows - start, rows - run_first,
-                        rows - _window_starts(m[by_h], run_first, eps, values, m_rank[by_h])],
+    # Columns in input, (segment, metric) and (segment, human) order: a
+    # group's rows keep its positions in each, and only group sums are read.
+    per_row = np.stack([conc + cross_c, rows - start, rows - run_first + cross_h,
+                        rows - _window_starts(m[by_h], run_first, pol, values, m_rank[by_h])],
                        axis=1)
     cumulative = np.concatenate((np.zeros((1, 4), dtype=np.int64), np.cumsum(per_row, axis=0)))
     c, tied_m, tied_h, both = (cumulative[bounds[1:]] - cumulative[bounds[:-1]]).T
@@ -432,17 +447,18 @@ def _pair_counts(h: np.ndarray, m: np.ndarray, sizes: Sequence[int],
                  pol: EpsilonPolicy) -> np.ndarray:
     """Per-group class counts, a (groups, 5) int64 array in class order.
 
-    Counts by sorting when the metric tie test is monotone along sorted
-    scores (absolute mode, or epsilon 0) and the groups hold more than
+    Counts by sorting when the groups hold more than
     ``_SORT_PAIRS_PER_ROW_LEVEL`` pairs per row and level (bit of the
-    largest group size); otherwise bincounts the blocked kernel's classes.
+    largest group size), unless the policy is relative with epsilon >= 1,
+    which ties pairs of opposite signs; otherwise bincounts the blocked
+    kernel's classes.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     pairs = int((sizes * (sizes - 1) // 2).sum())
     levels = int(sizes.max(initial=0)).bit_length()
-    if ((pol.mode is EpsilonMode.ABSOLUTE or pol.epsilon == 0)
+    if ((pol.mode is EpsilonMode.ABSOLUTE or pol.epsilon < 1)
             and pairs > _SORT_PAIRS_PER_ROW_LEVEL * h.size * levels):
-        return _sort_counts(h, m, sizes, pol.epsilon)
+        return _sort_counts(h, m, sizes, pol)
     counts = np.zeros((len(sizes), 5), dtype=np.int64)
     for _, group, cls, _ in _pair_blocks(h, m, sizes, pol):
         _fold(counts, group, cls)
@@ -454,9 +470,9 @@ def suff_stats(human: Scores, metric: Scores, eps: EpsilonPolicy | float = 0.0) 
 
     Human ties are exact equality; metric ties are gap <= epsilon under the
     policy.  Vectors with fewer than two entries yield all-zero counts.
-    Long vectors are counted by sorting in O(n log² n) time when the tie
-    test is monotone along sorted scores (absolute mode, or epsilon 0);
-    otherwise the pairs are enumerated in blocks, so memory stays bounded.
+    Long vectors are counted by sorting in O(n log² n) time, except under
+    a relative policy with epsilon >= 1; otherwise the pairs are enumerated
+    in blocks, so memory stays bounded.
     """
     h = as_score_vector(human)
     m = as_score_vector(metric)
@@ -502,8 +518,14 @@ def spearman(x: Scores, y: Scores) -> float | None:
         raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
     if xv.size < 2:
         return None
-    from scipy.stats import rankdata  # deferred: slow, memory-heavy, needed only here
-    return pearson(rankdata(xv), rankdata(yv))
+    return pearson(_mid_ranks(xv), _mid_ranks(yv))
+
+
+def _mid_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n from one sort, each run of equal values getting its mean rank."""
+    _, run, lengths = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(lengths)  # a run of ranks ends - lengths + 1 .. ends
+    return ((2 * ends - lengths + 1) / 2.0)[run]
 
 
 def break_ties_randomly(metric: Scores, eps: EpsilonPolicy | float = 0.0, *,

@@ -490,6 +490,39 @@ class TestFailuresExitTwo:
         assert self.one_error_line(captured.err)
         assert "TIECAL_FORMAT" in captured.err and "'xml'" in captured.err
 
+    @pytest.mark.parametrize("argv", [["--version"], ["perturb", "--out", "p.tsv"]])
+    def test_format_variable_unread_without_format_flag(self, tmp_path, capsys, monkeypatch,
+                                                         argv):
+        monkeypatch.setenv("TIECAL_FORMAT", "xml")
+        monkeypatch.chdir(tmp_path)
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        if argv[0] == "--version":
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+        else:
+            assert main([*argv, "--metric", f"m={m}"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-epsilon"])
+    def test_missing_output_directory_fails_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                           flag):
+        loads = []
+        monkeypatch.setattr("tiecal.data.load_scores", lambda path: loads.append(path))
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        eps_file = tmp_path / "eps.tsv"
+        paths = {"--out": str(tmp_path / "out.tsv"), "--emit-epsilon": str(eps_file)}
+        paths[flag] = str(tmp_path / "missing" / "x.tsv")
+        code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
+                     "--mode", "no-grouping", *(a for item in paths.items() for a in item)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and loads == []
+        assert self.one_error_line(captured.err)
+        assert f"{flag} {paths[flag]}: no such directory" in captured.err
+        assert not eps_file.exists()
+
     def test_tab_only_row_names_its_line(self, tmp_path, capsys):
         h = tmp_path / "h.tsv"
         h.write_text("s0\tg\t0\n\n\t\t\ns1\tg\t1\n", encoding="utf-8")

@@ -29,7 +29,7 @@ from tiecal import (
     suff_stats,
     tau_c_context,
 )
-from tiecal.stats import _pair_blocks, _pair_counts, _stat_from_arrays
+from tiecal.stats import _mid_ranks, _pair_blocks, _pair_counts, _stat_from_arrays
 
 H_FIG = [0, 0, 0, 0, 1, 2]
 M1_FIG = [0, 0, 0, 0, 2, 1]
@@ -188,7 +188,8 @@ class TestPairKernel:
                 used = [c for c, v in zip(naive, values) if not np.isnan(v)]
                 assert report.pairs_total == sum(c.total for c in naive)
                 assert report.groups_used == len(used)
-                assert report.pairs_by_class == sum(used, PairCounts())
+                assert list(report.pairs_by_class.as_tuple()) == [
+                    sum(column) for column in zip(*(c.as_tuple() for c in used), [0] * 5)]
                 assert report.value == mean_defined(values)
 
 
@@ -280,11 +281,12 @@ class TestSortCount:
         metric = ScoreMatrix((f"s{i}", f"g{i % 15}", v) for i, v in enumerate(m))
         kinds = [StatKind.ACC_EQ, StatKind.TAU_B]
         pooled = GroupingMode.NO_GROUPING
-        for pol in (EpsilonPolicy(0.01), EpsilonPolicy(0.0, EpsilonMode.RELATIVE)):
+        for pol in (EpsilonPolicy(0.01), EpsilonPolicy(0.0, EpsilonMode.RELATIVE),
+                    EpsilonPolicy(0.01, EpsilonMode.RELATIVE)):
             reports = grouped_stats(human, metric, pooled, kinds, pol)
             assert reports[0].pairs_total == n * (n - 1) // 2
-        with pytest.raises(AssertionError, match="blocked kernel"):
-            grouped_stats(human, metric, pooled, kinds, EpsilonPolicy(0.01, EpsilonMode.RELATIVE))
+        with pytest.raises(AssertionError, match="blocked kernel"):  # ties opposite signs
+            grouped_stats(human, metric, pooled, kinds, EpsilonPolicy(1.0, EpsilonMode.RELATIVE))
         with pytest.raises(AssertionError, match="blocked kernel"):  # 15 rows a group
             grouped_stats(human, metric, GroupingMode.GROUP_BY_SYSTEM, kinds, EpsilonPolicy(0.01))
 
@@ -531,6 +533,14 @@ class TestPearsonSpearman:
         y = [1, 2, 3]
         expected = pearson([1.5, 1.5, 3.0], [1.0, 2.0, 3.0])
         assert spearman(x, y) == expected
+
+    def test_mid_ranks_equal_scipy_rankdata(self):
+        from scipy.stats import rankdata
+        rng = np.random.default_rng(48)
+        pool = np.array([-2.0, -0.0, 0.0, 0.5, 0.5 + 2**-52, 3.0])  # signed zeros tie
+        for n in list(range(1, 12)) + [40, 200]:
+            for x in (rng.choice(pool, n), rng.integers(0, 3, n) * 1.0, rng.normal(size=n)):
+                assert _mid_ranks(x).tobytes() == rankdata(x).tobytes()
 
     def test_matches_scipy(self):
         from scipy.stats import pearsonr, spearmanr
