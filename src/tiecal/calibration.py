@@ -20,7 +20,9 @@ pair.
 from __future__ import annotations
 
 import os
+import resource
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -50,6 +52,9 @@ _SWEEP_MOVES = 1 << 14
 # Peak bytes per pair of a sweep: the moving pairs' gaps and packed group and
 # class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room.
 _SWEEP_BYTES_PER_PAIR = 32
+# Where calibrate's memory guard reads this process's cgroup v2 and its limit.
+_PROC_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
 # A move's change to its group's counts, by its class at threshold zero
 # (concordant, discordant, tied-human): it becomes tied-metric or tied-both.
 _MOVE = np.array([[-1, 0, 0, 1, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1]])
@@ -174,6 +179,25 @@ def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
         yield i0, sums[at[i0:i1] - 1 - b0], defs[at[i0:i1] - 1 - b0]
 
 
+def _memory_limit() -> tuple[int, str]:
+    """The bytes this process may use, and what sets them: the least of
+    physical memory, a set RLIMIT_AS and a readable cgroup v2 memory.max."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    limits = [(physical, f"this machine's {physical / 2**30:.3g} GiB of memory")]
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits.append((soft, f"the {soft / 2**30:.3g} GiB address-space limit (RLIMIT_AS)"))
+    try:
+        for line in _PROC_CGROUP.read_text().splitlines():
+            if line.startswith("0::"):  # the cgroup v2 entry
+                cgroup = _CGROUP_ROOT / line[3:].lstrip("/")
+                limit = int((cgroup / "memory.max").read_text())
+                limits.append((limit, f"the {limit / 2**30:.3g} GiB memory.max of cgroup {cgroup}"))
+    except (OSError, ValueError):  # no cgroup v2, or "max": no limit
+        pass
+    return min(limits, key=lambda limit: limit[0])
+
+
 def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
               config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
     """Find the tie threshold maximizing the configured statistic.
@@ -189,11 +213,10 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     if total_pairs == 0:
         raise ValueError("nothing to calibrate: no group has two aligned entries")
     need = total_pairs * _SWEEP_BYTES_PER_PAIR
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    have, what = _memory_limit()
     if need > have:
         raise MemoryError(f"calibrating {total_pairs:,} within-group pairs needs about "
-                          f"{need / 2**30:.3g} GiB, more than this machine's "
-                          f"{have / 2**30:.3g} GiB of memory")
+                          f"{need / 2**30:.3g} GiB, more than {what}")
 
     picked = None
     if config.sample_fraction < 1.0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from array import array
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Sequence
@@ -239,7 +240,7 @@ def _load_inputs(human_path: str, metrics: Sequence[tuple[str, Path]]
     digests = {"human": sha256_digest(human_path)}
     loaded = []
     for name, path in metrics:
-        loaded.append((name, data.load_scores(path)))
+        loaded.append((name, data.load_scores(path, like=human)))
         digests[f"metric:{name}"] = sha256_digest(path)
     return human, loaded, digests
 
@@ -336,7 +337,7 @@ def _cmd_rank(args: argparse.Namespace) -> ReportDocument:
     if args.baseline:
         if any(name == BASELINE_NAME for name, _ in metrics):
             raise ValueError(f"metric name {BASELINE_NAME!r} is reserved for --baseline")
-        constant = ScoreMatrix._from_checked(dict.fromkeys(human.keys(), 0.0))
+        constant = human._sharing_keys(array("d", [0.0]) * len(human))
         metrics.append((BASELINE_NAME, constant))
     reports = {name: calibrate(human, matrix, config).report if args.calibrate
                else grouped_stat(human, matrix, mode, kind, pol) for name, matrix in metrics}
@@ -394,24 +395,46 @@ def _cmd_f1_curve(args: argparse.Namespace) -> ReportDocument:
 def _cmd_perturb(args: argparse.Namespace) -> bytes:
     _, path = _one_metric(args)
     pol = _policy(args)
-    matrix = data.load_scores(path)
-    keys = sorted(matrix.keys())
-    scores = [matrix.get(*key) for key in keys]
-    ranks = break_ties_randomly(scores, pol, seed=args.seed)
-    perturbed = ScoreMatrix((system, segment, float(rank))
-                            for (system, segment), rank in zip(keys, ranks))
-    return dump_scores(perturbed)
+    items = sorted(data.load_scores(path).items())  # keys are unique: sorted by key
+    ranks = break_ties_randomly([score for *_, score in items], pol, seed=args.seed)
+    return dump_scores(ScoreMatrix((system, segment, float(rank))
+                                   for (system, segment, _), rank in zip(items, ranks)))
+
+
+def _stage(flag: str, path: Path) -> Path | None:
+    """An empty temporary file beside the output ``path``, so that an output
+    that cannot be written fails before any input is read; None for a link,
+    a device or a pipe, which is written in place, since a rename would
+    replace it."""
+    if path.is_dir():
+        raise ValueError(f"{flag} {path}: is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"{flag} {path}: no such directory {str(path.parent)!r}")
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        return None
+    temp = path.with_name(f".{path.name}.{flag.lstrip('-')}-{os.getpid()}.tmp")
+    try:
+        temp.open("xb").close()
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: cannot write: {exc.strerror}") from None
+    return temp
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    staged: list[tuple[Path, Path]] = []  # (temporary file, output path)
     try:
         args = build_parser().parse_args(argv)
         if hasattr(args, "format"):  # a report command
             args.format = args.format or _default_format()
-        outputs = ("--out", args.out), ("--emit-epsilon", getattr(args, "emit_epsilon", None))
-        for flag, path in outputs:  # fail before any work on a missing directory
-            if path not in (None, "-") and not Path(path).parent.is_dir():
-                raise ValueError(f"{flag} {path}: no such directory {str(Path(path).parent)!r}")
+        # Commands write to temporary files, moved into place once every
+        # output is ready: a failed run leaves no new or altered output.
+        for attr in ("out", "emit_epsilon"):
+            path = getattr(args, attr, None)
+            temp = None if path in (None, "-") else _stage("--" + attr.replace("_", "-"),
+                                                           Path(path))
+            if temp is not None:
+                staged.append((temp, Path(path)))
+                setattr(args, attr, str(temp))
         # a report document, perturb's score file, or None (calibrate --out -)
         output = args.func(args)
         if isinstance(output, ReportDocument):
@@ -420,10 +443,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(output.decode("utf-8"))
         elif output is not None:
             Path(args.out).write_bytes(output)
+        for temp, path in staged:
+            os.replace(temp, path)
         return 0
     except (ScoreFileError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

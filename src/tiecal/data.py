@@ -12,10 +12,13 @@ import hashlib
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Mapping
+
+import numpy as np
 
 from .grouping import ScoreMatrix
 
@@ -37,15 +40,20 @@ def sha256_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_scores(path: str | Path) -> ScoreMatrix:
+def load_scores(path: str | Path, like: ScoreMatrix | None = None) -> ScoreMatrix:
     """Parse a three-column score TSV into a ScoreMatrix.
 
     Rejects malformed rows, non-finite or unparseable scores, and duplicate
     (system, segment) keys, naming the offending line.  Chunks of lines are
     checked and converted at once; a failing chunk hands the file to the
     line-by-line parser.  Ids are interned: matrices share their strings.
+    A file whose rows list ``like``'s keys in order shares ``like``'s key
+    list, which ``align`` pairs by position; from the first row that leaves
+    that order, the file gets its own key list, checked as without ``like``.
     """
-    entries: dict[tuple[str, str], float] = {}
+    keys: tuple[list[str], list[str]] = ([], [])  # system and segment ids
+    scores = array("d")
+    seen = None if like is not None else set()  # None while the rows follow like's keys
     may_be_header = True
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -61,6 +69,8 @@ def load_scores(path: str | Path) -> ScoreMatrix:
                     may_be_header = False
                     if lines[0] == "\t".join(HEADER_FIELDS):
                         del lines[0]
+                if not lines:
+                    continue
                 fields = "\t".join(lines).split("\t")
                 texts = fields[2::3]
                 # float() alone also takes padding, "_" separators and non-ASCII
@@ -68,23 +78,39 @@ def load_scores(path: str | Path) -> ScoreMatrix:
                 joined = "\t".join(texts)
                 if not joined.isascii() or "_" in joined or joined.split() != texts:
                     raise ValueError
-                scores = list(map(float, texts))
+                start = len(scores)
+                scores.extend(map(float, texts))
                 del lines, texts  # fewer young lists for each garbage collection to scan
-                rows = len(entries) + len(scores)
-                entries.update(zip(zip(map(sys.intern, islice(fields, 0, None, 3)),
-                                       map(sys.intern, islice(fields, 1, None, 3))), scores))
-                if len(entries) != rows or not all(map(math.isfinite, scores)):
-                    raise ValueError  # a duplicate key or a non-finite score
+                end = len(scores)
+                if seen is None:
+                    if fields[0::3] == like._keys[0][start:end] and \
+                            fields[1::3] == like._keys[1][start:end]:
+                        continue  # like's next keys: nothing to store or check
+                    keys = like._keys[0][:start], like._keys[1][:start]
+                    seen = set(zip(*keys))
+                chunk = [list(map(sys.intern, islice(fields, column, None, 3)))
+                         for column in (0, 1)]
+                seen.update(zip(*chunk))
+                keys[0].extend(chunk[0])
+                keys[1].extend(chunk[1])
+                if len(seen) != end:
+                    raise ValueError  # a duplicate key
+        if not np.isfinite(np.frombuffer(scores)).all():
+            raise ValueError
     except ValueError:  # UnicodeDecodeError included
         return _load_lines(path)
-    return ScoreMatrix._from_checked(entries)
+    if seen is None:  # like's keys, or its first rows
+        if len(scores) == len(like):
+            return like._sharing_keys(scores)
+        keys = like._keys[0][:len(scores)], like._keys[1][:len(scores)]
+    return ScoreMatrix._from_columns(keys, scores)
 
 
 def _load_lines(path: str | Path) -> ScoreMatrix:
     """:func:`load_scores` one line at a time, raising the first error.  Lines
     split where text mode splits them and decode one by one: a bad byte is
     an error in its line's place."""
-    entries: dict[tuple[str, str], float] = {}
+    matrix = ScoreMatrix()
     seen_data = False
     for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
@@ -113,11 +139,11 @@ def _load_lines(path: str | Path) -> ScoreMatrix:
                                  f"column 3: unparseable score {text!r}") from None
         if not math.isfinite(score):
             raise ScoreFileError(path, lineno, f"column 3: non-finite score {text!r}")
-        if (system, segment) in entries:
+        if (system, segment) in matrix:
             raise ScoreFileError(
                 path, lineno, f"duplicate entry for system={system!r} segment={segment!r}")
-        entries[system, segment] = score
-    return ScoreMatrix._from_checked(entries)
+        matrix.add(system, segment, score)
+    return matrix
 
 
 def dump_scores(matrix: ScoreMatrix) -> bytes:
@@ -125,10 +151,10 @@ def dump_scores(matrix: ScoreMatrix) -> bytes:
     An id the schema cannot hold ('#' leading a system id, a tab or line
     break anywhere) raises ValueError naming its key."""
     lines = ["\t".join(HEADER_FIELDS)]
-    for system, segment in sorted(matrix.keys()):
+    for system, segment, score in sorted(matrix.items()):  # keys are unique: sorted by key
         if system.startswith("#") or any(c in system + segment for c in "\t\r\n"):
             raise ValueError(f"cannot write system={system!r} segment={segment!r} to a score file")
-        lines.append(f"{system}\t{segment}\t{matrix.get(system, segment)!r}")
+        lines.append(f"{system}\t{segment}\t{score!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

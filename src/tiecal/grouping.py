@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -29,75 +29,95 @@ from .stats import (
 
 
 class ScoreMatrix:
-    """Sparse mapping (system_id, segment_id) -> finite score."""
+    """Sparse mapping (system_id, segment_id) -> finite score, stored as
+    columns in insertion order: a key list (system ids, segment ids), which
+    matrices may share and ``add`` copies first, and a float64 score array.
+    The key -> row index is built on first lookup."""
 
-    __slots__ = ("_entries", "_aligned")
+    __slots__ = ("_keys", "_shared", "_scores", "_index", "_aligned")
 
     def __init__(self, entries: Mapping[tuple[str, str], float] |
                  Iterable[tuple[str, str, float]] = ()):
-        self._entries: dict[tuple[str, str], float] = {}
+        self._keys: tuple[list[str], list[str]] = ([], [])
+        self._shared = False  # whether another matrix holds self._keys too
+        self._scores = array("d")
+        self._index: dict[tuple[str, str], int] | None = {}
         self._aligned: dict[GroupingMode, tuple] = {}  # align's human side, per mode
         if isinstance(entries, Mapping):
-            for (system, segment), score in entries.items():
-                self.add(system, segment, score)
-        else:
-            for system, segment, score in entries:
-                self.add(system, segment, score)
+            entries = ((system, segment, score) for (system, segment), score in entries.items())
+        for system, segment, score in entries:
+            self.add(system, segment, score)
 
     @classmethod
-    def _from_checked(cls, entries: dict[tuple[str, str], float]) -> "ScoreMatrix":
-        """Wrap ``entries``, whose keys are pairs of str and whose values are
-        finite floats, without checking them again."""
+    def _from_columns(cls, keys: tuple[list[str], list[str]], scores: array) -> "ScoreMatrix":
+        """Wrap unique (system, segment) columns of str and their finite
+        scores without checking them again."""
         matrix = cls()
-        matrix._entries = entries
+        matrix._keys, matrix._scores, matrix._index = keys, scores, None
         return matrix
+
+    def _sharing_keys(self, scores: array) -> "ScoreMatrix":
+        """A matrix with ``scores`` on this matrix's key list."""
+        matrix = ScoreMatrix._from_columns(self._keys, scores)
+        self._shared = matrix._shared = True
+        return matrix
+
+    def _lookup(self) -> dict[tuple[str, str], int]:
+        if self._index is None:
+            self._index = dict(zip(self.keys(), range(len(self))))
+        return self._index
 
     def add(self, system: str, segment: str, score: float) -> None:
         key = (str(system), str(segment))
         value = float(score)
         if not math.isfinite(value):
             raise ValueError(f"non-finite score for {key}: {score!r}")
-        if key in self._entries:
+        if key in self._lookup():
             raise ValueError(f"duplicate entry for system={key[0]!r} segment={key[1]!r}")
-        self._entries[key] = value
+        if self._shared:  # copy on write: never change another matrix's keys
+            self._keys, self._shared = (self._keys[0].copy(), self._keys[1].copy()), False
+        self._lookup()[key] = len(self._scores)
+        self._keys[0].append(key[0])
+        self._keys[1].append(key[1])
+        self._scores.append(value)
         self._aligned.clear()
 
     @property
     def systems(self) -> tuple[str, ...]:
         """Distinct system ids in first-seen order."""
-        return tuple(dict.fromkeys(system for system, _ in self._entries))
+        return tuple(dict.fromkeys(self._keys[0]))
 
     @property
     def segments(self) -> tuple[str, ...]:
         """Distinct segment ids in first-seen order."""
-        return tuple(dict.fromkeys(segment for _, segment in self._entries))
+        return tuple(dict.fromkeys(self._keys[1]))
 
     def get(self, system: str, segment: str, default: float | None = None) -> float | None:
-        return self._entries.get((system, segment), default)
+        row = self._lookup().get((system, segment))
+        return default if row is None else self._scores[row]
 
     def scores(self) -> np.ndarray:
-        return np.fromiter(self._entries.values(), dtype=np.float64, count=len(self._entries))
+        return np.array(self._scores, dtype=np.float64)
 
     def items(self) -> Iterator[tuple[str, str, float]]:
-        for (system, segment), score in self._entries.items():
-            yield system, segment, score
+        return zip(*self._keys, self._scores)
 
     def keys(self) -> Iterator[tuple[str, str]]:
-        return iter(self._entries)
+        return zip(*self._keys)
 
     def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._entries
+        return key in self._lookup()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._scores)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreMatrix):
             return NotImplemented
-        return self._entries == other._entries
+        return sorted(self.items()) == sorted(other.items())  # keys are unique
 
     def __repr__(self) -> str:
-        return (f"ScoreMatrix({len(self._entries)} entries, "
+        return (f"ScoreMatrix({len(self)} entries, "
                 f"{len(self.systems)} systems, {len(self.segments)} segments)")
 
 
@@ -127,21 +147,26 @@ class Aligned(NamedTuple):
 
 
 def _human_side(human: ScoreMatrix, mode: GroupingMode
-                ) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
-    """Every human key in align's order, the human vector and each key's
-    group index; computed once per matrix and mode."""
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the human matrix in align's order, the human vector, each
+    row's group index and the group sizes; computed once per matrix and
+    mode, and read-only."""
     side = human._aligned.get(mode)
     if side is None:
-        keys = sorted(human._entries)  # often already sorted, which keeps the sort cheap
+        keys = list(human.keys())
+        rows = sorted(range(len(keys)), key=keys.__getitem__)  # often sorted already
         if mode is GroupingMode.NO_GROUPING:
-            sizes = [len(keys)]
+            sizes = [len(rows)]
         else:
-            group_of = itemgetter(1 if mode is GroupingMode.GROUP_BY_ITEM else 0)
-            keys.sort(key=group_of)  # stable: (system, segment) order inside each group
-            sizes = [len(list(run)) for _, run in groupby(keys, group_of)]
-        side = human._aligned[mode] = (
-            keys, np.fromiter(map(human._entries.__getitem__, keys), np.float64, len(keys)),
-            np.repeat(np.arange(len(sizes)), sizes))
+            column = human._keys[1 if mode is GroupingMode.GROUP_BY_ITEM else 0]
+            rows.sort(key=column.__getitem__)  # stable: (system, segment) order inside each group
+            sizes = [len(list(run)) for _, run in groupby(rows, column.__getitem__)]
+        order = np.array(rows, dtype=np.intp)
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        side = order, np.frombuffer(human._scores)[order], group, np.bincount(group)
+        for part in side:
+            part.flags.writeable = False
+        human._aligned[mode] = side
     return side
 
 
@@ -152,15 +177,23 @@ def align(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode) -> Aligne
     are ordered by id and the entries inside each by (system, segment), so
     the output is independent of insertion order.  Groups with a single
     aligned entry are still emitted; they simply produce zero pairs.  The
-    human side is ordered once per matrix and mode; each metric then costs
-    one lookup per human key.
+    human side is ordered once per matrix and mode.  A metric on the human's
+    own key list then costs one positional take, and shares the human
+    vector and sizes, read-only; any other metric costs one lookup of each
+    of its keys in the human's index.
     """
-    keys, h, group = _human_side(human, mode)
-    # NaN marks a missing key: matrices hold finite scores only
-    m = np.fromiter(map(metric._entries.get, keys, repeat(np.nan)), np.float64, len(keys))
-    common = ~np.isnan(m)
+    order, h, group, sizes = _human_side(human, mode)
+    scores = np.frombuffer(metric._scores)
+    if metric._keys is human._keys:  # the same rows: every key is common
+        return Aligned(h, scores[order], sizes)
+    found = np.fromiter(map(human._lookup().get, metric.keys(), repeat(-1)), np.intp,
+                        len(metric))  # each metric row's human row, or -1
+    at = np.full(len(human), -1, dtype=np.intp)  # each human row's metric row, or -1
+    at[found[found >= 0]] = np.flatnonzero(found >= 0)
+    at = at[order]
+    common = at >= 0
     sizes = np.bincount(group[common])
-    return Aligned(h[common], m[common], sizes[sizes > 0])
+    return Aligned(h[common], scores[at[common]], sizes[sizes > 0])
 
 
 @dataclass(frozen=True)
@@ -271,4 +304,4 @@ def bucketize(metric: ScoreMatrix, k: int) -> ScoreMatrix:
         buckets = np.zeros_like(values)
     else:  # + 0.0: a score of -0.0 above a minimum of 0.0 gets bucket 0.0, not -0.0
         buckets = np.minimum(k - 1, np.floor((values - lo) / (hi - lo) * k)) + 0.0
-    return ScoreMatrix._from_checked(dict(zip(metric.keys(), buckets.tolist())))
+    return metric._sharing_keys(array("d", buckets.tobytes()))

@@ -1,6 +1,7 @@
 """Tests for the tie-calibration sweep and its companions."""
 
 import itertools
+import resource
 import tracemalloc
 
 import numpy as np
@@ -209,6 +210,44 @@ class TestCalibrate:
         assert f"machine's {(32 * 44_850 - 1) / 2**30:.3g} GiB of memory" in message
         machine(32 * 44_850)
         assert calibrate(h, m, config).exact
+
+    @pytest.mark.parametrize("limit", ["rlimit_as", "cgroup"])
+    def test_refuses_more_pairs_than_the_smallest_memory_limit(self, monkeypatch, tmp_path,
+                                                               limit):
+        h, m = single_group(np.arange(300) % 4, np.arange(300) / 7)  # 44,850 pairs
+        config = CalibrationConfig(mode=GroupingMode.NO_GROUPING)
+        need = 32 * 44_850
+        monkeypatch.setattr("tiecal.calibration.os.sysconf", lambda name: {
+            "SC_PHYS_PAGES": 2 * need, "SC_PAGE_SIZE": 1}[name])
+        monkeypatch.setattr("tiecal.calibration.resource.getrlimit",
+                            lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+        proc_cgroup, root = tmp_path / "cgroup", tmp_path / "fs"
+        monkeypatch.setattr("tiecal.calibration._PROC_CGROUP", proc_cgroup)
+        monkeypatch.setattr("tiecal.calibration._CGROUP_ROOT", root)
+        proc_cgroup.write_text("12:memory:/v1\n0::/jobs/a\n")
+        (root / "jobs" / "a").mkdir(parents=True)
+
+        def set_limit(value):
+            if limit == "rlimit_as":
+                monkeypatch.setattr("tiecal.calibration.resource.getrlimit",
+                                    lambda which: (value, resource.RLIM_INFINITY))
+            else:
+                (root / "jobs" / "a" / "memory.max").write_text(f"{value}\n")
+
+        assert calibrate(h, m, config).exact  # no limit file: physical memory only
+        set_limit(need - 1)
+        with pytest.raises(MemoryError) as info:
+            calibrate(h, m, config)
+        message = str(info.value)
+        assert "\n" not in message and "44,850 within-group pairs" in message
+        assert f"the {(need - 1) / 2**30:.3g} GiB " in message
+        assert ("RLIMIT_AS" if limit == "rlimit_as" else f"memory.max of cgroup {root}/jobs/a") \
+            in message
+        set_limit(need)
+        assert calibrate(h, m, config).exact
+        if limit == "cgroup":
+            set_limit("max")  # a cgroup without a limit
+            assert calibrate(h, m, config).exact
 
     def test_invalid_sample_fraction(self):
         with pytest.raises(ValueError):

@@ -504,6 +504,76 @@ class TestFailuresExitTwo:
             assert main([*argv, "--metric", f"m={m}"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_existing_directory_as_output_fails_before_reading(self, tmp_path, capsys,
+                                                                monkeypatch):
+        loads = []
+        monkeypatch.setattr("tiecal.data.load_scores", lambda *args, **kw: loads.append(args))
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        before = sorted(tmp_path.iterdir())
+        code = main(["correlate", "--human", str(h), "--metric", f"m={m}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and loads == []
+        assert self.one_error_line(captured.err)
+        assert f"--out {tmp_path}: is a directory" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_run_leaves_no_new_or_altered_output(self, tmp_path, capsys, monkeypatch,
+                                                        existing):
+        # calibrate has written its epsilon file when serializing the report fails
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        out, eps = tmp_path / "out.tsv", tmp_path / "eps.tsv"
+        if existing:
+            out.write_bytes(b"old report\n")
+            eps.write_bytes(b"old epsilons\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def fail(*args):
+            raise ValueError("report row 0 has no column 'value'")
+        monkeypatch.setattr("tiecal.cli.write_report", fail)
+        code = main(["calibrate", "--human", str(h), "--metric", f"a={m}", "--metric", f"b={m}",
+                     "--mode", "no-grouping", "--out", str(out), "--emit-epsilon", str(eps)])
+        assert code == 2
+        assert self.one_error_line(capsys.readouterr().err)
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_outputs_replace_their_targets_and_leave_no_temporary_file(self, tmp_path, capsys):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        out, eps = tmp_path / "out.tsv", tmp_path / "eps.tsv"
+        out.write_bytes(b"old report\n")
+        code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
+                     "--mode", "no-grouping", "--out", str(out), "--emit-epsilon", str(eps)])
+        assert code == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "eps.tsv", "h.tsv", "m.tsv", "out.tsv"]
+        assert out.read_text().startswith("# version=")
+        assert eps.read_text().startswith("m\t")
+
+    def test_links_and_pipes_are_written_in_place(self, tmp_path, capsys):
+        # a rename would replace the link or the pipe itself
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        target, link, pipe = tmp_path / "target.tsv", tmp_path / "link.tsv", tmp_path / "pipe"
+        link.symlink_to(target)
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
+                         "--mode", "no-grouping", "--out", str(link), "--emit-epsilon", str(pipe)])
+            assert code == 0, capsys.readouterr().err
+            assert os.read(reader, 1 << 16).startswith(b"m\t")
+        finally:
+            os.close(reader)
+        assert link.is_symlink() and pipe.is_fifo()
+        assert target.read_text().startswith("# version=")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "h.tsv", "link.tsv", "m.tsv", "pipe", "target.tsv"]
+
     @pytest.mark.parametrize("flag", ["--out", "--emit-epsilon"])
     def test_missing_output_directory_fails_before_reading(self, tmp_path, capsys, monkeypatch,
                                                            flag):
@@ -583,6 +653,89 @@ class TestFailuresExitTwo:
         err = capsys.readouterr().err
         assert self.one_error_line(err)
         assert f"{argv[0]} takes exactly one --metric, got 2" in err
+
+
+
+class TestKeyOrder:
+    """Metric files in the human file's key order share its key list and
+    align by position; every other order, and missing or extra keys, take
+    the lookup path.  Reports are the same either way."""
+
+    @pytest.fixture
+    def campaign(self, tmp_path):
+        rng = np.random.default_rng(12)
+        keys = [(f"s{i}", f"g{j}") for i in range(6) for j in range(40)]
+        human = write_scores(tmp_path / "h.tsv", [
+            (*key, float(rng.integers(0, 4))) for key in keys])
+        rows = {name: [(*key, float(np.round(rng.normal(), 1))) for key in keys]
+                for name in ("a", "b")}
+        extra = [("s0", "g99", 0.5), ("s9", "g1", -1.0), ("s9", "g99", 2.0)]
+        variants = {
+            "ordered": lambda r: r,
+            "missing-tail": lambda r: r[:-25],
+            "missing-middle": lambda r: r[:50] + r[80:],
+            "added": lambda r: r[:100] + extra + r[100:],
+            "added-tail": lambda r: r + extra,
+        }
+        files = {}
+        for variant, change in variants.items():
+            for order in ("human-order", "shuffled"):
+                for name, metric_rows in rows.items():
+                    changed = change(metric_rows)
+                    if order == "shuffled":
+                        changed = [changed[i] for i in rng.permutation(len(changed))]
+                    path = tmp_path / f"{name}-{variant}-{order}.tsv"
+                    files[variant, order, name] = write_scores(path, changed)
+        return human, files
+
+    COMMANDS = [
+        ["rank", "--calibrate", "--baseline", "--mode", "group-by-item", "--stat", "acc_eq"],
+        ["correlate", "--stat", "all", "--mode", "group-by-system", "--epsilon", "0.1"],
+        ["buckets", "--mode", "group-by-item", "--stat", "tau_b", "--k-list", "8,2"],
+        ["f1-curve", "--mode", "no-grouping", "--eps-grid", "0,0.1,0.5"],
+    ]
+
+    @staticmethod
+    def report(argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "report.tsv")]) == 0
+        capsys.readouterr()
+        return (tmp_path / "report.tsv").read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("variant", ["ordered", "missing-tail", "missing-middle", "added",
+                                         "added-tail"])
+    def test_reports_do_not_depend_on_key_order(self, campaign, tmp_path, capsys, monkeypatch,
+                                                command, variant):
+        human, files = campaign
+        names = ("a", "b") if command[0] in ("rank", "correlate") else ("a",)
+        reports = {}
+        for order in ("human-order", "shuffled"):
+            argv = [*command, "--human", str(human)]
+            for name in names:
+                argv += ["--metric", f"{name}={files[variant, order, name]}"]
+            reports[order] = self.report(argv, tmp_path, capsys)
+            with monkeypatch.context() as patched:  # the reference: no metric shares keys
+                load = tiecal.data.load_scores
+                patched.setattr("tiecal.data.load_scores", lambda path, like=None: load(path))
+                assert self.report(argv, tmp_path, capsys) == reports[order]
+
+        def body(report):  # the input digests name each file's bytes
+            return [line for line in report.splitlines() if not line.startswith(b"# input:")]
+        assert body(reports["human-order"]) == body(reports["shuffled"])
+        assert reports["human-order"].count(b"\n") > 5
+
+    def test_ordered_metrics_share_the_human_key_list(self, campaign, monkeypatch):
+        human, files = campaign
+        loaded = []
+        load = tiecal.data.load_scores
+        monkeypatch.setattr("tiecal.data.load_scores",
+                            lambda path, like=None: loaded.append(load(path, like)) or loaded[-1])
+        tiecal.cli._load_inputs(str(human), [(variant, files[variant, order, "a"])
+                                             for variant in ("ordered", "missing-tail", "added")
+                                             for order in ("human-order", "shuffled")])
+        first, *metrics = loaded
+        assert [metric._keys is first._keys for metric in metrics] == [
+            True, False, False, False, False, False]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -184,6 +184,25 @@ class TestSharedKeyStrings:
         assert first == keys
         assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(first, second))
 
+    def test_ten_files_loaded_like_the_first_retain_under_16_bytes_a_row(self, tmp_path):
+        keys = [(f"sys{i:02d}", f"seg{j:05d}") for i in range(15) for j in range(400)]
+        rng = np.random.default_rng(0)
+        paths = [tmp_path / f"m{f}.tsv" for f in range(11)]
+        for path in paths:
+            path.write_text("".join(f"{system}\t{segment}\t{score!r}\n" for (system, segment),
+                                    score in zip(keys, rng.random(len(keys)).tolist())))
+        first = load_scores(paths[0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrices = [load_scores(path, like=first) for path in paths[1:]]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * len(keys) * len(matrices)
+        assert all(matrix._keys is first._keys for matrix in matrices)
+        assert list(matrices[-1].keys()) == keys
+
 
 class TestFormatting:
     def test_six_significant_digits(self):

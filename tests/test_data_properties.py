@@ -2,9 +2,10 @@
 comments, blank lines, headers, malformed rows and lines that are not
 UTF-8, with every line ending,
 with and without a byte-order mark, and with the loader's chunk size
-patched down so that files span many chunks.  ``load_scores`` must return
-what a line-by-line restatement of README's format rules returns, or
-raise the same ``path:line: message``."""
+patched down so that files span many chunks, each loaded with and without
+a ``like`` matrix whose keys follow the file's or depart from them.
+``load_scores`` must return what a line-by-line restatement of README's
+format rules returns, or raise the same ``path:line: message``."""
 
 import contextlib
 import io
@@ -65,25 +66,68 @@ def score_files(draw):
     return ("\ufeff" if draw(st.booleans()) else "") + text
 
 
+# Keys no drawn file holds.
+NEW_KEYS = [("\x00new", str(i)) for i in range(3)]
+
+
+@st.composite
+def like_keys(draw, keys):
+    """None, or the keys of a ``like`` matrix: ``keys`` in order, in another
+    order, a prefix of them, a superset of them, or them with one changed."""
+    kind = draw(st.sampled_from(["none", "same", "shuffled", "prefix", "superset", "changed"]))
+    if kind == "none":
+        return None
+    if kind == "same":
+        return keys
+    if kind == "shuffled":
+        return draw(st.permutations(keys))
+    if kind == "prefix":
+        return keys[:draw(st.integers(0, len(keys)))]
+    if kind == "superset" or not keys:
+        merged = list(keys)
+        for key in draw(st.lists(st.sampled_from(NEW_KEYS), min_size=1, unique=True)):
+            merged.insert(draw(st.integers(0, len(merged))), key)
+        return merged
+    changed = draw(st.integers(0, len(keys) - 1))
+    return [*keys[:changed], NEW_KEYS[0], *keys[changed + 1:]]
+
+
 @pytest.fixture(scope="module")
 def path(tmp_path_factory):
     return tmp_path_factory.mktemp("scores") / "scores.tsv"
 
 
 @PROFILE
-@given(text=score_files(), chunk=st.sampled_from([1, 2, 7, 30, data._CHUNK_CHARS]))
-def test_load_scores_equals_line_oracle(path, text, chunk):
+@given(text=score_files(), chunk=st.sampled_from([1, 2, 7, 30, data._CHUNK_CHARS]),
+       draw=st.data())
+def test_load_scores_equals_line_oracle(path, text, chunk, draw):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     expected = oracle_load_scores(path)
+    if isinstance(expected, list):
+        keys = [key for key, _ in expected]
+    else:  # roughly the rows of a file with an error: its lines of three columns
+        keys = list(dict.fromkeys(tuple(line.split("\t")[:2]) for line in text.splitlines()
+                                  if line.count("\t") == 2))
+    like = draw.draw(like_keys(keys))
+    if like is not None:
+        like = ScoreMatrix((system, segment, 0.0) for system, segment in like)
     with mock.patch("tiecal.data._CHUNK_CHARS", chunk), \
-            mock.patch("tiecal.data._load_lines", wraps=data._load_lines) as line_loop:
+            mock.patch("tiecal.data._load_lines", wraps=data._load_lines) as line_loop, \
+            mock.patch.object(ScoreMatrix, "_sharing_keys", autospec=True,
+                              side_effect=ScoreMatrix._sharing_keys) as sharing:
         try:
-            got = list(load_scores(path)._entries.items())
+            matrix = load_scores(path, like=like)
+            got = [((system, segment), score) for system, segment, score in matrix.items()]
         except ScoreFileError as exc:
             got = str(exc)
     assert got == expected
     # only a file with an error reaches the line-by-line parser
     assert line_loop.called == isinstance(expected, str)
+    # like's key list is shared exactly when the file lists like's keys in order
+    shared = like is not None and isinstance(expected, list) and list(like.keys()) == keys
+    assert sharing.called == shared
+    if isinstance(expected, list) and like is not None:
+        assert (matrix._keys is like._keys) == shared
     if isinstance(expected, str):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,6 +1,7 @@
 """Tests for score matrices, alignment, grouped statistics, and bucketing."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -123,20 +124,29 @@ class TestAlign:
     KEYS = [(f"s{i}", f"g{j}") for i in (2, 10, 1) for j in (3, 10, 2, 0)]
     SCORES = st.floats(-4, 4, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
     SPARSE = st.dictionaries(st.sampled_from(KEYS), SCORES)
-    STEPS = st.lists(st.tuples(st.sampled_from(KEYS), SCORES) | st.booleans(), max_size=12)
+    STEPS = st.lists(st.tuples(st.sampled_from(KEYS), SCORES, st.booleans()) | st.booleans(),
+                     max_size=12)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(human=SPARSE, a=SPARSE, b=SPARSE, steps=STEPS)
-    def test_memoised_human_side_matches_oracle(self, human, a, b, steps):
-        # a step is a human.add (a key and score) or the aligns of both
-        # metrics in every mode, A then B (True) or B then A (False)
+    @given(human=SPARSE, a=SPARSE, b=SPARSE, steps=STEPS, draw=st.data())
+    def test_memoised_human_side_matches_oracle(self, human, a, b, steps, draw):
+        # A third metric is on the human's own key list.  A step adds a key
+        # and score to the human (False) or to that metric (True), or aligns
+        # every metric in every mode, in order (True) or reversed (False).
         human = ScoreMatrix(human)
-        metrics = [ScoreMatrix(a), ScoreMatrix(b)]
+        shared = human._sharing_keys(array("d", draw.draw(
+            st.lists(self.SCORES, min_size=len(human), max_size=len(human)))))
+        assert shared._keys is human._keys
+        metrics = [ScoreMatrix(a), ScoreMatrix(b), shared]
         for step in [True, *steps, False]:
             if isinstance(step, tuple):
-                (system, segment), score = step
-                if (system, segment) not in human:
-                    human.add(system, segment, score)
+                (system, segment), score, to_shared = step
+                target, other = (shared, human) if to_shared else (human, shared)
+                untouched = list(other.items())
+                if (system, segment) not in target:
+                    target.add(system, segment, score)
+                    assert shared._keys is not human._keys
+                assert list(other.items()) == untouched  # copy on write
                 continue
             for metric in metrics if step else metrics[::-1]:
                 for mode in GroupingMode:
