@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import resource
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -52,7 +53,7 @@ _SWEEP_MOVES = 1 << 14
 # Peak bytes per pair of a sweep: the moving pairs' gaps and packed group and
 # class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room.
 _SWEEP_BYTES_PER_PAIR = 32
-# Where calibrate's memory guard reads this process's cgroup v2 and its limit.
+# Where calibrate's memory guard reads this process's cgroups and their limits.
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
 # A move's change to its group's counts, by its class at threshold zero
@@ -181,20 +182,25 @@ def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
 
 def _memory_limit() -> tuple[int, str]:
     """The bytes this process may use, and what sets them: the least of
-    physical memory, a set RLIMIT_AS and a readable cgroup v2 memory.max."""
+    physical memory, a set RLIMIT_AS, and a readable cgroup v2 memory.max
+    or cgroup v1 memory.limit_in_bytes."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     limits = [(physical, f"this machine's {physical / 2**30:.3g} GiB of memory")]
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY:
         limits.append((soft, f"the {soft / 2**30:.3g} GiB address-space limit (RLIMIT_AS)"))
-    try:
-        for line in _PROC_CGROUP.read_text().splitlines():
-            if line.startswith("0::"):  # the cgroup v2 entry
-                cgroup = _CGROUP_ROOT / line[3:].lstrip("/")
-                limit = int((cgroup / "memory.max").read_text())
-                limits.append((limit, f"the {limit / 2**30:.3g} GiB memory.max of cgroup {cgroup}"))
-    except (OSError, ValueError):  # no cgroup v2, or "max": no limit
-        pass
+    cgroups = []
+    with suppress(OSError):  # no /proc
+        cgroups = [line.split(":", 2) for line in _PROC_CGROUP.read_text().splitlines()]
+    for number, controllers, path in (fields for fields in cgroups if len(fields) == 3):
+        v1 = "memory" in controllers.split(",")  # cgroup v1's memory controller
+        if number == "0" or v1:  # "0::/path" is the cgroup v2 entry
+            file = (_CGROUP_ROOT / "memory" / path.lstrip("/") / "memory.limit_in_bytes" if v1
+                    else _CGROUP_ROOT / path.lstrip("/") / "memory.max")
+            with suppress(OSError, ValueError):  # no such file, or "max": no limit
+                limit = int(file.read_text())
+                limits.append((limit, f"the {limit / 2**30:.3g} GiB {file.name} of cgroup "
+                                      f"{file.parent}"))
     return min(limits, key=lambda limit: limit[0])
 
 

@@ -337,7 +337,7 @@ def _cmd_rank(args: argparse.Namespace) -> ReportDocument:
     if args.baseline:
         if any(name == BASELINE_NAME for name, _ in metrics):
             raise ValueError(f"metric name {BASELINE_NAME!r} is reserved for --baseline")
-        constant = human._sharing_keys(array("d", [0.0]) * len(human))
+        constant = human.with_scores(array("d", [0.0]) * len(human))
         metrics.append((BASELINE_NAME, constant))
     reports = {name: calibrate(human, matrix, config).report if args.calibrate
                else grouped_stat(human, matrix, mode, kind, pol) for name, matrix in metrics}
@@ -426,6 +426,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if hasattr(args, "format"):  # a report command
             args.format = args.format or _default_format()
+        emit = getattr(args, "emit_epsilon", None)
+        if emit == "-":
+            raise ValueError("--emit-epsilon -: the epsilon file cannot go to stdout")
+        if emit and args.out != "-" and Path(emit).resolve() == Path(args.out).resolve():
+            raise ValueError(f"--emit-epsilon {emit}: the same file as --out")
         # Commands write to temporary files, moved into place once every
         # output is ready: a failed run leaves no new or altered output.
         for attr in ("out", "emit_epsilon"):
@@ -439,8 +444,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         output = args.func(args)
         if isinstance(output, ReportDocument):
             output = write_report(output, args.format)
-        if output is not None and args.out == "-":
-            sys.stdout.write(output.decode("utf-8"))
+        if output is not None and args.out == "-":  # the same bytes as a file gets
+            sys.stdout.flush()  # after calibrate's printed lines
+            sys.stdout.buffer.write(output)
         elif output is not None:
             Path(args.out).write_bytes(output)
         for temp, path in staged:

@@ -101,7 +101,7 @@ def load_scores(path: str | Path, like: ScoreMatrix | None = None) -> ScoreMatri
         return _load_lines(path)
     if seen is None:  # like's keys, or its first rows
         if len(scores) == len(like):
-            return like._sharing_keys(scores)
+            return like.with_scores(scores)
         keys = like._keys[0][:len(scores)], like._keys[1][:len(scores)]
     return ScoreMatrix._from_columns(keys, scores)
 
@@ -110,7 +110,7 @@ def _load_lines(path: str | Path) -> ScoreMatrix:
     """:func:`load_scores` one line at a time, raising the first error.  Lines
     split where text mode splits them and decode one by one: a bad byte is
     an error in its line's place."""
-    matrix = ScoreMatrix()
+    rows: dict[tuple[str, str], float] = {}
     seen_data = False
     for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
@@ -139,11 +139,11 @@ def _load_lines(path: str | Path) -> ScoreMatrix:
                                  f"column 3: unparseable score {text!r}") from None
         if not math.isfinite(score):
             raise ScoreFileError(path, lineno, f"column 3: non-finite score {text!r}")
-        if (system, segment) in matrix:
+        if (system, segment) in rows:
             raise ScoreFileError(
                 path, lineno, f"duplicate entry for system={system!r} segment={segment!r}")
-        matrix.add(system, segment, score)
-    return matrix
+        rows[system, segment] = score
+    return ScoreMatrix(rows)
 
 
 def dump_scores(matrix: ScoreMatrix) -> bytes:
@@ -163,10 +163,6 @@ def format_value(value: float | None) -> str:
     return "NaN" if value is None else f"{float(value):.6g}"
 
 
-def _round6(value: float) -> float:
-    return float(f"{float(value):.6g}")
-
-
 def _cell(value: Any) -> str:
     if value is None:
         return "NaN"
@@ -178,9 +174,7 @@ def _cell(value: Any) -> str:
 
 
 def _json_value(value: Any) -> Any:
-    if isinstance(value, float):
-        return _round6(value)
-    return value
+    return float(format_value(value)) if isinstance(value, float) else value
 
 
 @dataclass

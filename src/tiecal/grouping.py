@@ -29,24 +29,31 @@ from .stats import (
 
 
 class ScoreMatrix:
-    """Sparse mapping (system_id, segment_id) -> finite score, stored as
-    columns in insertion order: a key list (system ids, segment ids), which
-    matrices may share and ``add`` copies first, and a float64 score array.
+    """Sparse mapping (system_id, segment_id) -> finite score, fixed once
+    built and stored as columns in insertion order: a key list (system ids,
+    segment ids), which ``with_scores`` shares, and a float64 score array.
     The key -> row index is built on first lookup."""
 
-    __slots__ = ("_keys", "_shared", "_scores", "_index", "_aligned")
+    __slots__ = ("_keys", "_scores", "_index", "_aligned")
 
     def __init__(self, entries: Mapping[tuple[str, str], float] |
                  Iterable[tuple[str, str, float]] = ()):
+        if isinstance(entries, Mapping):
+            entries = ((system, segment, score) for (system, segment), score in entries.items())
         self._keys: tuple[list[str], list[str]] = ([], [])
-        self._shared = False  # whether another matrix holds self._keys too
         self._scores = array("d")
         self._index: dict[tuple[str, str], int] | None = {}
         self._aligned: dict[GroupingMode, tuple] = {}  # align's human side, per mode
-        if isinstance(entries, Mapping):
-            entries = ((system, segment, score) for (system, segment), score in entries.items())
         for system, segment, score in entries:
-            self.add(system, segment, score)
+            key, value = (str(system), str(segment)), float(score)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite score for {key}: {score!r}")
+            if key in self._index:
+                raise ValueError(f"duplicate entry for system={key[0]!r} segment={key[1]!r}")
+            self._index[key] = len(self._scores)
+            self._keys[0].append(key[0])
+            self._keys[1].append(key[1])
+            self._scores.append(value)
 
     @classmethod
     def _from_columns(cls, keys: tuple[list[str], list[str]], scores: array) -> "ScoreMatrix":
@@ -56,31 +63,17 @@ class ScoreMatrix:
         matrix._keys, matrix._scores, matrix._index = keys, scores, None
         return matrix
 
-    def _sharing_keys(self, scores: array) -> "ScoreMatrix":
-        """A matrix with ``scores`` on this matrix's key list."""
-        matrix = ScoreMatrix._from_columns(self._keys, scores)
-        self._shared = matrix._shared = True
-        return matrix
+    def with_scores(self, scores: array) -> "ScoreMatrix":
+        """A matrix on this matrix's key list with ``scores``, an array("d")
+        of one finite score per row."""
+        if len(scores) != len(self) or not np.isfinite(np.frombuffer(scores)).all():
+            raise ValueError(f"expected {len(self)} finite scores")
+        return ScoreMatrix._from_columns(self._keys, scores)
 
     def _lookup(self) -> dict[tuple[str, str], int]:
         if self._index is None:
             self._index = dict(zip(self.keys(), range(len(self))))
         return self._index
-
-    def add(self, system: str, segment: str, score: float) -> None:
-        key = (str(system), str(segment))
-        value = float(score)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite score for {key}: {score!r}")
-        if key in self._lookup():
-            raise ValueError(f"duplicate entry for system={key[0]!r} segment={key[1]!r}")
-        if self._shared:  # copy on write: never change another matrix's keys
-            self._keys, self._shared = (self._keys[0].copy(), self._keys[1].copy()), False
-        self._lookup()[key] = len(self._scores)
-        self._keys[0].append(key[0])
-        self._keys[1].append(key[1])
-        self._scores.append(value)
-        self._aligned.clear()
 
     @property
     def systems(self) -> tuple[str, ...]:
@@ -304,4 +297,4 @@ def bucketize(metric: ScoreMatrix, k: int) -> ScoreMatrix:
         buckets = np.zeros_like(values)
     else:  # + 0.0: a score of -0.0 above a minimum of 0.0 gets bucket 0.0, not -0.0
         buckets = np.minimum(k - 1, np.floor((values - lo) / (hi - lo) * k)) + 0.0
-    return metric._sharing_keys(array("d", buckets.tobytes()))
+    return metric.with_scores(array("d", buckets.tobytes()))

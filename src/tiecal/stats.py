@@ -183,8 +183,8 @@ def _stat_from_arrays(kind: StatKind, c: np.ndarray, d: np.ndarray, th: np.ndarr
                       n: np.ndarray | None = None) -> np.ndarray:
     """Evaluate ``kind`` elementwise over arrays of class counts, NaN where a
     denominator is zero.  Equal bit for bit to the scalar float64 formulas
-    while count sums fit the dtype and TAU_B's f1, f2 and TAU_C's n*n*(k-1)
-    stay below 2**53."""
+    while count sums fit the dtype, TAU_B's f1, f2 stay below 2**53 and
+    TAU_C's n*n does."""
     def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den != 0)
 
@@ -194,7 +194,7 @@ def _stat_from_arrays(kind: StatKind, c: np.ndarray, d: np.ndarray, th: np.ndarr
     formulas = {
         StatKind.TAU_A: lambda: ratio(c - d, c + d + th + tm + thm),
         StatKind.TAU_B: lambda: ratio(c - d, np.sqrt((c + d + th).astype(np.float64) * (c + d + tm))),
-        StatKind.TAU_C: lambda: ratio(c - d, n * n * (k - 1) / k),
+        StatKind.TAU_C: lambda: ratio(c - d, n * n * (k - 1.0) / k),  # float: no int64 wrap
         StatKind.TAU_10: lambda: ratio(c - d - tm, c + d + tm),
         StatKind.TAU_13: lambda: ratio(c - d, c + d),
         StatKind.TAU_14: lambda: ratio(c - d, c + d + tm),

@@ -80,14 +80,13 @@ def _random_instance(rng, signed=False):
     signs and pairs of exact zeros."""
     n_groups = int(rng.integers(1, 6))
     low = -4 if signed else 0
-    h = ScoreMatrix()
-    m = ScoreMatrix()
+    h, m = [], []
     for j in range(n_groups):
         size = int(rng.integers(2, 16)) if j == 0 else int(rng.integers(1, 16))
         for i in range(size):
-            h.add(f"s{i}", f"g{j}", float(rng.integers(0, 10)) / 4.0)
-            m.add(f"s{i}", f"g{j}", float(rng.integers(low, 10)) / 4.0)
-    return h, m
+            h.append((f"s{i}", f"g{j}", float(rng.integers(0, 10)) / 4.0))
+            m.append((f"s{i}", f"g{j}", float(rng.integers(low, 10)) / 4.0))
+    return ScoreMatrix(h), ScoreMatrix(m)
 
 
 def test_calibration_oracle_equivalence():
@@ -172,14 +171,14 @@ def test_constant_metric_identities():
     for _ in range(20):
         n_systems = int(rng.integers(2, 8))
         n_segments = int(rng.integers(2, 15))
-        h = ScoreMatrix()
-        m = ScoreMatrix()
+        h, m = [], []
         for i in range(n_systems):
             for j in range(n_segments):
                 if rng.random() < 0.1:
                     continue
-                h.add(f"s{i}", f"g{j}", float(rng.integers(0, 3)))
-                m.add(f"s{i}", f"g{j}", 7.0)
+                h.append((f"s{i}", f"g{j}", float(rng.integers(0, 3))))
+                m.append((f"s{i}", f"g{j}", 7.0))
+        h, m = ScoreMatrix(h), ScoreMatrix(m)
         for mode in GroupingMode:
             groups = oracle_groups(h, m, mode)
             if not groups:
@@ -212,8 +211,7 @@ def _gaming_campaign(tmp_path):
     """15 systems x 500 segments; integer human scores with >= 40% tied
     pairs; metric = human + gaussian noise whose scale varies by segment."""
     rng = np.random.default_rng(2024)
-    h_lines = []
-    m_lines = []
+    h_lines, m_lines = [], []
     easy_tiers = [8, 16, 32, 64]
     for j in range(500):
         if j < 250:
@@ -353,14 +351,14 @@ def test_performance():
     t_pairs = time.perf_counter() - start
     assert counts.total == n * (n - 1) // 2
 
-    hmat = ScoreMatrix()
-    mmat = ScoreMatrix()
+    hmat, mmat = [], []
     for j in range(1500):
         hj = rng.integers(0, 10, 15).astype(float)
         mj = hj + rng.normal(size=15)
         for i in range(15):
-            hmat.add(f"s{i:02d}", f"g{j:04d}", float(hj[i]))
-            mmat.add(f"s{i:02d}", f"g{j:04d}", float(mj[i]))
+            hmat.append((f"s{i:02d}", f"g{j:04d}", float(hj[i])))
+            mmat.append((f"s{i:02d}", f"g{j:04d}", float(mj[i])))
+    hmat, mmat = ScoreMatrix(hmat), ScoreMatrix(mmat)
     start = time.perf_counter()
     result = calibrate(hmat, mmat, CalibrationConfig(kind=StatKind.ACC_EQ,
                                                      mode=GroupingMode.GROUP_BY_ITEM))

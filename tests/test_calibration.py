@@ -35,14 +35,13 @@ def single_group(h_scores, m_scores):
 def random_instance(rng):
     """Small grouped campaign with scores on a coarse lattice (duplicate gaps)."""
     n_groups = int(rng.integers(1, 6))
-    h = ScoreMatrix()
-    m = ScoreMatrix()
+    h, m = [], []
     for j in range(n_groups):
         size = int(rng.integers(2, 16)) if j == 0 else int(rng.integers(1, 16))
         for i in range(size):
-            h.add(f"s{i}", f"g{j}", float(rng.integers(0, 10)) / 4.0)
-            m.add(f"s{i}", f"g{j}", float(rng.integers(0, 10)) / 4.0)
-    return h, m
+            h.append((f"s{i}", f"g{j}", float(rng.integers(0, 10)) / 4.0))
+            m.append((f"s{i}", f"g{j}", float(rng.integers(0, 10)) / 4.0))
+    return ScoreMatrix(h), ScoreMatrix(m)
 
 
 class TestCalibrate:
@@ -211,7 +210,7 @@ class TestCalibrate:
         machine(32 * 44_850)
         assert calibrate(h, m, config).exact
 
-    @pytest.mark.parametrize("limit", ["rlimit_as", "cgroup"])
+    @pytest.mark.parametrize("limit", ["rlimit_as", "cgroup", "cgroup_v1"])
     def test_refuses_more_pairs_than_the_smallest_memory_limit(self, monkeypatch, tmp_path,
                                                                limit):
         h, m = single_group(np.arange(300) % 4, np.arange(300) / 7)  # 44,850 pairs
@@ -226,13 +225,16 @@ class TestCalibrate:
         monkeypatch.setattr("tiecal.calibration._CGROUP_ROOT", root)
         proc_cgroup.write_text("12:memory:/v1\n0::/jobs/a\n")
         (root / "jobs" / "a").mkdir(parents=True)
+        (root / "memory" / "v1").mkdir(parents=True)
+        limit_file = {"cgroup": root / "jobs" / "a" / "memory.max",
+                      "cgroup_v1": root / "memory" / "v1" / "memory.limit_in_bytes"}.get(limit)
 
         def set_limit(value):
             if limit == "rlimit_as":
                 monkeypatch.setattr("tiecal.calibration.resource.getrlimit",
                                     lambda which: (value, resource.RLIM_INFINITY))
             else:
-                (root / "jobs" / "a" / "memory.max").write_text(f"{value}\n")
+                limit_file.write_text(f"{value}\n")
 
         assert calibrate(h, m, config).exact  # no limit file: physical memory only
         set_limit(need - 1)
@@ -241,12 +243,12 @@ class TestCalibrate:
         message = str(info.value)
         assert "\n" not in message and "44,850 within-group pairs" in message
         assert f"the {(need - 1) / 2**30:.3g} GiB " in message
-        assert ("RLIMIT_AS" if limit == "rlimit_as" else f"memory.max of cgroup {root}/jobs/a") \
-            in message
+        assert ("RLIMIT_AS" if limit == "rlimit_as" else
+                f"{limit_file.name} of cgroup {limit_file.parent}") in message
         set_limit(need)
         assert calibrate(h, m, config).exact
-        if limit == "cgroup":
-            set_limit("max")  # a cgroup without a limit
+        if limit != "rlimit_as":  # a cgroup without a limit
+            set_limit("max" if limit == "cgroup" else 9223372036854771712)
             assert calibrate(h, m, config).exact
 
     def test_invalid_sample_fraction(self):
@@ -370,12 +372,12 @@ class TestApplyEpsilon:
 
     def test_zero_threshold_equals_plain_stat(self):
         rng = np.random.default_rng(15)
-        h = ScoreMatrix()
-        m = ScoreMatrix()
+        h, m = [], []
         for i in range(5):
             for j in range(6):
-                h.add(f"s{i}", f"g{j}", float(rng.integers(0, 3)))
-                m.add(f"s{i}", f"g{j}", float(rng.normal()))
+                h.append((f"s{i}", f"g{j}", float(rng.integers(0, 3))))
+                m.append((f"s{i}", f"g{j}", float(rng.normal())))
+        h, m = ScoreMatrix(h), ScoreMatrix(m)
         for kind in (StatKind.ACC_EQ, StatKind.TAU_B):
             plain = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind)
             assert grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind, 0.0) == plain

@@ -58,15 +58,15 @@ def campaigns(draw):
     one side only or by neither, and a campaign may have a constant metric."""
     pool = POOLS[draw(st.integers(0, len(POOLS) - 1))]
     constant = draw(pool) if draw(st.integers(0, 3)) == 0 else None
-    human, metric = ScoreMatrix(), ScoreMatrix()
+    human, metric = [], []
     for i in range(draw(st.integers(1, 5))):
         for j in range(draw(st.integers(1, 4))):
             sides = draw(st.sampled_from(["both", "both", "both", "human", "metric", "none"]))
             if sides in ("both", "human"):
-                human.add(f"s{i}", f"g{j}", float(draw(st.integers(0, 2))))
+                human.append((f"s{i}", f"g{j}", float(draw(st.integers(0, 2)))))
             if sides in ("both", "metric"):
-                metric.add(f"s{i}", f"g{j}", draw(pool) if constant is None else constant)
-    return human, metric
+                metric.append((f"s{i}", f"g{j}", draw(pool) if constant is None else constant))
+    return ScoreMatrix(human), ScoreMatrix(metric)
 
 
 def observed_gaps(human, metric, mode, relative):

@@ -554,6 +554,28 @@ class TestFailuresExitTwo:
         assert out.read_text().startswith("# version=")
         assert eps.read_text().startswith("m\t")
 
+    @pytest.mark.parametrize("emit, message", [
+        ("-", "the epsilon file cannot go to stdout"),
+        ("{tmp_path}/out.tsv", "the same file as --out"),  # --out names it relatively
+    ], ids=["stdout", "the report"])
+    def test_epsilon_file_to_stdout_or_onto_the_report_fails_before_reading(
+            self, tmp_path, capsys, monkeypatch, emit, message):
+        loads = []
+        monkeypatch.setattr("tiecal.data.load_scores", lambda *args, **kw: loads.append(args))
+        monkeypatch.chdir(tmp_path)
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        emit = emit.format(tmp_path=tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
+                     "--out", "out.tsv", "--emit-epsilon", emit])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and loads == []
+        assert self.one_error_line(captured.err)
+        assert f"--emit-epsilon {emit}: {message}" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_links_and_pipes_are_written_in_place(self, tmp_path, capsys):
         # a rename would replace the link or the pipe itself
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
@@ -736,6 +758,24 @@ class TestKeyOrder:
         first, *metrics = loaded
         assert [metric._keys is first._keys for metric in metrics] == [
             True, False, False, False, False, False]
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+@pytest.mark.parametrize("command", ["correlate", "perturb"])
+def test_stdout_carries_the_bytes_of_the_output_file(tmp_path, command, encoding):
+    # a non-ASCII metric name or id, under a locale that cannot write it as UTF-8
+    h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1, 2]))
+    m = write_scores(tmp_path / "m.tsv", [("sé", "g", 0.5), *vector_rows([0.1, 0.2, 0.1])])
+    argv = ([command, "--metric", f"m={m}"] if command == "perturb" else
+            [command, "--human", str(h), "--metric", f"mé={m}"])
+    env = dict(os.environ, PYTHONPATH=str(Path(tiecal.__file__).resolve().parents[1]),
+               PYTHONIOENCODING=encoding)
+    out = tmp_path / "out.tsv"
+    runs = [subprocess.run([sys.executable, "-m", "tiecal.cli", *argv, *extra], env=env,
+                           capture_output=True) for extra in ([], ["--out", str(out)])]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+    assert runs[0].stdout == out.read_bytes()
+    assert "é".encode() in runs[0].stdout
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -113,8 +113,8 @@ def test_load_scores_equals_line_oracle(path, text, chunk, draw):
         like = ScoreMatrix((system, segment, 0.0) for system, segment in like)
     with mock.patch("tiecal.data._CHUNK_CHARS", chunk), \
             mock.patch("tiecal.data._load_lines", wraps=data._load_lines) as line_loop, \
-            mock.patch.object(ScoreMatrix, "_sharing_keys", autospec=True,
-                              side_effect=ScoreMatrix._sharing_keys) as sharing:
+            mock.patch.object(ScoreMatrix, "with_scores", autospec=True,
+                              side_effect=ScoreMatrix.with_scores) as sharing:
         try:
             matrix = load_scores(path, like=like)
             got = [((system, segment), score) for system, segment, score in matrix.items()]

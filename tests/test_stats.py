@@ -341,6 +341,16 @@ class TestStatFromCounts:
     def test_tau_c_undefined_for_single_unique_value(self):
         assert stat_from_counts(StatKind.TAU_C, PairCounts(tied_metric=3), k=1, n=3) is None
 
+    def test_tau_c_of_millions_of_rows_matches_the_scalar_formula(self):
+        # n*n*(k-1) passes 2**63 from about 2.1M rows; TAU_C's pooled (k, n)
+        # reach the array path as int64
+        counts, n = PairCounts(concordant=10**12), 3 * 10**6
+        scalar = stat_from_counts(StatKind.TAU_C, counts, k=n, n=n)
+        assert scalar == pytest.approx(1 / 9)
+        columns = np.array(counts.as_tuple(), dtype=np.int64)[:, None]
+        context = np.array([n], dtype=np.int64)
+        assert _stat_from_arrays(StatKind.TAU_C, *columns, context, context).tolist() == [scalar]
+
     def test_all_zero_counts_undefined(self):
         for kind in OVERALL_STAT_KINDS:
             assert stat_from_counts(kind, PairCounts(), k=1, n=0) is None
