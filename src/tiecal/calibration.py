@@ -51,8 +51,9 @@ from .stats import (
 # Moves per block of the approximate sweep: its temporaries stay near 3 MB.
 _SWEEP_MOVES = 1 << 14
 # Peak bytes per pair of a sweep: the moving pairs' gaps and packed group and
-# class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room.
-_SWEEP_BYTES_PER_PAIR = 32
+# class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room;
+# a sampled sweep adds, per drawn pair, its gap, kept through the gap sort.
+_SWEEP_BYTES_PER_PAIR, _DRAWN_BYTES_PER_PAIR = 32, 8
 # Where calibrate's memory guard reads this process's cgroups and their limits.
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
@@ -95,14 +96,16 @@ class CalibrationResult:
     report: CorrelationReport
 
 
-def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int,
-                  picked: np.ndarray | None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int, drawn: int | None,
+                  seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One pass over the pair kernel at threshold zero, for ``total`` pairs:
     the per-group class counts; the gaps of the pairs a positive threshold
     can tie, sorted (not stably: moves of equal gap enter at one candidate
-    together), and each one's ``group << 2 | class``; and the gaps of the
-    pairs at the sorted indices ``picked``, if given."""
+    together), and each one's ``group << 2 | class``; and each candidate as
+    the number of moves it ties: 0, then the ends of the runs of equal gaps
+    (every run, or the runs of the gaps of ``drawn`` pairs drawn with ``seed``)."""
+    rng = np.random.default_rng(seed)
+    picked = None if drawn is None else np.sort(rng.choice(total, size=drawn, replace=False))
     counts = np.zeros((aligned.sizes.size, 5), dtype=np.int64)
     gaps, packed, sampled = np.empty(total), np.empty(total, dtype=np.int32), [np.empty(0)]
     p0 = n = 0
@@ -115,9 +118,18 @@ def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int,
         gaps[n:n + moving.size] = gap[moving]
         packed[n:n + moving.size] = (group[moving] << 2) | cls[moving]
         n += moving.size
+    del picked  # only the drawn gaps go through the sort
+    sampled = None if drawn is None else np.concatenate(sampled)
     order = np.argsort(gaps[:n])
     gaps = gaps[:n][order]
-    return counts, gaps, packed[:n][order], None if picked is None else np.concatenate(sampled)
+    packed = packed[:n][order]
+    del order
+    if sampled is None:
+        ends = np.concatenate(([True], gaps[1:] != gaps[:-1], [n > 0]))
+    else:
+        ends = np.zeros(n + 1, dtype=bool)
+        ends[np.searchsorted(gaps, sampled, "right")] = ends[0] = True
+    return counts, gaps, packed, np.flatnonzero(ends)
 
 
 def _replay(counts: np.ndarray, packed: np.ndarray,
@@ -218,24 +230,16 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     total_pairs = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
     if total_pairs == 0:
         raise ValueError("nothing to calibrate: no group has two aligned entries")
-    need = total_pairs * _SWEEP_BYTES_PER_PAIR
+    fraction = config.sample_fraction  # below 1: draw the pairs whose gaps are candidates
+    drawn = None if fraction == 1.0 else max(1, int(round(fraction * total_pairs)))
+    need = total_pairs * _SWEEP_BYTES_PER_PAIR + (drawn or 0) * _DRAWN_BYTES_PER_PAIR
     have, what = _memory_limit()
     if need > have:
-        raise MemoryError(f"calibrating {total_pairs:,} within-group pairs needs about "
-                          f"{need / 2**30:.3g} GiB, more than {what}")
-
-    picked = None
-    if config.sample_fraction < 1.0:
-        rng = np.random.default_rng(config.seed)
-        size = max(1, int(round(config.sample_fraction * total_pairs)))
-        picked = np.sort(rng.choice(total_pairs, size=size, replace=False))
-    counts, gaps, packed, sampled = _sorted_moves(aligned, config.eps_mode, total_pairs, picked)
-    # Each candidate as the number of moves it ties: 0, then the ends of the
-    # runs of equal gaps (every run, or the runs of the sampled gaps).
-    if sampled is None:
-        at = np.flatnonzero(np.concatenate(([True], gaps[1:] != gaps[:-1], [gaps.size > 0])))
-    else:
-        at = np.union1d(0, np.searchsorted(gaps, np.unique(sampled), "right"))
+        of_them = f", {drawn:,} of them drawn as candidates," if drawn else ""
+        raise MemoryError(f"calibrating {total_pairs:,} within-group pairs{of_them} needs "
+                          f"about {need / 2**30:.3g} GiB, more than {what}")
+    counts, gaps, packed, at = _sorted_moves(aligned, config.eps_mode, total_pairs, drawn,
+                                             config.seed)
 
     kind = config.kind
     n_groups = aligned.sizes.size
@@ -287,7 +291,7 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         epsilon_star=float(best_eps),
         stat_star=report.value,
         candidates_evaluated=n_candidates,
-        exact=picked is None,
+        exact=drawn is None,
         config=config,
         report=report,
     )

@@ -3,8 +3,8 @@
 Subcommands: correlate, calibrate, rank, buckets, tie-hist, f1-curve,
 perturb.  All outputs are plot-ready data tables (TSV or JSON); exit code
 is 0 on success (undefined statistic values are results, not failures) and
-2 on usage or input errors.  Each subcommand returns what it writes and
-``main`` serializes it to stdout or ``--out``.
+2 on usage or input errors.  Each subcommand yields (destination, content)
+pairs, ``-`` or a path and a report or bytes, and ``main`` writes them all.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from array import array
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 from . import __version__, data
 from .calibration import (
@@ -57,6 +57,8 @@ TIE_AVERSE_KINDS = frozenset({
 })
 
 BASELINE_NAME = "Constant-Metric"
+
+Outputs = Iterator[tuple[str, ReportDocument | bytes]]  # what a subcommand yields
 
 _REPORT_COLUMNS = (
     "metric", "stat", "mode", "eps_mode", "epsilon", "value",
@@ -274,7 +276,7 @@ def _row(name: str, report: CorrelationReport, **extra: Any) -> dict[str, Any]:
     }
 
 
-def _cmd_correlate(args: argparse.Namespace) -> ReportDocument:
+def _cmd_correlate(args: argparse.Namespace) -> Outputs:
     kinds = _parse_stats(args.stat)
     mode = GroupingMode.parse(args.mode)
     pol = _policy(args)
@@ -283,7 +285,7 @@ def _cmd_correlate(args: argparse.Namespace) -> ReportDocument:
             for report in grouped_stats(human, matrix, mode, kinds, pol)]
     values = {row["metric"]: row["value"] for row in rows}
     ranking = rank_metrics(values) if len(kinds) == 1 else None
-    return _document(args, digests, _REPORT_COLUMNS, rows, ranking)
+    yield args.out, _document(args, digests, _REPORT_COLUMNS, rows, ranking)
 
 
 _CALIBRATE_COLUMNS = (
@@ -305,30 +307,31 @@ def _calibration_config(args: argparse.Namespace) -> CalibrationConfig:
     return config
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> ReportDocument | None:
+def _cmd_calibrate(args: argparse.Namespace) -> Outputs:
     config = _calibration_config(args)
     human, metrics, digests = _load_inputs(args.human, _parse_metrics(args.metric))
     rows = []
     for name, matrix in metrics:
         result = calibrate(human, matrix, config)
         value_text = "NaN" if result.stat_star is None else f"{result.stat_star:.6f}"
-        print(f"metric={name} epsilon={result.epsilon_star:.6g} {config.kind.value}={value_text}")
+        yield "-", (f"metric={name} epsilon={result.epsilon_star:.6g} "
+                    f"{config.kind.value}={value_text}\n").encode("utf-8")
         rows.append(_row(name, result.report, sample_fraction=config.sample_fraction,
                          seed=config.seed, exact=result.exact,
                          candidates=result.candidates_evaluated,
                          epsilon_star=result.epsilon_star))
+    if args.out != "-":
+        yield args.out, _document(args, digests, _CALIBRATE_COLUMNS, rows)
     if args.emit_epsilon:
-        Path(args.emit_epsilon).write_text(
-            "".join(f"{row['metric']}\t{row['epsilon_star']!r}\n" for row in rows),
-            encoding="utf-8")
-    return None if args.out == "-" else _document(args, digests, _CALIBRATE_COLUMNS, rows)
+        yield args.emit_epsilon, "".join(
+            f"{row['metric']}\t{row['epsilon_star']!r}\n" for row in rows).encode("utf-8")
 
 
 _RANK_COLUMNS = ("rank", "metric", "stat", "mode", "value", "epsilon",
                  "groups_total", "groups_used")
 
 
-def _cmd_rank(args: argparse.Namespace) -> ReportDocument:
+def _cmd_rank(args: argparse.Namespace) -> Outputs:
     if args.calibrate:
         config = _calibration_config(args)
     else:
@@ -344,14 +347,14 @@ def _cmd_rank(args: argparse.Namespace) -> ReportDocument:
     ranking = rank_metrics({name: report.value for name, report in reports.items()})
     rows = [_row(name, reports[name], rank=position)
             for position, name in enumerate(ranking, start=1)]
-    return _document(args, digests, _RANK_COLUMNS, rows, ranking)
+    yield args.out, _document(args, digests, _RANK_COLUMNS, rows, ranking)
 
 
 _BUCKET_COLUMNS = ("metric", "stat", "mode", "k", "value",
                    "groups_total", "groups_used", "pairs_total")
 
 
-def _cmd_buckets(args: argparse.Namespace) -> ReportDocument:
+def _cmd_buckets(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
     kind = StatKind.parse(args.stat)
     mode = GroupingMode.parse(args.mode)
@@ -361,13 +364,13 @@ def _cmd_buckets(args: argparse.Namespace) -> ReportDocument:
     human, ((name, matrix),), digests = _load_inputs(args.human, [metric])
     rows = [_row(name, grouped_stat(human, bucketize(matrix, k), mode, kind, 0.0), k=k)
             for k in k_list]
-    return _document(args, digests, _BUCKET_COLUMNS, rows)
+    yield args.out, _document(args, digests, _BUCKET_COLUMNS, rows)
 
 
 _HIST_COLUMNS = ("bin_start", "bin_end", "all_pairs", "newly_tied")
 
 
-def _cmd_tie_hist(args: argparse.Namespace) -> ReportDocument:
+def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
     mode = GroupingMode.parse(args.mode)
     pol = _policy(args)
@@ -376,29 +379,29 @@ def _cmd_tie_hist(args: argparse.Namespace) -> ReportDocument:
     edges = hist.bin_edges.tolist()
     rows = [dict(zip(_HIST_COLUMNS, row)) for row in zip(
         edges[:-1], edges[1:], hist.all_pairs.tolist(), hist.newly_tied.tolist())]
-    return _document(args, digests, _HIST_COLUMNS, rows)
+    yield args.out, _document(args, digests, _HIST_COLUMNS, rows)
 
 
 _F1_COLUMNS = ("epsilon", "ties_f1", "rank_f1", "acc_eq")
 
 
-def _cmd_f1_curve(args: argparse.Namespace) -> ReportDocument:
+def _cmd_f1_curve(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
     mode = GroupingMode.parse(args.mode)
     eps_mode = EpsilonMode.parse(args.eps_mode)
     grid = _parse_list(args.eps_grid, "--eps-grid", float)
     human, ((_, matrix),), digests = _load_inputs(args.human, [metric])
     rows = [asdict(point) for point in f1_curve(human, matrix, mode, grid, eps_mode)]
-    return _document(args, digests, _F1_COLUMNS, rows)
+    yield args.out, _document(args, digests, _F1_COLUMNS, rows)
 
 
-def _cmd_perturb(args: argparse.Namespace) -> bytes:
+def _cmd_perturb(args: argparse.Namespace) -> Outputs:
     _, path = _one_metric(args)
     pol = _policy(args)
     items = sorted(data.load_scores(path).items())  # keys are unique: sorted by key
     ranks = break_ties_randomly([score for *_, score in items], pol, seed=args.seed)
-    return dump_scores(ScoreMatrix((system, segment, float(rank))
-                                   for (system, segment, _), rank in zip(items, ranks)))
+    yield args.out, dump_scores(ScoreMatrix((system, segment, float(rank))
+                                            for (system, segment, _), rank in zip(items, ranks)))
 
 
 def _stage(flag: str, path: Path) -> Path | None:
@@ -421,7 +424,7 @@ def _stage(flag: str, path: Path) -> Path | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    staged: list[tuple[Path, Path]] = []  # (temporary file, output path)
+    staged: dict[str, Path] = {}  # output path -> its temporary file
     try:
         args = build_parser().parse_args(argv)
         if hasattr(args, "format"):  # a report command
@@ -431,32 +434,27 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError("--emit-epsilon -: the epsilon file cannot go to stdout")
         if emit and args.out != "-" and Path(emit).resolve() == Path(args.out).resolve():
             raise ValueError(f"--emit-epsilon {emit}: the same file as --out")
-        # Commands write to temporary files, moved into place once every
+        # Each output path gets a temporary file, moved into place once every
         # output is ready: a failed run leaves no new or altered output.
-        for attr in ("out", "emit_epsilon"):
-            path = getattr(args, attr, None)
-            temp = None if path in (None, "-") else _stage("--" + attr.replace("_", "-"),
-                                                           Path(path))
-            if temp is not None:
-                staged.append((temp, Path(path)))
-                setattr(args, attr, str(temp))
-        # a report document, perturb's score file, or None (calibrate --out -)
-        output = args.func(args)
-        if isinstance(output, ReportDocument):
-            output = write_report(output, args.format)
-        if output is not None and args.out == "-":  # the same bytes as a file gets
-            sys.stdout.flush()  # after calibrate's printed lines
-            sys.stdout.buffer.write(output)
-        elif output is not None:
-            Path(args.out).write_bytes(output)
-        for temp, path in staged:
+        for flag, path in (("--out", args.out), ("--emit-epsilon", emit)):
+            if path not in (None, "-") and (temp := _stage(flag, Path(path))) is not None:
+                staged[path] = temp
+        for dest, content in args.func(args):
+            if isinstance(content, ReportDocument):
+                content = write_report(content, args.format)
+            if dest == "-":
+                sys.stdout.buffer.write(content)  # UTF-8 bytes, whatever the locale
+                sys.stdout.buffer.flush()  # calibrate's lines show as each sweep ends
+            else:  # a link, a device or a pipe has no temporary file
+                staged.get(dest, Path(dest)).write_bytes(content)
+        for path, temp in staged.items():
             os.replace(temp, path)
         return 0
     except (ScoreFileError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     finally:
-        for temp, _ in staged:
+        for temp in staged.values():
             temp.unlink(missing_ok=True)
 
 

@@ -69,6 +69,13 @@ def naive_suff_stats(h, m, eps=0.0, relative=False):
     return PairCounts(c, d, th, tm, thm)
 
 
+def oracle_tau_c_context(h, m):
+    """TAU_C's (k, n) for one group's score lists: the smaller count of
+    distinct values, by Python set (where -0.0 and 0.0 are one value, as
+    in np.unique), and the group size."""
+    return min(len(set(h)), len(set(m))), len(h)
+
+
 def pair_views(groups, relative=False):
     """Per group: (gaps, human-tie mask, concordance mask, (k, n)), by enumeration."""
     views = []
@@ -81,8 +88,7 @@ def pair_views(groups, relative=False):
         gaps = np.array([oracle_gap(m[i], m[j], relative) for i, j in pairs])
         h_tie = np.array([h[i] == h[j] for i, j in pairs])
         conc = np.array([(h[i] < h[j]) == (m[i] < m[j]) for i, j in pairs])
-        context = (min(len(set(h)), len(set(m))), len(h))
-        views.append((gaps, h_tie, conc, context))
+        views.append((gaps, h_tie, conc, oracle_tau_c_context(h, m)))
     return views
 
 

@@ -209,6 +209,17 @@ class TestCalibrate:
         assert f"machine's {(32 * 44_850 - 1) / 2**30:.3g} GiB of memory" in message
         machine(32 * 44_850)
         assert calibrate(h, m, config).exact
+        # a sampled run also reserves 8 B for each of its 22,425 drawn pairs
+        sampled = CalibrationConfig(mode=GroupingMode.NO_GROUPING, sample_fraction=0.5)
+        with pytest.raises(MemoryError) as info:
+            calibrate(h, m, sampled)
+        need = 32 * 44_850 + 8 * 22_425
+        assert str(info.value) == (
+            "calibrating 44,850 within-group pairs, 22,425 of them drawn as candidates, "
+            f"needs about {need / 2**30:.3g} GiB, more than this machine's "
+            f"{32 * 44_850 / 2**30:.3g} GiB of memory")
+        machine(need)
+        assert not calibrate(h, m, sampled).exact
 
     @pytest.mark.parametrize("limit", ["rlimit_as", "cgroup", "cgroup_v1"])
     def test_refuses_more_pairs_than_the_smallest_memory_limit(self, monkeypatch, tmp_path,
@@ -346,6 +357,16 @@ class TestPairMemory:
         h, m = campaign
         config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
         assert self.peak(lambda: calibrate(h, m, config)) < 40 * self.PAIRS
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.9])
+    def test_calibration_stays_within_its_memory_guard(self, campaign, fraction):
+        """The traced peak is at most what the guard reserves: 32 B a pair,
+        and 8 B more for each drawn pair of a sampled run."""
+        h, m = campaign
+        config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE,
+                                   sample_fraction=fraction)
+        drawn = 0 if fraction == 1.0 else round(fraction * self.PAIRS)
+        assert self.peak(lambda: calibrate(h, m, config)) <= 32 * self.PAIRS + 8 * drawn
 
     def test_replay_step_holds_no_per_move_arrays(self, campaign):
         aligned = align(*campaign, self.MODE)

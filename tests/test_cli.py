@@ -541,6 +541,22 @@ class TestFailuresExitTwo:
         assert self.one_error_line(capsys.readouterr().err)
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    def test_failing_second_metric_keeps_the_first_line_and_writes_no_file(self, tmp_path,
+                                                                            capsys):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.05, 1.0]))
+        other = write_scores(tmp_path / "other.tsv", vector_rows([0.0, 0.5], segment="x"))
+        out, eps = tmp_path / "out.tsv", tmp_path / "eps.tsv"
+        code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
+                     "--metric", f"n={other}", "--mode", "no-grouping",
+                     "--out", str(out), "--emit-epsilon", str(eps)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "metric=m epsilon=0.05 acc_eq=1.000000\n"
+        assert self.one_error_line(captured.err)
+        assert "nothing to calibrate" in captured.err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["h.tsv", "m.tsv", "other.tsv"]
+
     def test_outputs_replace_their_targets_and_leave_no_temporary_file(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
@@ -776,6 +792,28 @@ def test_stdout_carries_the_bytes_of_the_output_file(tmp_path, command, encoding
     assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
     assert runs[0].stdout == out.read_bytes()
     assert "é".encode() in runs[0].stdout
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_calibrate_writes_utf8_whatever_the_locale(tmp_path, encoding):
+    # the summary line, the report and the epsilon file of a non-ASCII metric name
+    h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1]))
+    m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.05, 1.0]))
+    src = str(Path(tiecal.__file__).resolve().parents[1])
+    runs = {}
+    for name in ("utf-8", encoding):
+        (tmp_path / name).mkdir()
+        run = subprocess.run(
+            [sys.executable, "-m", "tiecal.cli", "calibrate", "--human", str(h),
+             "--metric", f"mé={m}", "--out", "out.tsv", "--emit-epsilon", "eps.tsv"],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING=name),
+            cwd=tmp_path / name, capture_output=True)
+        assert (run.returncode, run.stderr) == (0, b"")
+        runs[name] = (run.stdout, *((tmp_path / name / file).read_bytes()
+                                    for file in ("out.tsv", "eps.tsv")))
+    assert runs[encoding] == runs["utf-8"]
+    assert runs[encoding][0] == "metric=mé epsilon=0.05 acc_eq=1.000000\n".encode()
+    assert runs[encoding][2] == "mé\t0.05\n".encode()
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_groups
+from oracles import oracle_groups, oracle_tau_c_context
 
 from tiecal import (
     EpsilonPolicy,
@@ -262,9 +262,13 @@ class TestTauCContexts:
             m = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0, 2.5], n)
             contexts = _tau_c_contexts(Aligned(h, m, np.asarray(sizes, dtype=np.int64)))
             starts = np.concatenate(([0], np.cumsum(sizes)))
-            expected = [tau_c_context(h[a:b], m[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+            bounds = list(zip(starts[:-1], starts[1:]))
+            expected = [tau_c_context(h[a:b], m[a:b]) for a, b in bounds]
+            oracle = [oracle_tau_c_context(h[a:b].tolist(), m[a:b].tolist()) for a, b in bounds]
             assert contexts.shape == (2, sizes.size)
             assert list(zip(*contexts.tolist())) == expected
+            assert list(zip(*contexts.tolist())) == oracle
+            assert expected == oracle
 
 
 class TestMeanDefined:
