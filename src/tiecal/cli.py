@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Iterator, NoReturn, Sequence
 
-from . import __version__, data
+from . import __version__, calibration, data
 from .calibration import (
     CalibrationConfig,
     calibrate,
@@ -368,12 +368,19 @@ def _cmd_buckets(args: argparse.Namespace) -> Outputs:
 
 
 _HIST_COLUMNS = ("bin_start", "bin_end", "all_pairs", "newly_tied")
+# Peak bytes of one tie-hist bin, by report format: its edge and counts, its
+# row and its report text (RSS grows about 470 B a bin for tsv, 1.5 kB for json).
+_BIN_BYTES = {"tsv": 512, "json": 2048}
 
 
 def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
     mode = GroupingMode.parse(args.mode)
     pol = _policy(args)
+    need, (have, what) = args.bins * _BIN_BYTES[args.format], calibration._memory_limit()
+    if need > have:
+        raise MemoryError(f"--bins {args.bins:,} needs about {need / 2**30:.3g} GiB, "
+                          f"more than {what}")
     human, ((_, matrix),), digests = _load_inputs(args.human, [metric])
     hist = tie_location_histogram(human, matrix, pol, args.bins, mode)
     edges = hist.bin_edges.tolist()

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import re
 import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .grouping import ScoreMatrix
 HEADER_FIELDS = ("system", "segment", "score")
 # Characters of whole lines load_scores reads at a time.
 _CHUNK_CHARS = 1 << 20
+# Any lone surrogate: what surrogateescape makes of a byte that is not UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class ScoreFileError(ValueError):
@@ -43,10 +45,12 @@ def sha256_digest(path: str | Path) -> str:
 def load_scores(path: str | Path, like: ScoreMatrix | None = None) -> ScoreMatrix:
     """Parse a three-column score TSV into a ScoreMatrix.
 
-    Rejects malformed rows, non-finite or unparseable scores, and duplicate
-    (system, segment) keys, naming the offending line.  Chunks of lines are
-    checked and converted at once; a failing chunk hands the file to the
-    line-by-line parser.  Ids are interned: matrices share their strings.
+    Rejects malformed rows, non-finite or unparseable scores, duplicate
+    (system, segment) keys and bytes that are not UTF-8, naming the first
+    faulty line.  The file is read once, whole lines at a time, and each
+    chunk of lines is checked and converted at once; a chunk that fails a
+    check is run again from the state before it, one line at a time, up to
+    its first faulty line.  Ids are interned: matrices share their strings.
     A file whose rows list ``like``'s keys in order shares ``like``'s key
     list, which ``align`` pairs by position; from the first row that leaves
     that order, the file gets its own key list, checked as without ``like``.
@@ -55,50 +59,67 @@ def load_scores(path: str | Path, like: ScoreMatrix | None = None) -> ScoreMatri
     scores = array("d")
     seen = None if like is not None else set()  # None while the rows follow like's keys
     may_be_header = True
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            while text := "".join(handle.readlines(_CHUNK_CHARS)):
-                lines = text.removesuffix("\n").split("\n")  # text mode ends lines with \n only
-                if text.startswith("#") or "\n#" in text or text.count("\t") != 2 * len(lines):
-                    # drop comments and blank lines; a row of tabs is not blank
-                    lines = [line for line in lines
-                             if not line.startswith("#") and ("\t" in line or line.strip())]
-                if not set(map(str.count, lines, repeat("\t"))) <= {2}:
-                    raise ValueError
-                if may_be_header and lines:
-                    may_be_header = False
-                    if lines[0] == "\t".join(HEADER_FIELDS):
-                        del lines[0]
-                if not lines:
-                    continue
-                fields = "\t".join(lines).split("\t")
-                texts = fields[2::3]
-                # float() alone also takes padding, "_" separators and non-ASCII
-                # digits; split() drops empty scores and splits at whitespace
-                joined = "\t".join(texts)
-                if not joined.isascii() or "_" in joined or joined.split() != texts:
-                    raise ValueError
-                start = len(scores)
-                scores.extend(map(float, texts))
-                del lines, texts  # fewer young lists for each garbage collection to scan
-                end = len(scores)
-                if seen is None:
-                    if fields[0::3] == like._keys[0][start:end] and \
-                            fields[1::3] == like._keys[1][start:end]:
-                        continue  # like's next keys: nothing to store or check
-                    keys = like._keys[0][:start], like._keys[1][:start]
-                    seen = set(zip(*keys))
-                chunk = [list(map(sys.intern, islice(fields, column, None, 3)))
-                         for column in (0, 1)]
-                seen.update(zip(*chunk))
-                keys[0].extend(chunk[0])
-                keys[1].extend(chunk[1])
-                if len(seen) != end:
-                    raise ValueError  # a duplicate key
-        if not np.isfinite(np.frombuffer(scores)).all():
-            raise ValueError
-    except ValueError:  # UnicodeDecodeError included
-        return _load_lines(path)
+
+    def add(text: str) -> None:
+        """Check and add the rows of ``text``, whole lines; a fault raises
+        ValueError, whose message is exact when ``text`` is one line."""
+        nonlocal keys, seen, may_be_header
+        if not text.isascii() and _SURROGATE.search(text):  # a byte that is not UTF-8
+            raise ValueError("not valid UTF-8")
+        lines = text.removesuffix("\n").split("\n")  # text mode ends lines with \n only
+        if text.startswith("#") or "\n#" in text or text.count("\t") != 2 * len(lines):
+            # drop comments and blank lines; a row of tabs is not blank
+            lines = [line for line in lines
+                     if not line.startswith("#") and ("\t" in line or line.strip())]
+        if not set(map(str.count, lines, repeat("\t"))) <= {2}:
+            columns = len(lines[0].split("\t"))
+            raise ValueError(f"expected 3 tab-separated columns, got {columns}")
+        if may_be_header and lines:
+            may_be_header = False
+            if lines[0] == "\t".join(HEADER_FIELDS):
+                del lines[0]
+        if not lines:
+            return
+        fields = "\t".join(lines).split("\t")
+        texts = fields[2::3]
+        start = len(scores)
+        try:
+            # float() alone also takes padding, "_" separators and non-ASCII
+            # digits; split() drops empty scores and splits at whitespace
+            joined = "\t".join(texts)
+            if not joined.isascii() or "_" in joined or joined.split() != texts:
+                raise ValueError
+            scores.extend(map(float, texts))
+        except ValueError:
+            raise ValueError(f"column 3: unparseable score {texts[0]!r}") from None
+        if not np.isfinite(np.frombuffer(scores)[start:]).all():
+            raise ValueError(f"column 3: non-finite score {texts[0]!r}")
+        del lines, texts  # fewer young lists for each garbage collection to scan
+        end = len(scores)
+        if seen is None:
+            if fields[0::3] == like._keys[0][start:end] and \
+                    fields[1::3] == like._keys[1][start:end]:
+                return  # like's next keys: nothing to store or check
+            keys = like._keys[0][:start], like._keys[1][:start]
+            seen = set(zip(*keys))
+        chunk = [list(map(sys.intern, islice(fields, column, None, 3))) for column in (0, 1)]
+        seen.update(zip(*chunk))
+        keys[0].extend(chunk[0])
+        keys[1].extend(chunk[1])
+        if len(seen) != end:
+            raise ValueError(f"duplicate entry for system={fields[0]!r} segment={fields[1]!r}")
+
+    read = 0  # lines before the chunk
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        while text := "".join(handle.readlines(_CHUNK_CHARS)):
+            start, following, header = len(scores), seen is None, may_be_header
+            try:
+                add(text)
+            except ValueError:  # back to the chunk's start, then line by line
+                del scores[start:], keys[0][start:], keys[1][start:]
+                seen, may_be_header = None if following else set(zip(*keys)), header
+                _add_lines(path, add, text, read + 1)
+            read += text.count("\n")
     if seen is None:  # like's keys, or its first rows
         if len(scores) == len(like):
             return like.with_scores(scores)
@@ -106,53 +127,25 @@ def load_scores(path: str | Path, like: ScoreMatrix | None = None) -> ScoreMatri
     return ScoreMatrix._from_columns(keys, scores)
 
 
-def _load_lines(path: str | Path) -> ScoreMatrix:
-    """:func:`load_scores` one line at a time, raising the first error.  Lines
-    split where text mode splits them and decode one by one: a bad byte is
-    an error in its line's place."""
-    rows: dict[tuple[str, str], float] = {}
-    seen_data = False
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+def _add_lines(path: str | Path, add: Callable[[str], None], text: str, first: int) -> None:
+    """Run ``add`` on each line of ``text``, line ``first`` on: the first refused
+    raises ScoreFileError."""
+    for number, line in enumerate(text.removesuffix("\n").split("\n"), first):
         try:
-            line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
-        except UnicodeDecodeError:
-            raise ScoreFileError(path, lineno, "not valid UTF-8") from None
-        # a row of tabs is a row of empty columns, not a blank line
-        if (not line.strip() and "\t" not in line) or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if not seen_data and tuple(fields) == HEADER_FIELDS:
-            seen_data = True
-            continue
-        seen_data = True
-        if len(fields) != 3:
-            raise ScoreFileError(path, lineno,
-                                 f"expected 3 tab-separated columns, got {len(fields)}")
-        system, segment, text = fields
-        try:
-            # float() alone also takes padding, "_" separators and non-ASCII digits
-            if not text.isascii() or "_" in text or text != text.strip():
-                raise ValueError
-            score = float(text)
-        except ValueError:
-            raise ScoreFileError(path, lineno,
-                                 f"column 3: unparseable score {text!r}") from None
-        if not math.isfinite(score):
-            raise ScoreFileError(path, lineno, f"column 3: non-finite score {text!r}")
-        if (system, segment) in rows:
-            raise ScoreFileError(
-                path, lineno, f"duplicate entry for system={system!r} segment={segment!r}")
-        rows[system, segment] = score
-    return ScoreMatrix(rows)
+            add(line)
+        except ValueError as exc:
+            raise ScoreFileError(path, number, str(exc)) from None
 
 
 def dump_scores(matrix: ScoreMatrix) -> bytes:
     """Serialize a matrix to the same TSV schema, sorted, with exact floats.
     An id the schema cannot hold ('#' leading a system id, a tab or line
-    break anywhere) raises ValueError naming its key."""
+    break anywhere, a lone surrogate, which UTF-8 cannot encode) raises
+    ValueError naming its key."""
     lines = ["\t".join(HEADER_FIELDS)]
     for system, segment, score in sorted(matrix.items()):  # keys are unique: sorted by key
-        if system.startswith("#") or any(c in system + segment for c in "\t\r\n"):
+        ids = system + segment
+        if system.startswith("#") or any(c in ids for c in "\t\r\n") or _SURROGATE.search(ids):
             raise ValueError(f"cannot write system={system!r} segment={segment!r} to a score file")
         lines.append(f"{system}\t{segment}\t{score!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -479,6 +479,27 @@ class TestFailuresExitTwo:
         assert self.one_error_line(captured.err)
         assert "calibrating 3 within-group pairs" in captured.err
 
+    @pytest.mark.parametrize("fmt, bins", [("tsv", 3), ("json", 1)])
+    def test_tie_hist_bins_beyond_memory_refused_before_reading(self, tmp_path, capsys,
+                                                                monkeypatch, fmt, bins):
+        monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (1024, "the test limit"))
+        missing = tmp_path / "missing.tsv"  # read first, it would fail otherwise
+        code = main(["tie-hist", "--human", str(missing), "--metric", f"m={missing}",
+                     "--bins", str(bins), "--format", fmt])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert f"--bins {bins} needs about" in captured.err
+        assert captured.err.endswith("more than the test limit\n")
+
+    def test_tie_hist_bins_within_memory_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (1024, "the test limit"))
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        assert main(["tie-hist", "--human", str(h), "--metric", f"m={m}", "--bins", "2"]) == 0
+        assert len(parse_tsv(capsys.readouterr().out)) == 2
+
     def test_invalid_format_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TIECAL_FORMAT", "xml")
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))

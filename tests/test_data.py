@@ -1,6 +1,8 @@
 """Tests for score-file parsing and report serialization."""
 
+import builtins
 import hashlib
+import io
 import json
 import tracemalloc
 
@@ -17,7 +19,10 @@ from tiecal import (
     rank_metrics,
     write_report,
 )
+from tiecal import data
 from tiecal.data import sha256_digest
+
+ROWS = [f"s{i % 7}\tg{i}\t{i / 3!r}".encode() for i in range(100)]
 
 
 def write(tmp_path, text, name="scores.tsv"):
@@ -125,12 +130,50 @@ class TestLoadScores:
             load_scores(path)
         assert str(info.value) == f"{path}:2: not valid UTF-8"
 
-    @pytest.mark.parametrize("key", [("#a", "b"), ("a", "b\tc"), ("a\rb", "c"), ("a", "\n")])
+    @pytest.mark.parametrize("key", [("#a", "b"), ("a", "b\tc"), ("a\rb", "c"), ("a", "\n"),
+                                     ("\udcff", "a"), ("a", "b\ud800")])
     def test_dump_rejects_ids_the_format_cannot_hold(self, key):
         matrix = ScoreMatrix([("x", "y", 2.0), (*key, 1.0)])
         with pytest.raises(ValueError) as info:
             dump_scores(matrix)
         assert f"system={key[0]!r} segment={key[1]!r}" in str(info.value)
+
+    @pytest.mark.parametrize("chunk", [1, 40, data._CHUNK_CHARS])
+    @pytest.mark.parametrize("lines, error", [
+        ([b"# by \xff hand", *ROWS], "1: not valid UTF-8"),
+        ([*ROWS[:3], b"a\tb\tx", b"c\td\xc3\t1", *ROWS[3:]], "4: column 3: unparseable score 'x'"),
+        ([*ROWS[:3], b"a\tb\tx", *ROWS[3:], b"c\td\xc3\t1"], "4: column 3: unparseable score 'x'"),
+        ([*ROWS[:3], b"c\td\xc3\t1", b"a\tb\tx"], "4: not valid UTF-8"),
+        ([*ROWS[:60], ROWS[5], *ROWS[60:]],
+         "61: duplicate entry for system='s5' segment='g5'"),
+        ([*ROWS[:40], b"a\tb\tnan", *ROWS[40:], b"a\tc\tx"], "41: column 3: non-finite score 'nan'"),
+        ([b"system\tsegment\tscore", *ROWS[:9], b"system\tsegment\tscore", *ROWS[9:]],
+         "11: column 3: unparseable score 'score'"),
+    ])
+    def test_first_fault_is_named_at_any_chunk_size(self, tmp_path, monkeypatch, chunk,
+                                                    lines, error):
+        monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ScoreFileError) as info:
+            load_scores(path)
+        assert str(info.value) == f"{path}:{error}"
+
+    def test_a_file_with_a_fault_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"\n".join([*ROWS, b"a\tb\tx", b"c\td\xc3\t1"]) + b"\n")
+        opened, real_open = [], io.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # what pathlib opens with
+        monkeypatch.setattr(builtins, "open", counting_open)
+        with pytest.raises(ScoreFileError, match="unparseable score 'x'"):
+            load_scores(path)
+        assert len(opened) == 1
 
     @pytest.mark.parametrize("text", [
         "1_000", " 1.5", "1.5 ", "\u0661", "\uff11.5", "1.5\u00a0", "0x10", "1e", ".", "+",

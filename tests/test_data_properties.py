@@ -112,7 +112,7 @@ def test_load_scores_equals_line_oracle(path, text, chunk, draw):
     if like is not None:
         like = ScoreMatrix((system, segment, 0.0) for system, segment in like)
     with mock.patch("tiecal.data._CHUNK_CHARS", chunk), \
-            mock.patch("tiecal.data._load_lines", wraps=data._load_lines) as line_loop, \
+            mock.patch("tiecal.data._add_lines", wraps=data._add_lines) as line_retry, \
             mock.patch.object(ScoreMatrix, "with_scores", autospec=True,
                               side_effect=ScoreMatrix.with_scores) as sharing:
         try:
@@ -121,8 +121,8 @@ def test_load_scores_equals_line_oracle(path, text, chunk, draw):
         except ScoreFileError as exc:
             got = str(exc)
     assert got == expected
-    # only a file with an error reaches the line-by-line parser
-    assert line_loop.called == isinstance(expected, str)
+    # only a file with an error runs a chunk again line by line
+    assert line_retry.called == isinstance(expected, str)
     # like's key list is shared exactly when the file lists like's keys in order
     shared = like is not None and isinstance(expected, list) and list(like.keys()) == keys
     assert sharing.called == shared
