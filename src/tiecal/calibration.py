@@ -60,6 +60,9 @@ _CGROUP_ROOT = Path("/sys/fs/cgroup")
 # A move's change to its group's counts, by its class at threshold zero
 # (concordant, discordant, tied-human): it becomes tied-metric or tied-both.
 _MOVE = np.array([[-1, 0, 0, 1, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1]])
+# Bits of one class's count in the walk's packed running counts: a block's
+# _SWEEP_MOVES moves fit, so no count carries into the next class's bits.
+_CLASS_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -165,26 +168,32 @@ def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
     for b0 in range(0, packed.size, _SWEEP_MOVES):
         block = packed[b0:b0 + _SWEEP_MOVES]
         by_group = np.argsort((block >> 2).astype(narrow), kind="stable")  # radix on uint16
-        g, cls = block[by_group] >> 2, block[by_group] & 3
+        moves = block[by_group]
+        g, cls = moves >> 2, moves & 3
         starts = np.flatnonzero(np.diff(g, prepend=-1))
         lengths = np.diff(np.append(starts, g.size))
-        # own-group moves of each class up to here, inclusive
-        is_class = cls == np.arange(3)[:, None]
-        moved = np.cumsum(is_class, axis=1, dtype=np.int32)
-        moved -= np.repeat(moved[:, starts] - is_class[:, starts], lengths, axis=1)
-        a, b, t = moved
+        # own-group moves of each class up to here, inclusive, packed in one int64
+        one = np.ones(g.size, dtype=np.int64) << _CLASS_BITS * cls
+        moved = np.cumsum(one)
+        moved -= np.repeat(moved[starts] - one[starts], lengths)
+        mask = (1 << _CLASS_BITS) - 1
+        a, b, t = moved & mask, moved >> _CLASS_BITS & mask, moved >> 2 * _CLASS_BITS
         c, d, th, tm, thm = columns.take(g, axis=1)
         now = (c - a, d - b, th - t, tm + a + b, thm + t)  # the rows of _MOVE
         k, n = (None, None) if contexts is None else contexts[:, g]
         after = _stat_from_arrays(kind, *now, k, n)
-        before = np.concatenate(([np.nan], after[:-1]))
-        before[starts] = values[g[starts]]
+        # each move's change to the sum and the count of defined values: from
+        # the move before it in its group, or from the group's value so far
+        undefined, prior = np.isnan(after), values[g[starts]]
+        zeroed = np.where(undefined, 0.0, after)
+        grouped_change = np.diff(zeroed, prepend=0.0)
+        grouped_change[starts] = zeroed[starts] - np.where(np.isnan(prior), 0.0, prior)
+        grouped_defined = -np.diff(undefined.astype(np.int64), prepend=0)
+        grouped_defined[starts] = np.isnan(prior).astype(np.int64) - undefined[starts]
         last = starts + lengths - 1
         columns[:, g[last]], values[g[last]] = [column[last] for column in now], after[last]
         change, defined_change = np.empty_like(after), np.empty(g.size, dtype=np.int64)
-        change[by_group] = (np.where(np.isnan(after), 0, after)
-                            - np.where(np.isnan(before), 0, before))
-        defined_change[by_group] = np.isnan(before).astype(np.int64) - np.isnan(after)
+        change[by_group], defined_change[by_group] = grouped_change, grouped_defined
         change[0] += total
         sums, defs = np.cumsum(change), defined + np.cumsum(defined_change)
         total, defined = sums[-1], defs[-1]

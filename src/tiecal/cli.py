@@ -10,6 +10,7 @@ pairs, ``-`` or a path and a report or bytes, and ``main`` writes them all.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from array import array
@@ -29,7 +30,6 @@ from .data import (
     ScoreFileError,
     dump_scores,
     rank_metrics,
-    sha256_digest,
     write_report,
 )
 from .grouping import (
@@ -79,6 +79,18 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _bins(text: str) -> int:
+    """A --bins value: a histogram has at least one bin, so a lower count
+    is refused before any input is read."""
+    try:
+        bins = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bins < 1:
+        raise argparse.ArgumentTypeError(f"bins must be >= 1, got {bins}")
+    return bins
 
 
 def _default_format() -> str:
@@ -169,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tie-hist", help="where a threshold introduces ties")
     _add_io_options(p, multi_metric=False)
     _add_shared_options(p, "--mode", "--epsilon", "--eps-mode")
-    p.add_argument("--bins", type=int, default=10, help="histogram bins")
+    p.add_argument("--bins", type=_bins, default=10, help="histogram bins")
     p.set_defaults(func=_cmd_tie_hist)
 
     p = sub.add_parser("f1-curve", help="tie/rank F1 and accuracy along a threshold grid")
@@ -237,14 +249,15 @@ def _policy(args: argparse.Namespace) -> EpsilonPolicy:
 def _load_inputs(human_path: str, metrics: Sequence[tuple[str, Path]]
                  ) -> tuple[ScoreMatrix, list[tuple[str, ScoreMatrix]], dict[str, str]]:
     # data.load_scores is looked up at call time, so a wrapper installed on
-    # the data module (perfbench/spans.py) sees every file load.
-    human = data.load_scores(human_path)
-    digests = {"human": sha256_digest(human_path)}
+    # the data module (perfbench/spans.py) sees every file load.  Each
+    # digest hashes the bytes its load read, so a pipe's digest is true too.
+    hashers = {"human": hashlib.sha256()}
+    human = data.load_scores(human_path, hasher=hashers["human"])
     loaded = []
     for name, path in metrics:
-        loaded.append((name, data.load_scores(path, like=human)))
-        digests[f"metric:{name}"] = sha256_digest(path)
-    return human, loaded, digests
+        hasher = hashers[f"metric:{name}"] = hashlib.sha256()
+        loaded.append((name, data.load_scores(path, like=human, hasher=hasher)))
+    return human, loaded, {label: hasher.hexdigest() for label, hasher in hashers.items()}
 
 
 def _document(args: argparse.Namespace, digests: dict[str, str], columns: tuple[str, ...],
@@ -369,8 +382,8 @@ def _cmd_buckets(args: argparse.Namespace) -> Outputs:
 
 _HIST_COLUMNS = ("bin_start", "bin_end", "all_pairs", "newly_tied")
 # Peak bytes of one tie-hist bin, by report format: its edge and counts, its
-# row and its report text (RSS grows about 470 B a bin for tsv, 1.5 kB for json).
-_BIN_BYTES = {"tsv": 512, "json": 2048}
+# row and its report text (RSS grows about 450 B a bin for tsv, 590 B for json).
+_BIN_BYTES = {"tsv": 512, "json": 768}
 
 
 def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:

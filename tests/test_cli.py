@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import builtins
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -479,7 +484,7 @@ class TestFailuresExitTwo:
         assert self.one_error_line(captured.err)
         assert "calibrating 3 within-group pairs" in captured.err
 
-    @pytest.mark.parametrize("fmt, bins", [("tsv", 3), ("json", 1)])
+    @pytest.mark.parametrize("fmt, bins", [("tsv", 3), ("json", 2)])
     def test_tie_hist_bins_beyond_memory_refused_before_reading(self, tmp_path, capsys,
                                                                 monkeypatch, fmt, bins):
         monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (1024, "the test limit"))
@@ -492,6 +497,17 @@ class TestFailuresExitTwo:
         assert self.one_error_line(captured.err)
         assert f"--bins {bins} needs about" in captured.err
         assert captured.err.endswith("more than the test limit\n")
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_tie_hist_bins_below_one_refused_before_opening_a_file(self, tmp_path, capsys,
+                                                                    monkeypatch, bins):
+        monkeypatch.chdir(tmp_path)
+        code = main(["tie-hist", "--human", "nope.tsv", "--metric", "m=nope.tsv",
+                     "--bins", bins])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument --bins: bins must be >= 1, got {bins}\n"
 
     def test_tie_hist_bins_within_memory_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (1024, "the test limit"))
@@ -715,6 +731,55 @@ class TestFailuresExitTwo:
 
 
 
+class TestInputDigests:
+    def test_fifo_digest_is_the_sha256_of_the_bytes_written(self, tmp_path):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        payload = "".join(f"{system}\t{segment}\t{score!r}\n"
+                          for system, segment, score in vector_rows([0.5, 0.1, 0.9]))
+        payload = payload.encode("utf-8")
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with suppress(BrokenPipeError), open(fifo, "wb") as pipe:
+                pipe.write(payload)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        env = dict(os.environ, PYTHONPATH=str(Path(tiecal.__file__).resolve().parents[1]))
+        try:  # in a child: a second open of the pipe would wait for a writer forever
+            run = subprocess.run([sys.executable, "-m", "tiecal.cli", "correlate",
+                                  "--human", str(h), "--metric", f"m={fifo}"],
+                                 env=env, capture_output=True, text=True, timeout=60)
+        finally:  # a run that never opened the pipe leaves the writer waiting
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+        assert (run.returncode, run.stderr) == (0, "")
+        assert f"# input:metric:m={hashlib.sha256(payload).hexdigest()}\n" in run.stdout
+        assert f"# input:human={hashlib.sha256(h.read_bytes()).hexdigest()}\n" in run.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["correlate"], ["rank", "--calibrate", "--baseline"], ["calibrate", "--out", "r.tsv"],
+    ], ids=lambda argv: argv[0])
+    def test_each_input_is_opened_once(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        inputs = [write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2, 2])),
+                  write_scores(tmp_path / "m1.tsv", vector_rows([0.5, 0.1, 0.9, 0.9])),
+                  write_scores(tmp_path / "m2.tsv", vector_rows([3, 1, 2, 0]))]
+        opened, real_open = [], io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # what pathlib opens with
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code = main([argv[0], "--human", "h.tsv", "--metric", "a=m1.tsv", "--metric", "b=m2.tsv",
+                     "--mode", "no-grouping", *argv[1:]])
+        assert code == 0, capsys.readouterr().err
+        assert [opened.count(path.name) for path in inputs] == [1, 1, 1]
+
+
 class TestKeyOrder:
     """Metric files in the human file's key order share its key list and
     align by position; every other order, and missing or extra keys, take
@@ -775,7 +840,8 @@ class TestKeyOrder:
             reports[order] = self.report(argv, tmp_path, capsys)
             with monkeypatch.context() as patched:  # the reference: no metric shares keys
                 load = tiecal.data.load_scores
-                patched.setattr("tiecal.data.load_scores", lambda path, like=None: load(path))
+                patched.setattr("tiecal.data.load_scores",
+                                lambda path, like=None, **kwargs: load(path, **kwargs))
                 assert self.report(argv, tmp_path, capsys) == reports[order]
 
         def body(report):  # the input digests name each file's bytes
@@ -788,7 +854,8 @@ class TestKeyOrder:
         loaded = []
         load = tiecal.data.load_scores
         monkeypatch.setattr("tiecal.data.load_scores",
-                            lambda path, like=None: loaded.append(load(path, like)) or loaded[-1])
+                            lambda path, like=None, **kwargs:
+                            loaded.append(load(path, like, **kwargs)) or loaded[-1])
         tiecal.cli._load_inputs(str(human), [(variant, files[variant, order, "a"])
                                              for variant in ("ordered", "missing-tail", "added")
                                              for order in ("human-order", "shuffled")])

@@ -20,7 +20,6 @@ from tiecal import (
     write_report,
 )
 from tiecal import data
-from tiecal.data import sha256_digest
 
 ROWS = [f"s{i % 7}\tg{i}\t{i / 3!r}".encode() for i in range(100)]
 
@@ -65,6 +64,12 @@ class TestLoadScores:
         matrix = load_scores(write(tmp_path, text))
         assert len(matrix) == 1
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_comment_shaped_like_a_row_is_skipped_after_the_first_line(self, tmp_path, ending):
+        lines = ["sysA\tseg1\t1", "#sysB\tseg1\t2", "sysC\tseg1\t3"]
+        matrix = load_scores(write(tmp_path, ending.join(lines) + ending))
+        assert list(matrix.items()) == [("sysA", "seg1", 1.0), ("sysC", "seg1", 3.0)]
+
     @pytest.mark.parametrize("row, message", [
         ("\t\t", "column 3: unparseable score ''"),
         ("\t", "expected 3 tab-separated columns, got 2"),
@@ -100,11 +105,15 @@ class TestLoadScores:
         assert dump_scores(matrix) == dump_scores(matrix)
         assert dump_scores(matrix).startswith(b"system\tsegment\tscore\n")
 
-    def test_load_and_sha256_digest(self, tmp_path):
-        path = write(tmp_path, "sysA\tseg1\t2.5\n")
-        assert load_scores(path).get("sysA", "seg1") == 2.5
-        assert sha256_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert sha256_digest(str(path)) == sha256_digest(path)
+    @pytest.mark.parametrize("chunk", [1, 7, data._CHUNK_CHARS])
+    def test_load_and_sha256_digest(self, tmp_path, monkeypatch, chunk):
+        path = tmp_path / "digest.tsv"
+        path.write_bytes(b"\xef\xbb\xbfsystem\tsegment\tscore\r\nsysA\tseg1\t2.5\rsysA\tseg2\t1")
+        monkeypatch.setattr(data, "_CHUNK_CHARS", chunk)
+        hasher = hashlib.sha256()
+        assert list(load_scores(path, hasher=hasher).items()) == [
+            ("sysA", "seg1", 2.5), ("sysA", "seg2", 1.0)]
+        assert hasher.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.tsv"
@@ -158,6 +167,16 @@ class TestLoadScores:
         with pytest.raises(ScoreFileError) as info:
             load_scores(path)
         assert str(info.value) == f"{path}:{error}"
+
+    @pytest.mark.parametrize("short_first", [True, False])
+    def test_lines_of_one_and_three_tabs_are_refused(self, tmp_path, short_first):
+        # two tabs a line in all, and every field a number
+        pair = [b"3\t4", b"5\t6\t7\t8"] if short_first else [b"5\t6\t7\t8", b"3\t4"]
+        path = tmp_path / "tabs.tsv"
+        path.write_bytes(b"\n".join([b"1\t2\t0", *pair, b"9\t10\t0"]) + b"\n")
+        got = 2 if short_first else 4
+        with pytest.raises(ScoreFileError, match=f"expected 3 tab-separated columns, got {got}$"):
+            load_scores(path)
 
     def test_a_file_with_a_fault_is_opened_once(self, tmp_path, monkeypatch):
         path = tmp_path / "bad.tsv"
@@ -312,3 +331,31 @@ class TestWriteReport:
         for row in doc.rows:
             row["pairs_total"] = 7
         assert write_report(doc, fmt) == write_report(sample_document(), fmt)
+
+    @pytest.mark.parametrize("rows_per_call", [1, 2, data._JSON_ROWS])
+    @pytest.mark.parametrize("columns, rows, ranking", [
+        (("metric", "value", "exact", "count"),
+         [{"metric": "mé", "value": 14 / 15, "exact": True, "count": 15},
+          {"metric": "日本", "value": None, "exact": False, "count": 0},
+          {"metric": 'a"},\n      {"b', "value": -1e-300, "exact": True, "count": -2},
+          {"metric": "c d", "value": float("nan"), "exact": None, "count": 2**70}],
+         ["mé", "日本"]),
+        (("value",), [{"value": 1e300}], None),
+        (("value",), [], []),
+        ((), [{}, {}], None),
+    ], ids=["mixed", "one-row", "no-rows", "no-columns"])
+    def test_json_bytes_equal_indented_json_dumps(self, monkeypatch, rows_per_call, columns,
+                                                  rows, ranking):
+        monkeypatch.setattr(data, "_JSON_ROWS", rows_per_call)
+        doc = ReportDocument(version="0.1.0", command="rank",
+                             inputs={"human": "abc", "metric:mé": "def"},
+                             columns=columns, rows=rows, ranking=ranking)
+        payload = {
+            "version": "0.1.0", "command": "rank", "inputs": doc.inputs,
+            "columns": list(columns),
+            "results": [{column: float(f"{row[column]:.6g}") if isinstance(row[column], float)
+                         else row[column] for column in columns} for row in rows],
+            "ranking": ranking,
+        }
+        expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        assert write_report(doc, "json") == expected.encode("utf-8")

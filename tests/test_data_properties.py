@@ -8,6 +8,7 @@ a ``like`` matrix whose keys follow the file's or depart from them.
 format rules returns, or raise the same ``path:line: message``."""
 
 import contextlib
+import hashlib
 import io
 from unittest import mock
 
@@ -49,6 +50,11 @@ MALFORMED = st.one_of(
 )
 
 
+# Scores float() reads that hold a byte besides 0-9 . e E + -: the loader's
+# byte test refuses them, and its text rules must still name them.
+FLOAT_ONLY_SCORES = st.sampled_from(["1_0", "\u0661", "\uff11.5", " 1", "2\x0c", "3\u00a0"])
+
+
 @st.composite
 def score_files(draw):
     lines = draw(st.lists(st.one_of(ROWS, ROWS, ROWS, SKIPPED), max_size=30))
@@ -58,8 +64,17 @@ def score_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(MALFORMED))
-    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
-                            min_size=len(lines), max_size=len(lines)))
+    fault = draw(st.sampled_from(["none", "1 and 3 tabs", "float-only score"]))
+    at = draw(st.integers(0, len(lines)))
+    if fault == "1 and 3 tabs":  # two tabs a line in all, but not on each line
+        short = draw(st.tuples(IDS, VALID_SCORES).map("\t".join))
+        long = draw(st.tuples(IDS, IDS, VALID_SCORES, VALID_SCORES).map("\t".join))
+        lines[at:at] = draw(st.permutations([short, long]))
+    elif fault == "float-only score":
+        lines.insert(at, draw(st.tuples(IDS, IDS, FLOAT_ONLY_SCORES).map("\t".join)))
+    endings = draw(st.one_of(
+        st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)),
+        st.just(["\r"] * len(lines))))  # only CR: no line ends at a \n
     text = "".join(line + end for line, end in zip(lines, endings))
     if lines and not draw(st.booleans()):  # no newline after the last line
         text = text.removesuffix(endings[-1])
@@ -133,6 +148,24 @@ def test_load_scores_equals_line_oracle(path, text, chunk, draw):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main(["perturb", "--metric", f"m={path}"]) == 2
         assert (out.getvalue(), err.getvalue()) == ("", f"error: {expected}\n")
+
+
+@PROFILE
+@given(text=score_files(), chunk=st.sampled_from([1, 2, 7, 30]))
+def test_chunks_are_whole_lines_of_bounded_size(text, chunk):
+    raw = text.encode("utf-8", "surrogateescape")
+    hasher = hashlib.sha256()
+    with mock.patch("tiecal.data._CHUNK_CHARS", chunk):
+        chunks = list(data._line_chunks(io.BytesIO(raw), hasher))
+    assert b"".join(chunks) == raw
+    assert hasher.digest() == hashlib.sha256(raw).digest()
+    # a chunk holds at most one read beyond the line it starts with, so a
+    # file whose lines end at \r alone streams too
+    longest = max(map(len, raw.splitlines(keepends=True)), default=0)
+    assert all(0 < len(piece) <= chunk + longest for piece in chunks)
+    for piece, following in zip(chunks, chunks[1:]):  # whole lines, and \r\n kept whole
+        assert piece.endswith((b"\n", b"\r"))
+        assert not (piece.endswith(b"\r") and following.startswith(b"\n"))
 
 
 # dump_scores must reject, not write, a system id starting with '#' (its
