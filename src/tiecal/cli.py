@@ -409,7 +409,9 @@ def _cmd_f1_curve(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
     mode = GroupingMode.parse(args.mode)
     eps_mode = EpsilonMode.parse(args.eps_mode)
-    grid = _parse_list(args.eps_grid, "--eps-grid", float)
+    grid = _parse_list(args.eps_grid, "--eps-grid", lambda text: EpsilonPolicy(float(text)).epsilon)
+    if not grid:
+        raise ValueError(f"--eps-grid names no threshold: {args.eps_grid!r}")
     human, ((_, matrix),), digests = _load_inputs(args.human, [metric])
     rows = [asdict(point) for point in f1_curve(human, matrix, mode, grid, eps_mode)]
     yield args.out, _document(args, digests, _F1_COLUMNS, rows)

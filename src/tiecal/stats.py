@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -168,14 +168,6 @@ OVERALL_STAT_KINDS = (
     StatKind.TAU_A, StatKind.TAU_B, StatKind.TAU_C, StatKind.TAU_10,
     StatKind.TAU_13, StatKind.TAU_14, StatKind.TAU_EQ, StatKind.ACC_EQ,
 )
-CLASS_STAT_KINDS = (
-    StatKind.TIES_P, StatKind.TIES_R, StatKind.TIES_F1,
-    StatKind.RANK_P, StatKind.RANK_R, StatKind.RANK_F1,
-)
-
-
-def _ratio(num: float, den: float) -> float | None:
-    return num / den if den else None
 
 
 def _stat_from_arrays(kind: StatKind, c: np.ndarray, d: np.ndarray, th: np.ndarray,
@@ -227,88 +219,6 @@ def stat_from_counts(kind: StatKind, counts: PairCounts, *,
     columns = np.array(counts.as_tuple(), dtype=np.int64)[:, None]
     value = float(_stat_from_arrays(kind, *columns, k=k, n=n)[0])
     return None if math.isnan(value) else value
-
-
-RELATIONS = ("<", "=", ">")
-
-Cell = tuple[str, str]
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """3x3 coefficient grid over (human relation, metric relation) cells.
-
-    Entries are -1, 0, +1, or None meaning the cell's pairs are excluded.
-    The induced statistic is sum(coef * count) / sum(count) over the
-    non-excluded cells.
-    """
-
-    entries: Mapping[Cell, int | None]
-
-    def __post_init__(self) -> None:
-        expected = {(h, m) for h in RELATIONS for m in RELATIONS}
-        if set(self.entries) != expected:
-            raise ValueError("coefficient table must cover exactly the 9 relation cells")
-        for cell, coef in self.entries.items():
-            if coef is not None and coef not in (-1, 0, 1):
-                raise ValueError(f"cell {cell} has invalid coefficient {coef!r}")
-        if all(coef is None for coef in self.entries.values()):
-            raise ValueError("at least one cell must not be excluded")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int | str | None]]) -> "CoefficientTable":
-        """Build from three rows in human-relation order; "x" or None excludes."""
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("expected a 3x3 grid")
-        entries: dict[Cell, int | None] = {}
-        for h, row in zip(RELATIONS, rows):
-            for m, coef in zip(RELATIONS, row):
-                if coef is None or (isinstance(coef, str) and coef.lower() == "x"):
-                    entries[(h, m)] = None
-                else:
-                    entries[(h, m)] = int(coef)
-        return cls(entries)
-
-
-_X = "x"
-COEFFICIENT_TABLES: dict[StatKind, CoefficientTable] = {
-    StatKind.TAU_10: CoefficientTable.from_rows([[1, -1, -1], [_X, _X, _X], [-1, -1, 1]]),
-    StatKind.TAU_13: CoefficientTable.from_rows([[1, _X, -1], [_X, _X, _X], [-1, _X, 1]]),
-    StatKind.TAU_14: CoefficientTable.from_rows([[1, 0, -1], [_X, _X, _X], [-1, 0, 1]]),
-    StatKind.TAU_EQ: CoefficientTable.from_rows([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]]),
-    StatKind.ACC_EQ: CoefficientTable.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-}
-
-
-def stat_from_table(table: CoefficientTable, counts_by_cell: Mapping[Cell, int]) -> float | None:
-    """Evaluate a tabular statistic: sum(coef * count) / sum(count).
-
-    Both sums run over the non-excluded cells only; returns None when the
-    denominator is zero.  Accumulation is integer-exact.
-    """
-    num = 0
-    den = 0
-    for cell, coef in table.entries.items():
-        count = int(counts_by_cell[cell])
-        if count < 0:
-            raise ValueError(f"cell {cell} has negative count {count}")
-        if coef is None:
-            continue
-        num += coef * count
-        den += count
-    return _ratio(num, den)
-
-
-def counts_from_cells(counts_by_cell: Mapping[Cell, int]) -> PairCounts:
-    """Aggregate 3x3 relation-cell counts into the five pair classes."""
-    g = counts_by_cell.__getitem__
-    return PairCounts(
-        concordant=g(("<", "<")) + g((">", ">")),
-        discordant=g(("<", ">")) + g((">", "<")),
-        tied_human=g(("=", "<")) + g(("=", ">")),
-        tied_metric=g(("<", "=")) + g((">", "=")),
-        tied_both=g(("=", "=")),
-    )
 
 
 def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: EpsilonPolicy, *,
@@ -491,41 +401,6 @@ def tau_c_context(human: Scores, metric: Scores) -> tuple[int, int]:
     if h.size != m.size:
         raise ValueError(f"length mismatch: {h.size} vs {m.size}")
     return min(np.unique(h).size, np.unique(m).size), int(h.size)
-
-
-def pearson(x: Scores, y: Scores) -> float | None:
-    """Product-moment correlation; None if either input has zero variance."""
-    xv = as_score_vector(x)
-    yv = as_score_vector(y)
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
-    if xv.size < 2:
-        return None
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    return float((xc @ yc) / math.sqrt(sxx * syy))
-
-
-def spearman(x: Scores, y: Scores) -> float | None:
-    """Pearson correlation of mid-ranks (ties get their average rank)."""
-    xv = as_score_vector(x)
-    yv = as_score_vector(y)
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
-    if xv.size < 2:
-        return None
-    return pearson(_mid_ranks(xv), _mid_ranks(yv))
-
-
-def _mid_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n from one sort, each run of equal values getting its mean rank."""
-    _, run, lengths = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(lengths)  # a run of ranks ends - lengths + 1 .. ends
-    return ((2 * ends - lengths + 1) / 2.0)[run]
 
 
 def break_ties_randomly(metric: Scores, eps: EpsilonPolicy | float = 0.0, *,

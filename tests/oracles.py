@@ -135,6 +135,44 @@ def oracle_stat(kind, c, d, th, tm, thm, k=None, n=None):
     return ORACLE_FORMULAS[kind.value](c, d, th, tm, thm, k, n)
 
 
+# The paper's tabular statistics as 3x3 coefficient grids, keyed by public
+# name.  Row and column are a pair's human and metric relation, each in
+# RELATIONS order; None excludes the cell's pairs.
+RELATIONS = "<=>"
+X = None
+COEFFICIENT_GRIDS = {
+    "tau_10": ((1, -1, -1), (X, X, X), (-1, -1, 1)),
+    "tau_13": ((1, X, -1), (X, X, X), (-1, X, 1)),
+    "tau_14": ((1, 0, -1), (X, X, X), (-1, 0, 1)),
+    "tau_eq": ((1, -1, -1), (-1, 1, -1), (-1, -1, 1)),
+    "acc_eq": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+}
+
+
+def grid_stat(grid, cells):
+    """sum(coef * count) / sum(count) over the grid's cells that are not
+    excluded, summed in exact integers; None when they hold no pair.
+    ``cells`` maps (human relation, metric relation) to a pair count."""
+    if all(coef is None for row in grid for coef in row):
+        raise ValueError("a grid must include at least one cell")
+    num = den = 0
+    for h, row in zip(RELATIONS, grid):
+        for m, coef in zip(RELATIONS, row):
+            if coef is not None:
+                num += coef * cells[h, m]
+                den += cells[h, m]
+    return _frac(num, den)
+
+
+def counts_from_cells(cells):
+    """Fold 3x3 relation-cell counts into the five pair classes."""
+    return PairCounts(concordant=cells["<", "<"] + cells[">", ">"],
+                      discordant=cells["<", ">"] + cells[">", "<"],
+                      tied_human=cells["=", "<"] + cells["=", ">"],
+                      tied_metric=cells["<", "="] + cells[">", "="],
+                      tied_both=cells["=", "="])
+
+
 def brute_force_calibration(human, metric, mode, kind, relative=False, sample=None):
     """Maximize by re-evaluating every candidate threshold from scratch.
 

@@ -9,10 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import brute_force_calibration, naive_suff_stats, oracle_groups, pair_views
+from oracles import (
+    COEFFICIENT_GRIDS,
+    brute_force_calibration,
+    counts_from_cells,
+    grid_stat,
+    naive_suff_stats,
+    oracle_groups,
+    pair_views,
+)
 
 from tiecal import (
-    COEFFICIENT_TABLES,
     OVERALL_STAT_KINDS,
     CalibrationConfig,
     EpsilonMode,
@@ -22,12 +29,10 @@ from tiecal import (
     StatKind,
     align,
     calibrate,
-    counts_from_cells,
     grouped_stat,
     load_scores,
     mean_defined,
     stat_from_counts,
-    stat_from_table,
     suff_stats,
     tau_c_context,
 )
@@ -115,8 +120,6 @@ def test_calibration_oracle_equivalence():
 def test_tabular_equivalence():
     """1000 random cell grids: tabular == closed-form, exact incl. undefined; < 5s."""
     rng = np.random.default_rng(77)
-    kinds = (StatKind.TAU_10, StatKind.TAU_13, StatKind.TAU_14,
-             StatKind.TAU_EQ, StatKind.ACC_EQ)
     start = time.perf_counter()
     mismatches = 0
     for _ in range(1000):
@@ -126,9 +129,8 @@ def test_tabular_equivalence():
                 if rng.random() < 0.8:
                     cells[cell] = 0
         counts = counts_from_cells(cells)
-        for kind in kinds:
-            if stat_from_table(COEFFICIENT_TABLES[kind], cells) != \
-                    stat_from_counts(kind, counts):
+        for name, grid in COEFFICIENT_GRIDS.items():
+            if grid_stat(grid, cells) != stat_from_counts(StatKind(name), counts):
                 mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 5.0

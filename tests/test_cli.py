@@ -509,6 +509,22 @@ class TestFailuresExitTwo:
         assert captured.out == ""
         assert captured.err == f"error: argument --bins: bins must be >= 1, got {bins}\n"
 
+    @pytest.mark.parametrize("grid, message", [
+        ("", "--eps-grid names no threshold: ''"),
+        ("-1", "--eps-grid: epsilon must be finite and >= 0, got -1.0"),
+        ("0.1,nan", "--eps-grid: epsilon must be finite and >= 0, got nan"),
+        ("inf,0.1", "--eps-grid: epsilon must be finite and >= 0, got inf"),
+    ], ids=["empty", "negative", "nan", "inf"])
+    def test_f1_curve_bad_grid_refused_before_opening_a_file(self, tmp_path, capsys,
+                                                             monkeypatch, grid, message):
+        monkeypatch.chdir(tmp_path)
+        code = main(["f1-curve", "--human", "nope.tsv", "--metric", "m=nope.tsv",
+                     "--eps-grid", grid, "--eps-mode", "relative"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_tie_hist_bins_within_memory_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (1024, "the test limit"))
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
@@ -905,10 +921,19 @@ def test_calibrate_writes_utf8_whatever_the_locale(tmp_path, encoding):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only spearman needs scipy; every CLI call would otherwise pay its import
+    # the runtime needs numpy alone; every CLI call would otherwise pay scipy's import
     src = Path(tiecal.__file__).resolve().parents[1]
     code = "import sys, tiecal.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_every_public_name_resolves():
+    # a deleted definition must not leave its export behind
+    assert [name for name in tiecal.__all__ if not hasattr(tiecal, name)] == []
+    assert len(set(tiecal.__all__)) == len(tiecal.__all__)
+    namespace = {}
+    exec("from tiecal import *", namespace)
+    assert set(tiecal.__all__) <= namespace.keys()

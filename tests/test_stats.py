@@ -5,12 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import naive_suff_stats, oracle_stat
+from oracles import COEFFICIENT_GRIDS, counts_from_cells, grid_stat, naive_suff_stats, oracle_stat
 
 from tiecal import (
-    COEFFICIENT_TABLES,
     OVERALL_STAT_KINDS,
-    CoefficientTable,
     EpsilonMode,
     EpsilonPolicy,
     GroupingMode,
@@ -18,18 +16,14 @@ from tiecal import (
     ScoreMatrix,
     StatKind,
     break_ties_randomly,
-    counts_from_cells,
     grouped_stat,
     grouped_stats,
     mean_defined,
-    pearson,
-    spearman,
     stat_from_counts,
-    stat_from_table,
     suff_stats,
     tau_c_context,
 )
-from tiecal.stats import _mid_ranks, _pair_blocks, _pair_counts, _stat_from_arrays
+from tiecal.stats import _pair_blocks, _pair_counts, _stat_from_arrays
 
 H_FIG = [0, 0, 0, 0, 1, 2]
 M1_FIG = [0, 0, 0, 0, 2, 1]
@@ -476,8 +470,7 @@ class TestCoefficientTables:
             ("=", "<"): 0, ("=", ">"): 0,
             ("=", "="): 6,
         }
-        value = stat_from_table(COEFFICIENT_TABLES[StatKind.ACC_EQ], cells)
-        assert value == pytest.approx(14 / 15)
+        assert grid_stat(COEFFICIENT_GRIDS["acc_eq"], cells) == pytest.approx(14 / 15)
         assert counts_from_cells(cells) == M1_COUNTS
 
     def test_excluded_row_drops_human_ties(self):
@@ -488,23 +481,47 @@ class TestCoefficientTables:
             ("=", "<"): 3, ("=", ">"): 3,
             ("=", "="): 0,
         }
-        assert stat_from_table(COEFFICIENT_TABLES[StatKind.TAU_10], cells) == 1.0
+        assert grid_stat(COEFFICIENT_GRIDS["tau_10"], cells) == 1.0
 
     def test_empty_non_excluded_cell_is_undefined(self):
-        rows = [["x", "x", "x"], ["x", 1, "x"], ["x", "x", "x"]]
-        table = CoefficientTable.from_rows(rows)
+        grid = ((None, None, None), (None, 1, None), (None, None, None))
         cells = {(h, m): 0 for h in "<=>" for m in "<=>"}
         cells[("<", "<")] = 7  # only excluded cells have pairs
-        assert stat_from_table(table, cells) is None
+        assert grid_stat(grid, cells) is None
 
     def test_all_excluded_rejected(self):
+        cells = {(h, m): 1 for h in "<=>" for m in "<=>"}
         with pytest.raises(ValueError, match="at least one"):
-            CoefficientTable.from_rows([["x"] * 3] * 3)
+            grid_stat(((None,) * 3,) * 3, cells)
+
+    # The worked example's two metrics, as relation cells, and each grid's
+    # value on them by hand: C=8, D=1, T_hm=6 for the first metric; C=9,
+    # T_h=6 for the second.
+    M1_CELLS = {("<", "<"): 4, ("<", "="): 0, ("<", ">"): 1,
+                ("=", "<"): 0, ("=", "="): 6, ("=", ">"): 0,
+                (">", "<"): 0, (">", "="): 0, (">", ">"): 4}
+    M2_CELLS = {("<", "<"): 9, ("<", "="): 0, ("<", ">"): 0,
+                ("=", "<"): 6, ("=", "="): 0, ("=", ">"): 0,
+                (">", "<"): 0, (">", "="): 0, (">", ">"): 0}
+
+    @pytest.mark.parametrize("name, first, second", [
+        ("tau_10", Fraction(7, 9), 1),
+        ("tau_13", Fraction(7, 9), 1),
+        ("tau_14", Fraction(7, 9), 1),
+        ("tau_eq", Fraction(13, 15), Fraction(1, 5)),
+        ("acc_eq", Fraction(14, 15), Fraction(3, 5)),
+    ], ids=["tau_10", "tau_13", "tau_14", "tau_eq", "acc_eq"])
+    def test_grid_and_formula_agree_on_worked_example(self, name, first, second):
+        grid, kind = COEFFICIENT_GRIDS[name], StatKind(name)
+        assert counts_from_cells(self.M1_CELLS) == suff_stats(H_FIG, M1_FIG) == M1_COUNTS
+        assert counts_from_cells(self.M2_CELLS) == suff_stats(H_FIG, M2_FIG) == M2_COUNTS
+        assert grid_stat(grid, self.M1_CELLS) == pytest.approx(float(first))
+        assert grid_stat(grid, self.M2_CELLS) == pytest.approx(float(second))
+        assert stat_from_counts(kind, M1_COUNTS) == grid_stat(grid, self.M1_CELLS)
+        assert stat_from_counts(kind, M2_COUNTS) == grid_stat(grid, self.M2_CELLS)
 
     def test_tables_match_formulas_on_random_counts(self):
         rng = np.random.default_rng(17)
-        kinds = (StatKind.TAU_10, StatKind.TAU_13, StatKind.TAU_14,
-                 StatKind.TAU_EQ, StatKind.ACC_EQ)
         for _ in range(300):
             cells = {(h, m): int(rng.integers(0, 8)) for h in "<=>" for m in "<=>"}
             if rng.random() < 0.2:
@@ -513,56 +530,8 @@ class TestCoefficientTables:
                     if rng.random() < 0.8:
                         cells[cell] = 0
             counts = counts_from_cells(cells)
-            for kind in kinds:
-                assert stat_from_table(COEFFICIENT_TABLES[kind], cells) == \
-                    stat_from_counts(kind, counts)
-
-
-class TestPearsonSpearman:
-    def test_exact_linearity(self):
-        assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-
-    def test_exact_reversal(self):
-        assert spearman([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
-
-    def test_monotone_nonlinear(self):
-        assert spearman([1, 2, 3, 4], [1, 4, 9, 16]) == pytest.approx(1.0)
-        assert pearson([1, 2, 3, 4], [1, 4, 9, 16]) == pytest.approx(0.9844, abs=5e-5)
-
-    def test_zero_variance_undefined(self):
-        assert pearson([1, 1, 1], [1, 2, 3]) is None
-        assert spearman([1, 2, 3], [5, 5, 5]) is None
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pearson([1, 2], [1, 2, 3])
-
-    def test_spearman_midranks_handle_ties(self):
-        # ranks of x: [1.5, 1.5, 3]; ranks of y: [1, 2, 3]
-        x = [4, 4, 9]
-        y = [1, 2, 3]
-        expected = pearson([1.5, 1.5, 3.0], [1.0, 2.0, 3.0])
-        assert spearman(x, y) == expected
-
-    def test_mid_ranks_equal_scipy_rankdata(self):
-        from scipy.stats import rankdata
-        rng = np.random.default_rng(48)
-        pool = np.array([-2.0, -0.0, 0.0, 0.5, 0.5 + 2**-52, 3.0])  # signed zeros tie
-        for n in list(range(1, 12)) + [40, 200]:
-            for x in (rng.choice(pool, n), rng.integers(0, 3, n) * 1.0, rng.normal(size=n)):
-                assert _mid_ranks(x).tobytes() == rankdata(x).tobytes()
-
-    def test_matches_scipy(self):
-        from scipy.stats import pearsonr, spearmanr
-        rng = np.random.default_rng(47)
-        for _ in range(20):
-            n = int(rng.integers(3, 50))
-            x = rng.integers(0, 5, n).astype(float)
-            y = rng.normal(size=n)
-            if np.unique(x).size < 2:
-                continue
-            assert pearson(x, y) == pytest.approx(pearsonr(x, y).statistic, abs=1e-12)
-            assert spearman(x, y) == pytest.approx(spearmanr(x, y).statistic, abs=1e-12)
+            for name, grid in COEFFICIENT_GRIDS.items():
+                assert grid_stat(grid, cells) == stat_from_counts(StatKind(name), counts)
 
 
 class TestBreakTiesRandomly:
