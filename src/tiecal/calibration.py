@@ -34,7 +34,6 @@ from .grouping import (
     GroupingMode,
     ScoreMatrix,
     _reports,
-    _tau_c_contexts,
     align,
     mean_defined,
 )
@@ -46,6 +45,7 @@ from .stats import (
     _fold,
     _pair_blocks,
     _stat_from_arrays,
+    _tau_c_contexts,
 )
 
 # Moves per block of the approximate sweep: its temporaries stay near 3 MB.
@@ -252,7 +252,7 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
 
     kind = config.kind
     n_groups = aligned.sizes.size
-    contexts = _tau_c_contexts(aligned) if kind is StatKind.TAU_C else None
+    contexts = _tau_c_contexts(*aligned) if kind is StatKind.TAU_C else None
 
     def group_values(rows: np.ndarray | slice) -> np.ndarray:
         k, n = (None, None) if contexts is None else contexts[:, rows]

@@ -14,7 +14,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Mapping
 
@@ -29,8 +29,10 @@ _CHUNK_CHARS = 1 << 20
 _NEWLINE_TO_TAB = bytes.maketrans(b"\n", b"\t")
 # The only bytes a score may hold to pass the byte test; float() decides the rest.
 _DECIMAL_BYTES = b"0123456789.eE+-"
-# Any lone surrogate: what surrogateescape makes of a byte that is not UTF-8.
+# Any lone surrogate, which UTF-8 cannot encode.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# A score beyond the decimal bytes is non-finite in these spellings, else unparseable.
+_NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.ASCII | re.IGNORECASE)
 
 
 class ScoreFileError(ValueError):
@@ -46,17 +48,20 @@ def load_scores(path: str | Path, like: ScoreMatrix | None = None,
                 hasher: Any = None) -> ScoreMatrix:
     """Parse a three-column score TSV into a ScoreMatrix.
 
-    Rejects malformed rows, non-finite or unparseable scores, duplicate
-    (system, segment) keys and bytes that are not UTF-8, naming the first
-    faulty line.  The file is opened once and read as bytes, whole lines
-    about ``_CHUNK_CHARS`` bytes at a time; ``hasher`` (a hashlib object),
-    if given, is updated with every byte read.  Each chunk of lines is
-    checked and converted at once; a chunk that fails a check is run again
-    from the state before it, one line at a time, up to its first faulty
-    line.  Ids are interned: matrices share their strings.  A file whose
-    rows list ``like``'s keys in order shares ``like``'s key list, which
-    ``align`` pairs by position; from the first row that leaves that order,
-    the file gets its own key list, checked as without ``like``.
+    Skips a leading byte-order mark, '#' comment lines, blank lines and a
+    header before the first row.  Rejects bytes that are not UTF-8,
+    malformed rows, non-finite (ASCII ``nan``/``inf``/``infinity``, or
+    beyond the float range) or unparseable scores and duplicate (system,
+    segment) keys, naming the first faulty line.  The file is opened once
+    and read as bytes, whole lines about ``_CHUNK_CHARS`` bytes at a time;
+    ``hasher`` (a hashlib object), if given, is updated with every byte
+    read.  Each chunk is checked by the one rule set, ``_row_fields``, and
+    converted at once; a chunk that fails a check is run again from the
+    state before it, one line at a time, up to its first faulty line.  Ids
+    are interned: matrices share their strings.  A file whose rows list
+    ``like``'s keys in order shares ``like``'s key list, which ``align``
+    pairs by position; from the first row that leaves that order, the file
+    gets its own key list, checked as without ``like``.
     """
     keys: tuple[list[str], list[str]] = ([], [])  # system and segment ids
     scores = array("d")
@@ -68,35 +73,9 @@ def load_scores(path: str | Path, like: ScoreMatrix | None = None,
         \\n; a fault raises ValueError, whose message is exact when ``raw``
         is one line."""
         nonlocal keys, seen, may_be_header
-        if may_be_header and raw.startswith(_HEADER_LINE):
-            raw, may_be_header = raw[len(_HEADER_LINE):], False
-        fields = _row_fields(raw)
-        if fields is None:  # the byte tests cannot tell: the text rules decide
-            text = raw.decode("utf-8", "surrogateescape")
-            if not text.isascii() and _SURROGATE.search(text):  # a byte that is not UTF-8
-                raise ValueError("not valid UTF-8")
-            # drop comments and blank lines; a row of tabs is not blank
-            lines = [line for line in text.removesuffix("\n").split("\n")
-                     if not line.startswith("#") and ("\t" in line or line.strip())]
-            if not set(map(str.count, lines, repeat("\t"))) <= {2}:
-                columns = len(lines[0].split("\t"))
-                raise ValueError(f"expected 3 tab-separated columns, got {columns}")
-            if may_be_header and lines:
-                may_be_header = False
-                if lines[0] == "\t".join(HEADER_FIELDS):
-                    del lines[0]
-            if not lines:
-                return
-            fields = "\t".join(lines).split("\t")
-            del lines  # fewer young lists for each garbage collection to scan
-            # float() alone also takes padding, "_" separators and non-ASCII
-            # digits; split() drops empty scores and splits at whitespace
-            joined = "\t".join(fields[2::3])
-            if not joined.isascii() or "_" in joined or joined.split() != fields[2::3]:
-                raise ValueError(f"column 3: unparseable score {fields[2]!r}")
-        elif not fields:
+        fields, may_be_header = _row_fields(raw, may_be_header)
+        if not fields:
             return
-        may_be_header = False
         texts = fields[2::3]
         start = len(scores)
         try:
@@ -167,26 +146,46 @@ def _line_chunks(handle: BinaryIO, hasher: Any) -> Iterator[bytes]:
         yield tail
 
 
-def _row_fields(raw: bytes) -> list[str] | None:
-    """The fields of the lines of ``raw``, which each end in \\n, three a
-    line, when byte tests show every line to be a row: none starts with '#',
-    each holds exactly two tabs, the bytes are UTF-8, and the scores hold
-    only the bytes of a decimal.  None when a test fails."""
+def _row_fields(raw: bytes, may_be_header: bool) -> tuple[list[str], bool]:
+    """The fields of the rows of ``raw``, whole lines that each end in \\n,
+    three a row, and whether the header may still come.  The rules run in
+    a line's order: the bytes must be UTF-8; lines that start with '#' and
+    blank lines are dropped, and while ``may_be_header``, a first remaining
+    line equal to the header; every other line holds exactly two tabs, and
+    its score only the bytes of a decimal.  A fault raises ValueError,
+    whose message is exact when ``raw`` is one line."""
+    try:
+        text = raw.translate(_NEWLINE_TO_TAB).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("not valid UTF-8") from None
     codes = np.frombuffer(raw, dtype=np.uint8)
     tabs, ends = np.flatnonzero(codes == ord("\t")), np.flatnonzero(codes == ord("\n"))
     # two tabs a line in all, and the i-th pair after line i - 1 ends and before line i ends
     if tabs.size != 2 * ends.size or (tabs[1::2] > ends).any() or \
             (tabs[2::2] < ends[:-1]).any() or raw.startswith(b"#") or \
             (codes[ends[:-1] + 1] == ord("#")).any():
-        return None
-    try:
-        fields = raw.translate(_NEWLINE_TO_TAB).decode("utf-8").split("\t")
-    except UnicodeDecodeError:
-        return None
+        starts = np.concatenate(([0], ends + 1))  # each line's, and the chunk's end
+        columns = np.diff(np.searchsorted(tabs, ends), prepend=0) + 1
+        # drop comments and empty lines, then the tab-less lines of whitespace
+        keep = (codes[starts[:-1]] != ord("#")) & (ends > starts[:-1])
+        if (tabless := np.flatnonzero(keep & (columns == 1))).size:  # a row of tabs is not blank
+            lines = map(slice, starts[tabless].tolist(), ends[tabless].tolist())
+            texts = b"\n".join(map(raw.__getitem__, lines)).decode().split("\n")
+            keep[tabless] = list(map(bool, map(str.strip, texts)))
+        if (wrong := columns[keep & (columns != 3)]).size:
+            raise ValueError(f"expected 3 tab-separated columns, got {wrong[0]}")
+        raw = codes[np.repeat(keep, np.diff(starts))].tobytes()  # the kept lines
+        text = raw.translate(_NEWLINE_TO_TAB).decode("utf-8")
+    if may_be_header and raw:
+        may_be_header = False
+        if raw.startswith(_HEADER_LINE):
+            text = text[len(_HEADER_LINE):]
+    fields = text.split("\t")
     del fields[-1]  # after the last line's end
     if "".join(fields[2::3]).encode().translate(None, _DECIMAL_BYTES):
-        return None
-    return fields
+        kind = "non-finite" if _NON_FINITE.fullmatch(fields[2]) else "unparseable"
+        raise ValueError(f"column 3: {kind} score {fields[2]!r}")
+    return fields, may_be_header
 
 
 def _add_lines(path: str | Path, add: Callable[[bytes], None], raw: bytes, first: int) -> None:

@@ -25,6 +25,7 @@ from .stats import (
     _as_policy,
     _pair_counts,
     _stat_from_arrays,
+    _tau_c_contexts,
 )
 
 
@@ -218,22 +219,6 @@ def mean_defined(values: np.ndarray) -> float | None:
     return float(np.nansum(values) / defined) if defined else None
 
 
-def _tau_c_contexts(aligned: Aligned) -> np.ndarray:
-    """TAU_C's (k, n) for every group, as a (2, groups) int64 array: k is
-    the smaller count of distinct values, each side counted from one sort
-    by (group, value)."""
-    group = np.repeat(np.arange(aligned.sizes.size), aligned.sizes)
-
-    def distinct(values: np.ndarray) -> np.ndarray:
-        v = values[np.lexsort((values, group))]
-        new = np.ones(v.size, dtype=bool)
-        new[1:] = (v[1:] != v[:-1]) | (group[1:] != group[:-1])  # -0.0 == 0.0, as in np.unique
-        return np.bincount(group[new], minlength=aligned.sizes.size)
-
-    return np.stack([np.minimum(distinct(aligned.human), distinct(aligned.metric)),
-                     aligned.sizes])
-
-
 def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
                   kinds: Sequence[StatKind], eps: EpsilonPolicy | float = 0.0
                   ) -> list[CorrelationReport]:
@@ -252,7 +237,7 @@ def _reports(aligned: Aligned, mode: GroupingMode, kinds: Sequence[StatKind],
              pol: EpsilonPolicy) -> list[CorrelationReport]:
     """:func:`grouped_stats` on scores already aligned under ``mode``."""
     counts = _pair_counts(*aligned, pol)
-    k, n = _tau_c_contexts(aligned) if StatKind.TAU_C in kinds else (None, None)
+    k, n = _tau_c_contexts(*aligned) if StatKind.TAU_C in kinds else (None, None)
     reports = []
     for kind in kinds:
         values = _stat_from_arrays(kind, *counts.T, k, n)

@@ -400,7 +400,22 @@ def tau_c_context(human: Scores, metric: Scores) -> tuple[int, int]:
     m = as_score_vector(metric)
     if h.size != m.size:
         raise ValueError(f"length mismatch: {h.size} vs {m.size}")
-    return min(np.unique(h).size, np.unique(m).size), int(h.size)
+    return tuple(_tau_c_contexts(h, m, np.array([h.size]))[:, 0].tolist())
+
+
+def _tau_c_contexts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """TAU_C's (k, n) for each group of ``sizes`` consecutive entries, as a
+    (2, groups) int64 array: k is the smaller count of distinct values,
+    each side counted from one sort by (group, value)."""
+    group = np.repeat(np.arange(sizes.size), sizes)
+
+    def distinct(values: np.ndarray) -> np.ndarray:
+        v = values[np.lexsort((values, group))]
+        new = np.ones(v.size, dtype=bool)
+        new[1:] = (v[1:] != v[:-1]) | (group[1:] != group[:-1])  # -0.0 == 0.0
+        return np.bincount(group[new], minlength=sizes.size)
+
+    return np.stack([np.minimum(distinct(h), distinct(m)), sizes])
 
 
 def break_ties_randomly(metric: Scores, eps: EpsilonPolicy | float = 0.0, *,

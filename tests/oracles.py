@@ -219,9 +219,9 @@ def brute_force_calibration(human, metric, mode, kind, relative=False, sample=No
 
 # README's score format: a finite base-10 decimal in ASCII digits, optionally
 # signed, with an optional exponent; and the spellings float() reads as
-# non-finite.
+# non-finite, in ASCII letters only (float() refuses "\u0131nf").
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-_NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.IGNORECASE)
+_NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.ASCII | re.IGNORECASE)
 
 
 def oracle_load_scores(path):

@@ -22,8 +22,7 @@ from tiecal import (
     tie_location_histogram,
 )
 from tiecal.calibration import _approx_means, _replay, _sorted_moves
-from tiecal.grouping import _tau_c_contexts
-from tiecal.stats import _pair_blocks, _stat_from_arrays
+from tiecal.stats import _pair_blocks, _stat_from_arrays, _tau_c_contexts
 
 
 def single_group(h_scores, m_scores):
@@ -119,7 +118,7 @@ class TestCalibrate:
             aligned = align(h, m, mode)
             total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
             counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total, None)
-            contexts = _tau_c_contexts(aligned) if kind is StatKind.TAU_C else None
+            contexts = _tau_c_contexts(*aligned) if kind is StatKind.TAU_C else None
             k, n = (None, None) if contexts is None else contexts
             ends = np.searchsorted(gaps, candidates, "right")
             _, sums, defined = zip(*_approx_means(

@@ -33,7 +33,9 @@ VALID_SCORES = st.one_of(
     st.sampled_from(["1", "-0", "+2", ".5", "3.", "1E3", "-1.25e-2", "0007", "1e-999"]))
 BAD_SCORES = st.sampled_from([
     " 1", "1 ", "1_000", "\u0661", "\uff11.5", "1\x0c", "\x1c1", "1\x85", "", "abc", "0x10",
-    "score", "nan", "-inf", "+Infinity", "1e999", "1,5"])
+    "score", "nan", "-inf", "+Infinity", "1e999", "1,5",
+    # float() refuses dotless and dotted capital I: "unparseable", not "non-finite"
+    "\u0131nf", "\u0130NF"])
 ROWS = st.tuples(IDS, IDS, VALID_SCORES).map("\t".join)
 HEADER = "system\tsegment\tscore"
 SKIPPED = st.sampled_from(["", " ", "\x0b\x1f\u3000", "\x85", "# note", "#\t\t"])
@@ -45,13 +47,15 @@ MALFORMED = st.one_of(
     st.sampled_from([1, 2, 4]).flatmap(lambda n: st.lists(IDS, min_size=n, max_size=n))
     .map("\t".join),
     # bytes that are not UTF-8 (each surrogate escape writes one byte), in a
-    # row, a comment or a line of their own
-    st.sampled_from(["\udcff", "a\tb\t1\udcff", "#\udcc3", "x\udcc3\ty\t1", "\udce2\udc82"]),
+    # row, a comment, a line of their own, or a line with too few or too many
+    # tabs, whose fault is still the byte
+    st.sampled_from(["\udcff", "a\tb\t1\udcff", "#\udcc3", "x\udcc3\ty\t1", "\udce2\udc82",
+                     "a\udcff\tb", "a\tb\tc\t\udcff", "\udcff\t\t"]),
 )
 
 
 # Scores float() reads that hold a byte besides 0-9 . e E + -: the loader's
-# byte test refuses them, and its text rules must still name them.
+# byte test refuses them, and must still name them as unparseable.
 FLOAT_ONLY_SCORES = st.sampled_from(["1_0", "\u0661", "\uff11.5", " 1", "2\x0c", "3\u00a0"])
 
 

@@ -20,7 +20,7 @@ from tiecal import (
     mean_defined,
     tau_c_context,
 )
-from tiecal.grouping import Aligned, _tau_c_contexts
+from tiecal.stats import _tau_c_contexts
 
 
 def matrix_from(rows):
@@ -260,7 +260,7 @@ class TestTauCContexts:
             n = int(sizes.sum())
             h = rng.choice([-0.0, 0.0, -5.0, -10.0], n)
             m = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0, 2.5], n)
-            contexts = _tau_c_contexts(Aligned(h, m, np.asarray(sizes, dtype=np.int64)))
+            contexts = _tau_c_contexts(h, m, np.asarray(sizes, dtype=np.int64))
             starts = np.concatenate(([0], np.cumsum(sizes)))
             bounds = list(zip(starts[:-1], starts[1:]))
             expected = [tau_c_context(h[a:b], m[a:b]) for a, b in bounds]
