@@ -51,9 +51,8 @@ from .stats import (
 # Moves per block of the approximate sweep: its temporaries stay near 3 MB.
 _SWEEP_MOVES = 1 << 14
 # Peak bytes per pair of a sweep: the moving pairs' gaps and packed group and
-# class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room;
-# a sampled sweep adds, per drawn pair, its gap, kept through the gap sort.
-_SWEEP_BYTES_PER_PAIR, _DRAWN_BYTES_PER_PAIR = 32, 8
+# class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room.
+_SWEEP_BYTES_PER_PAIR = 32
 # Where calibrate's memory guard reads this process's cgroups and their limits.
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
@@ -67,24 +66,11 @@ _CLASS_BITS = 20
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """What to maximize and how to search.
-
-    ``sample_fraction`` = 1 sweeps every distinct gap; smaller values draw
-    that fraction of pairs (without replacement, seeded) as threshold
-    candidates, while each candidate is still evaluated on all pairs.
-    """
+    """What to maximize, and over which groups and gaps."""
 
     kind: StatKind = StatKind.ACC_EQ
     mode: GroupingMode = GroupingMode.GROUP_BY_ITEM
     eps_mode: EpsilonMode = EpsilonMode.ABSOLUTE
-    sample_fraction: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.sample_fraction <= 1.0):
-            raise ValueError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -94,44 +80,31 @@ class CalibrationResult:
     epsilon_star: float
     stat_star: float | None
     candidates_evaluated: int
-    exact: bool
     config: CalibrationConfig
     report: CorrelationReport
 
 
-def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int, drawn: int | None,
-                  seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One pass over the pair kernel at threshold zero, for ``total`` pairs:
     the per-group class counts; the gaps of the pairs a positive threshold
     can tie, sorted (not stably: moves of equal gap enter at one candidate
     together), and each one's ``group << 2 | class``; and each candidate as
-    the number of moves it ties: 0, then the ends of the runs of equal gaps
-    (every run, or the runs of the gaps of ``drawn`` pairs drawn with ``seed``)."""
-    rng = np.random.default_rng(seed)
-    picked = None if drawn is None else np.sort(rng.choice(total, size=drawn, replace=False))
+    the number of moves it ties: 0, then the end of each run of equal gaps."""
     counts = np.zeros((aligned.sizes.size, 5), dtype=np.int64)
-    gaps, packed, sampled = np.empty(total), np.empty(total, dtype=np.int32), [np.empty(0)]
-    p0 = n = 0
+    gaps, packed = np.empty(total), np.empty(total, dtype=np.int32)
+    n = 0
     for gap, group, cls, _ in _pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode)):
         _fold(counts, group, cls)
-        if picked is not None:
-            lo, hi = np.searchsorted(picked, [p0, p0 + gap.size])
-            sampled.append(gap[picked[lo:hi] - p0])
-        p0, moving = p0 + gap.size, np.flatnonzero(gap > 0.0)
+        moving = np.flatnonzero(gap > 0.0)
         gaps[n:n + moving.size] = gap[moving]
         packed[n:n + moving.size] = (group[moving] << 2) | cls[moving]
         n += moving.size
-    del picked  # only the drawn gaps go through the sort
-    sampled = None if drawn is None else np.concatenate(sampled)
     order = np.argsort(gaps[:n])
     gaps = gaps[:n][order]
     packed = packed[:n][order]
     del order
-    if sampled is None:
-        ends = np.concatenate(([True], gaps[1:] != gaps[:-1], [n > 0]))
-    else:
-        ends = np.zeros(n + 1, dtype=bool)
-        ends[np.searchsorted(gaps, sampled, "right")] = ends[0] = True
+    ends = np.concatenate(([True], gaps[1:] != gaps[:-1], [n > 0]))
     return counts, gaps, packed, np.flatnonzero(ends)
 
 
@@ -239,16 +212,12 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     total_pairs = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
     if total_pairs == 0:
         raise ValueError("nothing to calibrate: no group has two aligned entries")
-    fraction = config.sample_fraction  # below 1: draw the pairs whose gaps are candidates
-    drawn = None if fraction == 1.0 else max(1, int(round(fraction * total_pairs)))
-    need = total_pairs * _SWEEP_BYTES_PER_PAIR + (drawn or 0) * _DRAWN_BYTES_PER_PAIR
+    need = total_pairs * _SWEEP_BYTES_PER_PAIR
     have, what = _memory_limit()
     if need > have:
-        of_them = f", {drawn:,} of them drawn as candidates," if drawn else ""
-        raise MemoryError(f"calibrating {total_pairs:,} within-group pairs{of_them} needs "
+        raise MemoryError(f"calibrating {total_pairs:,} within-group pairs needs "
                           f"about {need / 2**30:.3g} GiB, more than {what}")
-    counts, gaps, packed, at = _sorted_moves(aligned, config.eps_mode, total_pairs, drawn,
-                                             config.seed)
+    counts, gaps, packed, at = _sorted_moves(aligned, config.eps_mode, total_pairs)
 
     kind = config.kind
     n_groups = aligned.sizes.size
@@ -300,7 +269,6 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         epsilon_star=float(best_eps),
         stat_star=report.value,
         candidates_evaluated=n_candidates,
-        exact=drawn is None,
         config=config,
         report=report,
     )

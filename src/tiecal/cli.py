@@ -75,7 +75,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text: str) -> int:
-    """A --seed value: the sampling and tie-breaking generators take none below 0."""
+    """A perturb --seed value: the tie-breaking generator takes none below 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -119,9 +119,6 @@ _SHARED_OPTIONS: dict[str, dict[str, Any]] = {
     "--epsilon": dict(type=float, default=0.0, help="metric tie threshold (default 0)"),
     "--eps-mode": dict(default="absolute", choices=[m.value for m in EpsilonMode],
                        help="compare gaps absolutely or relative to score magnitude"),
-    "--sample-fraction": dict(type=float, default=1.0,
-                              help="fraction of pairs drawn as threshold candidates (1 = exact)"),
-    "--seed": dict(type=_seed, default=0, help="sampling seed"),
 }
 
 
@@ -151,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_options(p, multi_metric=True,
                     out_help="report path; the default '-' writes no report (each metric's "
                              "'metric=NAME epsilon=E STAT=VALUE' line is printed either way)")
-    _add_shared_options(p, "--mode", "--eps-mode", "--sample-fraction", "--seed")
+    _add_shared_options(p, "--mode", "--eps-mode")
     p.add_argument("--stat", default="acc_eq", help="statistic to maximize")
     p.add_argument("--emit-epsilon", metavar="FILE",
                    help="also write 'metric<TAB>epsilon' rows to FILE for later reuse")
@@ -162,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_options(p, "--mode")
     _add_shared_options(p, "--epsilon", note="; not used with --calibrate")
     _add_shared_options(p, "--eps-mode")
-    _add_shared_options(p, "--sample-fraction", "--seed", note="; only used with --calibrate")
     p.add_argument("--stat", default="acc_eq", help="statistic to rank by")
     p.add_argument("--calibrate", action="store_true",
                    help="calibrate the threshold per metric before ranking")
@@ -243,7 +239,7 @@ def _one_metric(args: argparse.Namespace) -> tuple[str, Path]:
 
 
 def _policy(args: argparse.Namespace) -> EpsilonPolicy:
-    return EpsilonPolicy(args.epsilon, EpsilonMode.parse(args.eps_mode))
+    return EpsilonPolicy(args.epsilon, EpsilonMode(args.eps_mode))
 
 
 def _load_inputs(human_path: str, metrics: Sequence[tuple[str, Path]]
@@ -291,7 +287,7 @@ def _row(name: str, report: CorrelationReport, **extra: Any) -> dict[str, Any]:
 
 def _cmd_correlate(args: argparse.Namespace) -> Outputs:
     kinds = _parse_stats(args.stat)
-    mode = GroupingMode.parse(args.mode)
+    mode = GroupingMode(args.mode)
     pol = _policy(args)
     human, metrics, digests = _load_inputs(args.human, _parse_metrics(args.metric))
     rows = [_row(name, report) for name, matrix in metrics
@@ -301,8 +297,11 @@ def _cmd_correlate(args: argparse.Namespace) -> Outputs:
     yield args.out, _document(args, digests, _REPORT_COLUMNS, rows, ranking)
 
 
+# Every calibration searches every candidate, so these columns read the same in
+# every row; they stay in the report so that its layout is stable for readers.
+_EXACT_SEARCH = {"sample_fraction": 1.0, "seed": 0, "exact": True}
 _CALIBRATE_COLUMNS = (
-    "metric", "stat", "mode", "eps_mode", "sample_fraction", "seed", "exact",
+    "metric", "stat", "mode", "eps_mode", *_EXACT_SEARCH,
     "candidates", "epsilon_star", "value", "groups_total", "groups_used", "pairs_total",
 )
 
@@ -310,9 +309,8 @@ _CALIBRATE_COLUMNS = (
 def _calibration_config(args: argparse.Namespace) -> CalibrationConfig:
     """The config that calibrate and rank --calibrate build from their flags;
     warns on stderr when its statistic does not reward correct ties."""
-    config = CalibrationConfig(kind=StatKind.parse(args.stat), mode=GroupingMode.parse(args.mode),
-                               eps_mode=EpsilonMode.parse(args.eps_mode),
-                               sample_fraction=args.sample_fraction, seed=args.seed)
+    config = CalibrationConfig(kind=StatKind.parse(args.stat), mode=GroupingMode(args.mode),
+                               eps_mode=EpsilonMode(args.eps_mode))
     if config.kind in TIE_AVERSE_KINDS:
         print(f"warning: tie calibration with {config.kind.value} may lead to unexpected "
               "results; the statistic does not reward correctly predicted ties",
@@ -329,8 +327,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> Outputs:
         value_text = "NaN" if result.stat_star is None else f"{result.stat_star:.6f}"
         yield "-", (f"metric={name} epsilon={result.epsilon_star:.6g} "
                     f"{config.kind.value}={value_text}\n").encode("utf-8")
-        rows.append(_row(name, result.report, sample_fraction=config.sample_fraction,
-                         seed=config.seed, exact=result.exact,
+        rows.append(_row(name, result.report, **_EXACT_SEARCH,
                          candidates=result.candidates_evaluated,
                          epsilon_star=result.epsilon_star))
     if args.out != "-":
@@ -348,7 +345,7 @@ def _cmd_rank(args: argparse.Namespace) -> Outputs:
     if args.calibrate:
         config = _calibration_config(args)
     else:
-        kind, mode, pol = StatKind.parse(args.stat), GroupingMode.parse(args.mode), _policy(args)
+        kind, mode, pol = StatKind.parse(args.stat), GroupingMode(args.mode), _policy(args)
     human, metrics, digests = _load_inputs(args.human, _parse_metrics(args.metric))
     if args.baseline:
         if any(name == BASELINE_NAME for name, _ in metrics):
@@ -370,7 +367,7 @@ _BUCKET_COLUMNS = ("metric", "stat", "mode", "k", "value",
 def _cmd_buckets(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
     kind = StatKind.parse(args.stat)
-    mode = GroupingMode.parse(args.mode)
+    mode = GroupingMode(args.mode)
     k_list = _parse_list(args.k_list, "--k-list", int)
     if not k_list or any(k < 1 for k in k_list):
         raise ValueError(f"--k-list must contain positive integers, got {args.k_list!r}")
@@ -388,7 +385,7 @@ _BIN_BYTES = {"tsv": 512, "json": 768}
 
 def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
-    mode = GroupingMode.parse(args.mode)
+    mode = GroupingMode(args.mode)
     pol = _policy(args)
     need, (have, what) = args.bins * _BIN_BYTES[args.format], calibration._memory_limit()
     if need > have:
@@ -407,8 +404,8 @@ _F1_COLUMNS = ("epsilon", "ties_f1", "rank_f1", "acc_eq")
 
 def _cmd_f1_curve(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
-    mode = GroupingMode.parse(args.mode)
-    eps_mode = EpsilonMode.parse(args.eps_mode)
+    mode = GroupingMode(args.mode)
+    eps_mode = EpsilonMode(args.eps_mode)
     grid = _parse_list(args.eps_grid, "--eps-grid", lambda text: EpsilonPolicy(float(text)).epsilon)
     if not grid:
         raise ValueError(f"--eps-grid names no threshold: {args.eps_grid!r}")

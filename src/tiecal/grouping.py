@@ -122,14 +122,6 @@ class GroupingMode(enum.Enum):
     GROUP_BY_ITEM = "group-by-item"
     GROUP_BY_SYSTEM = "group-by-system"
 
-    @classmethod
-    def parse(cls, name: str) -> "GroupingMode":
-        try:
-            return cls(name)
-        except ValueError:
-            known = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown grouping mode {name!r} (known: {known})") from None
-
 
 class Aligned(NamedTuple):
     """Paired scores split into groups, in the layout the pair kernel reads:

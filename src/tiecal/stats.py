@@ -59,13 +59,6 @@ class EpsilonMode(enum.Enum):
     ABSOLUTE = "absolute"
     RELATIVE = "relative"
 
-    @classmethod
-    def parse(cls, name: str) -> "EpsilonMode":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ValueError(f"unknown epsilon mode {name!r}") from None
-
 
 @dataclass(frozen=True)
 class EpsilonPolicy:
@@ -426,7 +419,7 @@ def break_ties_randomly(metric: Scores, eps: EpsilonPolicy | float = 0.0, *,
     current cluster while its policy gap to the cluster's first score stays
     <= epsilon, so under an absolute policy any two scores with a gap
     larger than epsilon keep their relative order.  Each cluster's internal
-    order is drawn uniformly at random; the result is deterministic for a
+    order is chosen uniformly at random; the result is deterministic for a
     given seed.  Returned scores are the ranks 1..n.
     """
     pol = _as_policy(eps)

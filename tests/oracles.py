@@ -173,25 +173,15 @@ def counts_from_cells(cells):
                       tied_both=cells["=", "="])
 
 
-def brute_force_calibration(human, metric, mode, kind, relative=False, sample=None):
+def brute_force_calibration(human, metric, mode, kind, relative=False):
     """Maximize by re-evaluating every candidate threshold from scratch.
 
     Candidates are zero plus every within-group gap; the smallest candidate
-    attaining the maximum wins, mirroring the documented tie-break.  With
-    ``sample`` = (fraction, seed) they are zero plus the gaps of a seeded
-    draw of round(fraction * pairs) pairs (at least one, without
-    replacement) from the pairs listed group by group, (i, j) with i < j in
-    row-major order inside each.
+    attaining the maximum wins, mirroring the documented tie-break.
     """
     groups = oracle_groups(human, metric, mode)
     views = pair_views(groups, relative)
-    gaps = [float(g) for view in views if view is not None for g in view[0]]
-    if sample is not None:
-        fraction, seed = sample
-        size = max(1, int(round(fraction * len(gaps))))
-        picked = np.random.default_rng(seed).choice(len(gaps), size=size, replace=False)
-        gaps = [gaps[i] for i in picked]
-    candidates = {0.0, *gaps}
+    candidates = {0.0, *(float(g) for view in views if view is not None for g in view[0])}
     best_eps = 0.0
     best_val = None
     for eps in sorted(candidates):

@@ -49,12 +49,6 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def vector_matrices(h_scores, m_scores):
-    h = ScoreMatrix((f"s{i:03d}", "seg", float(v)) for i, v in enumerate(h_scores))
-    m = ScoreMatrix((f"s{i:03d}", "seg", float(v)) for i, v in enumerate(m_scores))
-    return h, m
-
-
 def test_figure3_exactness():
     """All 16 statistic values on the worked example, within +-0.005, < 1s."""
     expected = {
@@ -279,33 +273,6 @@ def suff_stats_totals(human, mode):
     return tied, total
 
 
-def test_downsampling_tolerance():
-    """sample_fraction=0.1 vs exact on ~1e5 pairs: |delta| <= 5e-3 in >= 95%
-    of 30 seeded runs; < 120s."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(314)
-    n = 450
-    hum = rng.integers(0, 10, n).astype(float)
-    met = hum + rng.normal(scale=0.4, size=n)
-    h, m = vector_matrices(hum, met)
-    exact = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ,
-                                              mode=GroupingMode.NO_GROUPING))
-    assert exact.report.pairs_total == n * (n - 1) // 2
-    within = 0
-    worst = 0.0
-    for seed in range(30):
-        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING,
-                                   sample_fraction=0.1, seed=seed)
-        sampled = calibrate(h, m, config)
-        deviation = abs(sampled.stat_star - exact.stat_star)
-        worst = max(worst, deviation)
-        within += deviation <= 5e-3
-    elapsed = time.perf_counter() - start
-    ok = within >= int(0.95 * 30) and elapsed < 120.0
-    report("downsampling-tolerance", ok,
-           f"{within}/30 within 5e-3, max dev {worst:.1e}, {elapsed:.1f}s")
-
-
 def test_incremental_sweep_consistency():
     """At every candidate threshold (zero and each distinct within-group gap,
     from the oracle) the sweep's exact replay holds the counts of a fresh
@@ -327,7 +294,7 @@ def test_incremental_sweep_consistency():
         failures += result.candidates_evaluated != len(candidates)
         aligned = align(h, m, mode)
         total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
-        counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total, None)
+        counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total)
         ends = np.searchsorted(gaps, candidates, "right")
         start = _stat_from_arrays(StatKind.ACC_EQ, *counts.T)
         _, sums, defined = zip(*_approx_means(StatKind.ACC_EQ, counts, start, None, packed, ends))
@@ -365,7 +332,7 @@ def test_performance():
     result = calibrate(hmat, mmat, CalibrationConfig(kind=StatKind.ACC_EQ,
                                                      mode=GroupingMode.GROUP_BY_ITEM))
     t_sweep = time.perf_counter() - start
-    assert result.exact
+    assert result.report.pairs_total == 1500 * 15 * 14 // 2
 
     ok = t_pairs < 60.0 and t_sweep < 10.0
     report("performance", ok,

@@ -50,7 +50,6 @@ class TestCalibrate:
         result = calibrate(h, m, config)
         assert result.epsilon_star == 0.05
         assert result.stat_star == 1.0
-        assert result.exact
         # threshold zero only ties nothing: accuracy 2/3
         assert grouped_stat(h, m, GroupingMode.NO_GROUPING,
                              StatKind.ACC_EQ, 0.0).value == pytest.approx(2 / 3)
@@ -117,7 +116,7 @@ class TestCalibrate:
 
             aligned = align(h, m, mode)
             total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
-            counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total, None)
+            counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total)
             contexts = _tau_c_contexts(*aligned) if kind is StatKind.TAU_C else None
             k, n = (None, None) if contexts is None else contexts
             ends = np.searchsorted(gaps, candidates, "right")
@@ -139,23 +138,10 @@ class TestCalibrate:
     def test_deterministic(self):
         rng = np.random.default_rng(77)
         h, m = random_instance(rng)
-        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM,
-                                   sample_fraction=0.5, seed=123)
+        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM)
         a = calibrate(h, m, config)
         b = calibrate(h, m, config)
         assert a == b
-
-    def test_sampled_candidates_are_subset(self):
-        rng = np.random.default_rng(88)
-        h, m = random_instance(rng)
-        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM)
-        exact = calibrate(h, m, config)
-        sampled = calibrate(h, m, CalibrationConfig(
-            kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM,
-            sample_fraction=0.3, seed=5))
-        assert not sampled.exact
-        assert sampled.candidates_evaluated <= exact.candidates_evaluated
-        assert sampled.stat_star <= exact.stat_star
 
     def test_relative_mode_sweep(self):
         # relative gaps: |10-9|/10 = 0.1, |100-90|/100 = 0.1, |10-100|/100 = 0.9
@@ -171,8 +157,9 @@ class TestCalibrate:
         assert check.value == 1.0
 
     def test_pair_kernel_matches_per_group_triu_order(self):
-        # seeded candidate sampling indexes pairs, so their order is part of
-        # the contract: groups in order, np.triu_indices order inside each
+        # a tie histogram's top edge of 0.0 takes its sign from the midpoints in
+        # this order, so it is part of the contract: groups in order,
+        # np.triu_indices order inside each
         rng = np.random.default_rng(31)
         for eps_mode in EpsilonMode:
             h, m = random_instance(rng)
@@ -207,18 +194,7 @@ class TestCalibrate:
         assert f"about {32 * 44_850 / 2**30:.3g} GiB" in message
         assert f"machine's {(32 * 44_850 - 1) / 2**30:.3g} GiB of memory" in message
         machine(32 * 44_850)
-        assert calibrate(h, m, config).exact
-        # a sampled run also reserves 8 B for each of its 22,425 drawn pairs
-        sampled = CalibrationConfig(mode=GroupingMode.NO_GROUPING, sample_fraction=0.5)
-        with pytest.raises(MemoryError) as info:
-            calibrate(h, m, sampled)
-        need = 32 * 44_850 + 8 * 22_425
-        assert str(info.value) == (
-            "calibrating 44,850 within-group pairs, 22,425 of them drawn as candidates, "
-            f"needs about {need / 2**30:.3g} GiB, more than this machine's "
-            f"{32 * 44_850 / 2**30:.3g} GiB of memory")
-        machine(need)
-        assert not calibrate(h, m, sampled).exact
+        assert calibrate(h, m, config).report.pairs_total == 44_850
 
     @pytest.mark.parametrize("limit", ["rlimit_as", "cgroup", "cgroup_v1"])
     def test_refuses_more_pairs_than_the_smallest_memory_limit(self, monkeypatch, tmp_path,
@@ -246,7 +222,7 @@ class TestCalibrate:
             else:
                 limit_file.write_text(f"{value}\n")
 
-        assert calibrate(h, m, config).exact  # no limit file: physical memory only
+        assert calibrate(h, m, config).report.pairs_total == 44_850  # physical memory only
         set_limit(need - 1)
         with pytest.raises(MemoryError) as info:
             calibrate(h, m, config)
@@ -256,22 +232,10 @@ class TestCalibrate:
         assert ("RLIMIT_AS" if limit == "rlimit_as" else
                 f"{limit_file.name} of cgroup {limit_file.parent}") in message
         set_limit(need)
-        assert calibrate(h, m, config).exact
+        assert calibrate(h, m, config).report.pairs_total == 44_850
         if limit != "rlimit_as":  # a cgroup without a limit
             set_limit("max" if limit == "cgroup" else 9223372036854771712)
-            assert calibrate(h, m, config).exact
-
-    def test_invalid_sample_fraction(self):
-        with pytest.raises(ValueError):
-            CalibrationConfig(sample_fraction=0.0)
-        with pytest.raises(ValueError):
-            CalibrationConfig(sample_fraction=1.5)
-
-    def test_negative_seed(self):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            CalibrationConfig(sample_fraction=0.5, seed=-1)
-        with pytest.raises(ValueError, match="seed"):
-            CalibrationConfig(seed=-1)
+            assert calibrate(h, m, config).report.pairs_total == 44_850
 
 
 class TestManySmallGroups:
@@ -308,7 +272,7 @@ class TestManySmallGroups:
         # the blocked sweep's approximate means track the batch values at every candidate
         aligned = align(h, m, mode)
         total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
-        counts, gaps, packed, _ = _sorted_moves(aligned, EpsilonMode.ABSOLUTE, total, None)
+        counts, gaps, packed, _ = _sorted_moves(aligned, EpsilonMode.ABSOLUTE, total)
         start = _stat_from_arrays(kind, *counts.T)
         at = np.searchsorted(gaps, np.arange(9.0), "right")
         _, sums, defined = zip(*_approx_means(kind, counts, start, None, packed, at))
@@ -357,19 +321,15 @@ class TestPairMemory:
         config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
         assert self.peak(lambda: calibrate(h, m, config)) < 40 * self.PAIRS
 
-    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.9])
-    def test_calibration_stays_within_its_memory_guard(self, campaign, fraction):
-        """The traced peak is at most what the guard reserves: 32 B a pair,
-        and 8 B more for each drawn pair of a sampled run."""
+    def test_calibration_stays_within_its_memory_guard(self, campaign):
+        """The traced peak is at most what the guard reserves: 32 B a pair."""
         h, m = campaign
-        config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE,
-                                   sample_fraction=fraction)
-        drawn = 0 if fraction == 1.0 else round(fraction * self.PAIRS)
-        assert self.peak(lambda: calibrate(h, m, config)) <= 32 * self.PAIRS + 8 * drawn
+        config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
+        assert self.peak(lambda: calibrate(h, m, config)) <= 32 * self.PAIRS
 
     def test_replay_step_holds_no_per_move_arrays(self, campaign):
         aligned = align(*campaign, self.MODE)
-        counts, _, packed, _ = _sorted_moves(aligned, EpsilonMode.RELATIVE, self.PAIRS, None)
+        counts, _, packed, _ = _sorted_moves(aligned, EpsilonMode.RELATIVE, self.PAIRS)
         expected = counts.copy()  # past the largest gap, every pair is metric-tied
         expected[:, 3] += expected[:, 0] + expected[:, 1]
         expected[:, 4] += expected[:, 2]

@@ -147,19 +147,6 @@ class TestCalibrateCommand:
         assert "epsilon=0.05" in out
         assert "acc_eq=1.000000" in out
 
-    def test_sampled_run_is_deterministic(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        h = write_scores(tmp_path / "h.tsv",
-                         vector_rows(rng.integers(0, 4, 30).astype(float)))
-        m = write_scores(tmp_path / "m.tsv", vector_rows(rng.normal(size=30)))
-        argv = ["calibrate", "--human", str(h), "--metric", f"m={m}",
-                "--mode", "no-grouping", "--stat", "acc_eq",
-                "--sample-fraction", "0.1", "--seed", "7"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
-
     def test_tie_averse_stat_warns(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2, 3]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.1, 0.9, 0.4, 2.0]))
@@ -421,6 +408,7 @@ class TestFailuresExitTwo:
         (["f1-curve", "--eps-grid", "0.1, 1e-3 ,nan?"], "--eps-grid", "'nan?'"),
         (["buckets", "--k-list", "2,y"], "--k-list", "'y'"),
         (["buckets", "--k-list", "4,2.5"], "--k-list", "'2.5'"),
+        (["buckets", "--k-list", "0"], "--k-list", "'0'"),
     ])
     def test_bad_list_entry_names_flag_and_entry(self, tmp_path, capsys, argv, flag, entry):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
@@ -435,10 +423,13 @@ class TestFailuresExitTwo:
     @pytest.mark.parametrize("argv, message", [
         (["tie-hist", "--bins", "abc"], "argument --bins: invalid int value: 'abc'"),
         (["correlate", "--mode", "pooled"], "argument --mode: invalid choice: 'pooled'"),
-        (["calibrate", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
-        (["rank", "--seed", "-3"], "argument --seed: expected a non-negative integer"),
+        (["correlate", "--eps-mode", "squared"], "argument --eps-mode: invalid choice: 'squared'"),
+        (["calibrate", "--sample-fraction", "0.1"],
+         "unrecognized arguments: --sample-fraction 0.1"),
+        (["rank", "--calibrate", "--seed", "3"], "unrecognized arguments: --seed 3"),
         (["perturb", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
-        (["rank", "--seed", "x"], "argument --seed: expected a non-negative integer"),
+        (["perturb", "--seed", "x"], "argument --seed: expected a non-negative integer"),
+        (["correlate", "--metric", "m"], "--metric expects NAME=FILE, got 'm'"),
     ])
     def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
@@ -450,6 +441,16 @@ class TestFailuresExitTwo:
         assert captured.out == ""
         assert self.one_error_line(captured.err)
         assert captured.err.startswith(f"error: {message}")
+
+    def test_baseline_name_is_reserved(self, tmp_path, capsys):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        code = main(["rank", "--baseline", "--human", str(h), "--metric", f"Constant-Metric={m}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: metric name 'Constant-Metric' is reserved for "
+                                "--baseline\n")
 
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),

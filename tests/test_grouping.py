@@ -308,6 +308,11 @@ class TestBucketize:
         with pytest.raises(ValueError, match="empty"):
             bucketize(ScoreMatrix(), 4)
 
+    def test_bucket_count_below_one_rejected(self):
+        m = matrix_from([("s1", "g1", 0.0), ("s2", "g1", 1.0)])
+        with pytest.raises(ValueError, match="bucket count must be >= 1, got 0"):
+            bucketize(m, 0)
+
     def test_equals_the_formula_one_score_at_a_time(self):
         # bit for bit: a score of -0.0 gets bucket 0.0 as math.floor gives it
         rng = np.random.default_rng(8)

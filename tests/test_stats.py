@@ -58,6 +58,14 @@ class TestSuffStats:
         with pytest.raises(ValueError, match="length mismatch"):
             suff_stats([1, 2], [1, 2, 3])
 
+    def test_tau_c_context_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            tau_c_context([1, 2], [1, 2, 3])
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match=r"1-dimensional, got shape \(2, 2\)"):
+            suff_stats(np.eye(2), np.eye(2))
+
     def test_short_vectors_yield_zero_counts(self):
         assert suff_stats([], []) == PairCounts()
         assert suff_stats([1.0], [2.0]) == PairCounts()
@@ -332,6 +340,10 @@ class TestStatFromCounts:
         with pytest.raises(ValueError, match="tau_c"):
             stat_from_counts(StatKind.TAU_C, M1_COUNTS)
 
+    def test_tau_c_rejects_an_invalid_context(self):
+        with pytest.raises(ValueError, match="invalid tau_c context k=0, n=3"):
+            stat_from_counts(StatKind.TAU_C, M1_COUNTS, k=0, n=3)
+
     def test_tau_c_undefined_for_single_unique_value(self):
         assert stat_from_counts(StatKind.TAU_C, PairCounts(tied_metric=3), k=1, n=3) is None
 
@@ -587,5 +599,3 @@ class TestEpsilonPolicy:
     def test_parse_unknown_names(self):
         with pytest.raises(ValueError):
             StatKind.parse("tau_z")
-        with pytest.raises(ValueError):
-            EpsilonMode.parse("squared")
