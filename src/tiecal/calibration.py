@@ -311,19 +311,13 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
     m = aligned.metric[np.lexsort((aligned.metric, owner))]
     top = np.cumsum(aligned.sizes)[paired] - 1
     low = top - aligned.sizes[paired] + 1
-    lo, hi = ((m[low] + m[low + 1]) / 2.0).min(), ((m[top - 1] + m[top]) / 2.0).max()
+    lo = ((m[low] + m[low + 1]) / 2.0).min()
+    hi = ((m[top - 1] + m[top]) / 2.0).max() + 0.0  # a top edge of 0.0 is +0.0
     edges = np.histogram_bin_edges([lo, hi], bins)  # what np.histogram(mid, bins) uses
     all_counts, new_counts = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
-    zero_signs: set[bool] = set()
     for gap, _, _, mid in _pair_blocks(*aligned, pol, midpoints=True):
         all_counts += np.histogram(mid, bins, range=(lo, hi))[0]
         new_counts += np.histogram(mid[(gap > 0.0) & (gap <= pol.epsilon)], edges)[0]
-        if hi == 0.0:
-            zero_signs.update(np.signbit(mid[mid == 0.0]).tolist())
-    if lo < hi and zero_signs == {False, True}:
-        # A top edge of 0.0 carries the sign np.max picks from all midpoints.
-        blocks = _pair_blocks(*aligned, pol, midpoints=True)
-        edges[-1] = np.concatenate([mid for _, _, _, mid in blocks]).max()
     return TieHistogram(edges, all_counts, new_counts)
 
 

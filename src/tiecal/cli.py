@@ -93,13 +93,6 @@ def _bins(text: str) -> int:
     return bins
 
 
-def _default_format() -> str:
-    fmt = os.environ.get("TIECAL_FORMAT", "tsv")
-    if fmt not in ("tsv", "json"):
-        raise ValueError(f"TIECAL_FORMAT must be tsv or json, got {fmt!r}")
-    return fmt
-
-
 def _add_io_options(parser: argparse.ArgumentParser, multi_metric: bool,
                     out_help: str = "output path, '-' for stdout (default)") -> None:
     parser.add_argument("--human", required=True, metavar="FILE",
@@ -108,8 +101,8 @@ def _add_io_options(parser: argparse.ArgumentParser, multi_metric: bool,
                         help="metric name and its TSV score file"
                              + ("; repeatable" if multi_metric else ""))
     parser.add_argument("--out", default="-", metavar="FILE", help=out_help)
-    parser.add_argument("--format", choices=("tsv", "json"),
-                        help="report format (default from TIECAL_FORMAT, else tsv)")
+    parser.add_argument("--format", default="tsv", choices=("tsv", "json"),
+                        help="report format (default tsv)")
 
 
 # Options several subcommands take, each declared once.
@@ -446,13 +439,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     staged: dict[str, Path] = {}  # output path -> its temporary file
     try:
         args = build_parser().parse_args(argv)
-        if hasattr(args, "format"):  # a report command
-            args.format = args.format or _default_format()
         emit = getattr(args, "emit_epsilon", None)
         if emit == "-":
             raise ValueError("--emit-epsilon -: the epsilon file cannot go to stdout")
         if emit and args.out != "-" and Path(emit).resolve() == Path(args.out).resolve():
             raise ValueError(f"--emit-epsilon {emit}: the same file as --out")
+        inputs = [("--human", getattr(args, "human", None)),
+                  *(("--metric", spec.partition("=")[2]) for spec in args.metric)]
+        for flag, path in (("--out", args.out), ("--emit-epsilon", emit)):
+            for source, given in inputs if path not in (None, "-") and Path(path).is_file() else ():
+                if given and Path(given).exists() and os.path.samefile(path, given):
+                    raise ValueError(f"{flag} {path}: the same file as {source} {given}")
         # Each output path gets a temporary file, moved into place once every
         # output is ready: a failed run leaves no new or altered output.
         for flag, path in (("--out", args.out), ("--emit-epsilon", emit)):

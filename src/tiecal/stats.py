@@ -75,6 +75,7 @@ class EpsilonPolicy:
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", self.epsilon + 0.0)  # -0.0 is the policy 0.0
 
     def gaps(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Derived gap values; a pair is tied iff its gap <= epsilon."""

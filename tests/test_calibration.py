@@ -316,6 +316,20 @@ class TestPairMemory:
         pol = EpsilonPolicy(0.02, EpsilonMode.RELATIVE)
         assert self.peak(lambda: tie_location_histogram(h, m, pol, 20, self.MODE)) < 8e6
 
+    def test_tie_histogram_of_mixed_signed_zeros_holds_no_pairs(self):
+        # 1,999,000 pooled pairs whose top midpoints are 0.0 and -0.0
+        rng = np.random.default_rng(5)
+        keys = [(f"sys{i % 15:02d}", f"seg{i:05d}") for i in range(2000)]
+        zeros = np.where(rng.random(2000) < 0.5, -0.0, 0.0)
+        metric = np.where(rng.random(2000) < 0.2, zeros, -rng.random(2000))
+        human = rng.integers(0, 5, 2000).astype(float)
+        h = ScoreMatrix(dict(zip(keys, human.tolist())))
+        m = ScoreMatrix(dict(zip(keys, metric.tolist())))
+        pol = EpsilonPolicy(0.01)
+        hist = tie_location_histogram(h, m, pol, 10)
+        assert hist.bin_edges[-1] == 0.0 and hist.all_pairs.sum() == 2000 * 1999 // 2
+        assert self.peak(lambda: tie_location_histogram(h, m, pol, 10)) < 8 * 2**20
+
     def test_calibration_holds_under_40_bytes_a_pair(self, campaign):
         h, m = campaign
         config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)

@@ -140,6 +140,7 @@ def assert_histogram_matches_concatenated_midpoints(human, metric, pol, bins, mo
     if blocks:
         gap, _, _, mid = (np.concatenate(column) for column in zip(*blocks))
         all_pairs, edges = np.histogram(mid, bins)
+        edges[-1] += 0.0  # a top edge of 0.0 is +0.0, whichever sign np.max picks
         newly_tied, _ = np.histogram(mid[(gap > 0.0) & (gap <= pol.epsilon)], edges)
     else:
         edges, all_pairs, newly_tied = np.linspace(0.0, 1.0, bins + 1), [0] * bins, [0] * bins
@@ -162,7 +163,7 @@ def test_tie_histogram_equals_np_histogram_of_all_midpoints(campaign, mode, rela
 
 def test_tie_histogram_top_edge_of_mixed_signed_zeros():
     # every midpoint is at most zero and the top ones are 0.0 and -0.0:
-    # np.max over all of them decides the sign of the last edge
+    # the last edge is +0.0, wherever each sign sits
     rng = np.random.default_rng(3)
     for n_zeros in (2, 3, 9, 40):
         for _ in range(5):
@@ -174,6 +175,8 @@ def test_tie_histogram_top_edge_of_mixed_signed_zeros():
             for block in (3, _BLOCK_PAIRS):
                 assert_histogram_matches_concatenated_midpoints(
                     human, metric, EpsilonPolicy(0.5), 4, GroupingMode.NO_GROUPING, block)
+            hist = tie_location_histogram(human, metric, 0.5, 4)
+            assert hist.bin_edges[-1] == 0.0 and not np.signbit(hist.bin_edges[-1])
 
 
 @PROFILE

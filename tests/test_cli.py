@@ -135,6 +135,19 @@ class TestCorrelate:
                 single[(row.split("\t")[0], kind)] = row
         assert combined[1:] == [single[(name, kind)] for name in ("a", "b") for kind in kinds]
 
+    @pytest.mark.parametrize("flag", ["correlate --epsilon", "rank --epsilon",
+                                      "f1-curve --eps-grid"])
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_negative_zero_threshold_reports_as_zero(self, figure_files, capsys, flag, fmt):
+        command, option = flag.split()
+        h, m1, _ = figure_files
+        reports = []
+        for zero in ("-0", "0"):
+            assert main([command, "--human", str(h), "--metric", f"m1={m1}",
+                         f"{option}={zero}", "--format", fmt]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
 
 class TestCalibrateCommand:
     def test_summary_line(self, tmp_path, capsys):
@@ -369,15 +382,6 @@ class TestAuxCommands:
                      "--metric", f"m={m}", "--metric", f"m={m}"])
         assert code == 2
 
-    def test_env_var_sets_default_format(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TIECAL_FORMAT", "json")
-        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
-        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
-        code = main(["correlate", "--human", str(h), "--metric", f"m={m}",
-                     "--mode", "no-grouping", "--stat", "acc_eq"])
-        assert code == 0
-        json.loads(capsys.readouterr().out)
-
 
 class TestFailuresExitTwo:
     """Every failure exits 2 with a single 'error:' line on stderr."""
@@ -430,10 +434,19 @@ class TestFailuresExitTwo:
         (["perturb", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
         (["perturb", "--seed", "x"], "argument --seed: expected a non-negative integer"),
         (["correlate", "--metric", "m"], "--metric expects NAME=FILE, got 'm'"),
+        # an output that is an input, named relatively here and absolutely there
+        (["correlate", "--out", "h.tsv"], "--out h.tsv: the same file as --human"),
+        (["calibrate", "--emit-epsilon", "m.tsv"],
+         "--emit-epsilon m.tsv: the same file as --metric"),
+        (["perturb", "--out", "m.tsv"], "--out m.tsv: the same file as --metric"),
+        (["rank", "--out", "hard-link.tsv"], "--out hard-link.tsv: the same file as --human"),
     ])
-    def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
+    def test_usage_error_is_one_line(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
+        os.link(h, tmp_path / "hard-link.tsv")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
         human = [] if argv[0] == "perturb" else ["--human", str(h)]
         code = main([*argv, *human, "--metric", f"m={m}"])
         assert code == 2
@@ -441,6 +454,7 @@ class TestFailuresExitTwo:
         assert captured.out == ""
         assert self.one_error_line(captured.err)
         assert captured.err.startswith(f"error: {message}")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_baseline_name_is_reserved(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
@@ -533,22 +547,13 @@ class TestFailuresExitTwo:
         assert main(["tie-hist", "--human", str(h), "--metric", f"m={m}", "--bins", "2"]) == 0
         assert len(parse_tsv(capsys.readouterr().out)) == 2
 
-    def test_invalid_format_variable(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TIECAL_FORMAT", "xml")
-        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
-        m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
-        code = main(["correlate", "--human", str(h), "--metric", f"m={m}"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert self.one_error_line(captured.err)
-        assert "TIECAL_FORMAT" in captured.err and "'xml'" in captured.err
-
-    @pytest.mark.parametrize("argv", [["--version"], ["perturb", "--out", "p.tsv"]])
+    @pytest.mark.parametrize("argv", [["--version"], ["perturb", "--out", "p.tsv"],
+                                      ["correlate", "--human", "h.tsv"]])
     def test_format_variable_unread_without_format_flag(self, tmp_path, capsys, monkeypatch,
                                                          argv):
         monkeypatch.setenv("TIECAL_FORMAT", "xml")
         monkeypatch.chdir(tmp_path)
+        write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0, 1]))
         if argv[0] == "--version":
             with pytest.raises(SystemExit) as info:
@@ -556,7 +561,10 @@ class TestFailuresExitTwo:
             assert info.value.code == 0
         else:
             assert main([*argv, "--metric", f"m={m}"]) == 0
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if argv[0] == "correlate":  # the report is TSV, as without the variable
+            assert [row["metric"] for row in parse_tsv(captured.out)] == ["m"]
 
     def test_existing_directory_as_output_fails_before_reading(self, tmp_path, capsys,
                                                                 monkeypatch):
