@@ -11,8 +11,8 @@ grouped mean at every candidate up to last-ulp drift.  Candidates within a
 stated rounding bound of the best are replayed exactly, in ascending order,
 with the reduction ``grouped_stat`` uses, so ties in the maximum resolve to
 the smallest threshold, and the winner is re-verified by a batch
-evaluation.  Walk, shortlist, exact replay, re-verification: calibration
-has no other path.  The F1 curve is the batch evaluation at each grid
+evaluation; with few candidates for the moves, all are replayed and the
+walk is skipped.  The F1 curve is the batch evaluation at each grid
 point, and the tie histogram reads the kernel's blocks once and keeps no
 pair.
 """
@@ -48,11 +48,12 @@ from .stats import (
     _tau_c_contexts,
 )
 
-# Moves per block of the approximate sweep: its temporaries stay near 3 MB.
-_SWEEP_MOVES = 1 << 14
+# Moves per block of the approximate sweep, and its temporaries' bytes per move.
+_SWEEP_MOVES, _MOVE_BYTES = 1 << 14, 256
 # Peak bytes per pair of a sweep: the moving pairs' gaps and packed group and
-# class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room.
-_SWEEP_BYTES_PER_PAIR = 32
+# class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room;
+# and of the pair layout (stats._pair_blocks) that the sweep may build and keep.
+_SWEEP_BYTES_PER_PAIR, _LAYOUT_BYTES = 32, 13
 # Where calibrate's memory guard reads this process's cgroups and their limits.
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
@@ -62,6 +63,9 @@ _MOVE = np.array([[-1, 0, 0, 1, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1]])
 # Bits of one class's count in the walk's packed running counts: a block's
 # _SWEEP_MOVES moves fit, so no count carries into the next class's bits.
 _CLASS_BITS = 20
+_PACKED_ONE = np.array([1, 1 << _CLASS_BITS, 1 << 2 * _CLASS_BITS], dtype=np.int64)  # a move
+# A replay step costs about as much as walking this many moves plus one a group.
+_REPLAY_STEP_MOVES = 512
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,10 @@ def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int
     counts = np.zeros((aligned.sizes.size, 5), dtype=np.int64)
     gaps, packed = np.empty(total), np.empty(total, dtype=np.int32)
     n = 0
-    for gap, group, cls, _ in _pair_blocks(*aligned, EpsilonPolicy(0.0, eps_mode)):
+    for gap, group, cls, _ in _pair_blocks(*aligned[:3], EpsilonPolicy(0.0, eps_mode),
+                                           layout=aligned.pairs):
         _fold(counts, group, cls)
-        moving = np.flatnonzero(gap > 0.0)
+        moving = np.flatnonzero((gap > 0.0) & (gap < np.inf))  # no threshold ties inf
         gaps[n:n + moving.size] = gap[moving]
         packed[n:n + moving.size] = (group[moving] << 2) | cls[moving]
         n += moving.size
@@ -146,25 +151,28 @@ def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
         starts = np.flatnonzero(np.diff(g, prepend=-1))
         lengths = np.diff(np.append(starts, g.size))
         # own-group moves of each class up to here, inclusive, packed in one int64
-        one = np.ones(g.size, dtype=np.int64) << _CLASS_BITS * cls
+        one = _PACKED_ONE.take(cls)
         moved = np.cumsum(one)
         moved -= np.repeat(moved[starts] - one[starts], lengths)
         mask = (1 << _CLASS_BITS) - 1
-        a, b, t = moved & mask, moved >> _CLASS_BITS & mask, moved >> 2 * _CLASS_BITS
-        c, d, th, tm, thm = columns.take(g, axis=1)
-        now = (c - a, d - b, th - t, tm + a + b, thm + t)  # the rows of _MOVE
+        now = columns.take(g, axis=1)
+        for cls_k, to in enumerate((3, 3, 4)):  # the rows of _MOVE, in place
+            own = moved >> _CLASS_BITS * cls_k & mask
+            now[cls_k] -= own
+            now[to] += own
         k, n = (None, None) if contexts is None else contexts[:, g]
         after = _stat_from_arrays(kind, *now, k, n)
         # each move's change to the sum and the count of defined values: from
         # the move before it in its group, or from the group's value so far
         undefined, prior = np.isnan(after), values[g[starts]]
         zeroed = np.where(undefined, 0.0, after)
-        grouped_change = np.diff(zeroed, prepend=0.0)
+        grouped_change, grouped_defined = np.empty_like(zeroed), np.empty(g.size, dtype=np.int64)
+        np.subtract(zeroed[1:], zeroed[:-1], out=grouped_change[1:])
+        np.subtract(undefined[:-1], undefined[1:], out=grouped_defined[1:], dtype=np.int64)
         grouped_change[starts] = zeroed[starts] - np.where(np.isnan(prior), 0.0, prior)
-        grouped_defined = -np.diff(undefined.astype(np.int64), prepend=0)
         grouped_defined[starts] = np.isnan(prior).astype(np.int64) - undefined[starts]
         last = starts + lengths - 1
-        columns[:, g[last]], values[g[last]] = [column[last] for column in now], after[last]
+        columns[:, g[last]], values[g[last]] = now[:, last], after[last]
         change, defined_change = np.empty_like(after), np.empty(g.size, dtype=np.int64)
         change[by_group], defined_change[by_group] = grouped_change, grouped_defined
         change[0] += total
@@ -202,9 +210,10 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
               config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
     """Find the tie threshold maximizing the configured statistic.
 
-    Returns the smallest threshold achieving the maximum.  The one path is
-    an approximate walk over every candidate, a shortlist near the best, its
-    exact replay, and a batch re-verification (RuntimeError on a mismatch).
+    Returns the smallest threshold achieving the maximum: an approximate
+    walk over the candidates, a shortlist near the best (every candidate,
+    without the walk, if few), its exact replay, and a batch
+    re-verification (RuntimeError on a mismatch).
 
     Raises ValueError when no group has two aligned entries.
     """
@@ -212,7 +221,8 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     total_pairs = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
     if total_pairs == 0:
         raise ValueError("nothing to calibrate: no group has two aligned entries")
-    need = total_pairs * _SWEEP_BYTES_PER_PAIR
+    need = (total_pairs * (_SWEEP_BYTES_PER_PAIR + (aligned.pairs is not None) * _LAYOUT_BYTES)
+            + _SWEEP_MOVES * _MOVE_BYTES)
     have, what = _memory_limit()
     if need > have:
         raise MemoryError(f"calibrating {total_pairs:,} within-group pairs needs "
@@ -221,7 +231,7 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
 
     kind = config.kind
     n_groups = aligned.sizes.size
-    contexts = _tau_c_contexts(*aligned) if kind is StatKind.TAU_C else None
+    contexts = _tau_c_contexts(*aligned[:3]) if kind is StatKind.TAU_C else None
 
     def group_values(rows: np.ndarray | slice) -> np.ndarray:
         k, n = (None, None) if contexts is None else contexts[:, rows]
@@ -229,26 +239,28 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
 
     values = group_values(slice(None))
     n_candidates = at.size
-    # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum of
-    # group values or of their changes exceeds M = 2G, and a float sum of N
-    # terms with partial sums below M is within N*M*u of exact.  The walk
-    # sums G + 2E terms, the exact replay G, and each then rounds once more
-    # dividing by the defined count D: err(D) = bound / D + 2u.  Twice the
-    # summed error keeps the true maximizer.  The walk prunes with err(1),
-    # never tighter than the final err.
-    u = np.finfo(np.float64).eps / 2
-    bound = (2 * n_groups + 2 * gaps.size) * 2 * n_groups * u
-    best, fewest, kept = -np.inf, n_groups, [(np.empty(0, dtype=at.dtype), np.empty(0))]
-    for first, sums, defined in _approx_means(kind, counts, values, contexts, packed, at):
-        live = np.flatnonzero(defined > 0)
-        approx = sums[live] / defined[live]
-        best = max(best, approx.max(initial=-np.inf))
-        fewest = min(fewest, defined[live].min(initial=n_groups))
-        keep = approx >= best - 2 * (bound + 2 * u)
-        kept.append((at[first + live[keep]], approx[keep]))
-    ends, approx = (np.concatenate(column) for column in zip(*kept))
-    ends = ends[approx >= best - 2 * (bound / fewest + 2 * u)]
-    del at, kept, approx
+    ends = at  # every candidate, when replaying each costs no more than the walk
+    if n_candidates * (n_groups + _REPLAY_STEP_MOVES) > gaps.size:
+        # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum of
+        # group values or of their changes exceeds M = 2G, and a float sum of N
+        # terms with partial sums below M is within N*M*u of exact.  The walk
+        # sums G + 2E terms, the exact replay G, and each then rounds once more
+        # dividing by the defined count D: err(D) = bound / D + 2u.  Twice the
+        # summed error keeps the true maximizer.  The walk prunes with err(1),
+        # never tighter than the final err.
+        u = np.finfo(np.float64).eps / 2
+        bound = (2 * n_groups + 2 * gaps.size) * 2 * n_groups * u
+        best, fewest, kept = -np.inf, n_groups, [(np.empty(0, dtype=at.dtype), np.empty(0))]
+        for first, sums, defined in _approx_means(kind, counts, values, contexts, packed, at):
+            live = np.flatnonzero(defined > 0)
+            approx = sums[live] / defined[live]
+            best = max(best, approx.max(initial=-np.inf))
+            fewest = min(fewest, defined[live].min(initial=n_groups))
+            keep = approx >= best - 2 * (bound + 2 * u)
+            kept.append((at[first + live[keep]], approx[keep]))
+        ends, approx = (np.concatenate(column) for column in zip(*kept))
+        ends = ends[approx >= best - 2 * (bound / fewest + 2 * u)]
+        del at, kept, approx
 
     best_eps = 0.0
     best_val: float | None = None
@@ -315,7 +327,7 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
     hi = ((m[top - 1] + m[top]) / 2.0).max() + 0.0  # a top edge of 0.0 is +0.0
     edges = np.histogram_bin_edges([lo, hi], bins)  # what np.histogram(mid, bins) uses
     all_counts, new_counts = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
-    for gap, _, _, mid in _pair_blocks(*aligned, pol, midpoints=True):
+    for gap, _, _, mid in _pair_blocks(*aligned[:3], pol, midpoints=True, layout=aligned.pairs):
         all_counts += np.histogram(mid, bins, range=(lo, hi))[0]
         new_counts += np.histogram(mid[(gap > 0.0) & (gap <= pol.epsilon)], edges)[0]
     return TieHistogram(edges, all_counts, new_counts)

@@ -2,9 +2,9 @@
 
 Subcommands: correlate, calibrate, rank, buckets, tie-hist, f1-curve,
 perturb.  All outputs are plot-ready data tables (TSV or JSON); exit code
-is 0 on success (undefined statistic values are results, not failures) and
-2 on usage or input errors.  Each subcommand yields (destination, content)
-pairs, ``-`` or a path and a report or bytes, and ``main`` writes them all.
+is 0 on success (undefined statistic values are results), 2 on usage or
+input errors, 130 on an interrupt.  Each subcommand yields (destination,
+content) pairs, ``-`` or a path and a report or bytes; ``main`` writes all.
 """
 
 from __future__ import annotations
@@ -469,6 +469,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ScoreFileError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     finally:
         for temp in staged.values():
             temp.unlink(missing_ok=True)

@@ -23,6 +23,7 @@ from .stats import (
     PairCounts,
     StatKind,
     _as_policy,
+    _kernel_sized,
     _pair_counts,
     _stat_from_arrays,
     _tau_c_contexts,
@@ -86,10 +87,6 @@ class ScoreMatrix:
         """Distinct segment ids in first-seen order."""
         return tuple(dict.fromkeys(self._keys[1]))
 
-    def get(self, system: str, segment: str, default: float | None = None) -> float | None:
-        row = self._lookup().get((system, segment))
-        return default if row is None else self._scores[row]
-
     def scores(self) -> np.ndarray:
         return np.array(self._scores, dtype=np.float64)
 
@@ -99,16 +96,8 @@ class ScoreMatrix:
     def keys(self) -> Iterator[tuple[str, str]]:
         return zip(*self._keys)
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._lookup()
-
     def __len__(self) -> int:
         return len(self._scores)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreMatrix):
-            return NotImplemented
-        return sorted(self.items()) == sorted(other.items())  # keys are unique
 
     def __repr__(self) -> str:
         return (f"ScoreMatrix({len(self)} entries, "
@@ -125,18 +114,19 @@ class GroupingMode(enum.Enum):
 
 class Aligned(NamedTuple):
     """Paired scores split into groups, in the layout the pair kernel reads:
-    the groups' human and metric vectors concatenated, and their sizes."""
+    the groups' human and metric vectors concatenated, sizes and pair layout."""
 
     human: np.ndarray
     metric: np.ndarray
     sizes: np.ndarray
+    pairs: list | None = None
 
 
 def _human_side(human: ScoreMatrix, mode: GroupingMode
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list | None]:
     """The rows of the human matrix in align's order, the human vector, each
-    row's group index and the group sizes; computed once per matrix and
-    mode, and read-only."""
+    row's group index, the group sizes and their pair layout (None unless
+    the kernel counts them); computed once per matrix and mode, read-only."""
     side = human._aligned.get(mode)
     if side is None:
         keys = list(human.keys())
@@ -152,7 +142,7 @@ def _human_side(human: ScoreMatrix, mode: GroupingMode
         side = order, np.frombuffer(human._scores)[order], group, np.bincount(group)
         for part in side:
             part.flags.writeable = False
-        human._aligned[mode] = side
+        human._aligned[mode] = side = (*side, [] if _kernel_sized(side[3]) else None)
     return side
 
 
@@ -166,12 +156,13 @@ def align(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode) -> Aligne
     human side is ordered once per matrix and mode.  A metric on the human's
     own key list then costs one positional take, and shares the human
     vector and sizes, read-only; any other metric costs one lookup of each
-    of its keys in the human's index.
+    of its keys in the human's index.  Only the former shares the human
+    side's pair layout.
     """
-    order, h, group, sizes = _human_side(human, mode)
+    order, h, group, sizes, pairs = _human_side(human, mode)
     scores = np.frombuffer(metric._scores)
     if metric._keys is human._keys:  # the same rows: every key is common
-        return Aligned(h, scores[order], sizes)
+        return Aligned(h, scores[order], sizes, pairs)
     found = np.fromiter(map(human._lookup().get, metric.keys(), repeat(-1)), np.intp,
                         len(metric))  # each metric row's human row, or -1
     at = np.full(len(human), -1, dtype=np.intp)  # each human row's metric row, or -1
@@ -228,8 +219,8 @@ def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
 def _reports(aligned: Aligned, mode: GroupingMode, kinds: Sequence[StatKind],
              pol: EpsilonPolicy) -> list[CorrelationReport]:
     """:func:`grouped_stats` on scores already aligned under ``mode``."""
-    counts = _pair_counts(*aligned, pol)
-    k, n = _tau_c_contexts(*aligned) if StatKind.TAU_C in kinds else (None, None)
+    counts = _pair_counts(*aligned[:3], pol, aligned.pairs)
+    k, n = _tau_c_contexts(*aligned[:3]) if StatKind.TAU_C in kinds else (None, None)
     reports = []
     for kind in kinds:
         values = _stat_from_arrays(kind, *counts.T, k, n)

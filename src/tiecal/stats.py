@@ -78,8 +78,9 @@ class EpsilonPolicy:
         object.__setattr__(self, "epsilon", self.epsilon + 0.0)  # -0.0 is the policy 0.0
 
     def gaps(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Derived gap values; a pair is tied iff its gap <= epsilon."""
-        d = np.abs(a - b)
+        """Derived gap values, inf past the float range; a pair is tied iff gap <= epsilon."""
+        with np.errstate(over="ignore"):
+            d = np.abs(a - b)
         if self.mode is EpsilonMode.ABSOLUTE:
             return d
         denom = np.maximum(np.abs(a), np.abs(b))
@@ -215,18 +216,15 @@ def stat_from_counts(kind: StatKind, counts: PairCounts, *,
     return None if math.isnan(value) else value
 
 
-def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: EpsilonPolicy, *,
-                 midpoints: bool = False
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Classify every within-group pair, ``_BLOCK_PAIRS`` pairs at a time.
+def _kernel_sized(sizes: np.ndarray) -> bool:
+    """Whether ``_pair_counts`` counts groups of ``sizes`` on the kernel under any policy."""
+    pairs = int((sizes * (sizes - 1) // 2).sum())
+    levels = int(sizes.max(initial=0)).bit_length()
+    return pairs <= _SORT_PAIRS_PER_ROW_LEVEL * int(sizes.sum()) * levels
 
-    ``h`` and ``m`` are the groups' vectors concatenated and ``sizes`` the
-    group lengths.  Pairs come group by group, in np.triu_indices order
-    inside each.  Each block is the pairs' metric gap (float64), group
-    (int32), class under ``pol`` (int8; human-tied iff _TIED_H or
-    _TIED_BOTH) and, on request, mean metric score.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
+
+def _pair_index_blocks(h: np.ndarray, sizes: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """``_pair_blocks``' pairs: row, partner, group (int32), human tie << 1 | order (uint8)."""
     owner = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
     width = np.repeat(np.cumsum(sizes), sizes) - np.arange(h.size) - 1  # pairs per row
     ends = np.cumsum(width)
@@ -237,14 +235,33 @@ def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: Epsilo
         e0, e1 = np.searchsorted(ends, [p0, p1 - 1], "right")
         rows = slice(e0, e1 + 1)
         take = np.minimum(ends[rows], p1) - np.maximum(ends[rows] - width[rows], p0)
-        j = np.arange(p0 + 1, p1 + 1) - np.repeat(shift[rows], take)
-        hi, hj = np.repeat(h[rows], take), h[j]
-        mi, mj = np.repeat(m[rows], take), m[j]
+        i = np.repeat(np.arange(e0, e1 + 1, dtype=np.int32), take)
+        j = (np.arange(p0 + 1, p1 + 1) - np.repeat(shift[rows], take)).astype(np.int32)
+        hi, hj = np.repeat(h[rows], take), h.take(j)
+        yield (i, j, np.repeat(owner[rows], take),
+               ((hi == hj).view(np.uint8) << 1) | (hi > hj).view(np.uint8))
+
+
+def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: EpsilonPolicy, *,
+                 midpoints: bool = False, layout: list | None = None
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Classify every within-group pair, ``_BLOCK_PAIRS`` pairs at a time.
+
+    ``h`` and ``m`` are the groups' vectors concatenated and ``sizes`` the
+    group lengths.  Pairs come group by group, in np.triu_indices order
+    inside each.  Each block is the pairs' metric gap (float64), group
+    (int32), class under ``pol`` (int8; human-tied iff _TIED_H or
+    _TIED_BOTH) and, on request, mean metric score.  A ``layout`` list (a
+    pair layout) keeps the pairs' human side, 13 B a pair, from its first use.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if layout is not None and not layout:
+        layout[:] = _pair_index_blocks(h, sizes)
+    for i, j, group, relation in layout or _pair_index_blocks(h, sizes):
+        mi, mj = m.take(i), m.take(j)
         gap = pol.gaps(mi, mj)
-        code = (((gap <= pol.epsilon).view(np.uint8) << 2) | ((hi == hj).view(np.uint8) << 1)
-                | ((hi > hj) != (mi > mj)).view(np.uint8))
-        yield (gap, np.repeat(owner[rows], take), _CLASS_OF_CODE.take(code),
-               (mi + mj) / 2.0 if midpoints else None)
+        code = ((gap <= pol.epsilon).view(np.uint8) << 2) | (relation ^ (mi > mj).view(np.uint8))
+        yield gap, group, _CLASS_OF_CODE.take(code), (mi + mj) / 2.0 if midpoints else None
 
 
 def _fold(counts: np.ndarray, group: np.ndarray, cls: np.ndarray) -> None:
@@ -348,23 +365,20 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
 
 
 def _pair_counts(h: np.ndarray, m: np.ndarray, sizes: Sequence[int],
-                 pol: EpsilonPolicy) -> np.ndarray:
+                 pol: EpsilonPolicy, layout: list | None = None) -> np.ndarray:
     """Per-group class counts, a (groups, 5) int64 array in class order.
 
     Counts by sorting when the groups hold more than
     ``_SORT_PAIRS_PER_ROW_LEVEL`` pairs per row and level (bit of the
     largest group size), unless the policy is relative with epsilon >= 1,
     which ties pairs of opposite signs; otherwise bincounts the blocked
-    kernel's classes.
+    kernel's classes, with ``layout`` as ``_pair_blocks`` takes it.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    pairs = int((sizes * (sizes - 1) // 2).sum())
-    levels = int(sizes.max(initial=0)).bit_length()
-    if ((pol.mode is EpsilonMode.ABSOLUTE or pol.epsilon < 1)
-            and pairs > _SORT_PAIRS_PER_ROW_LEVEL * h.size * levels):
+    if (pol.mode is EpsilonMode.ABSOLUTE or pol.epsilon < 1) and not _kernel_sized(sizes):
         return _sort_counts(h, m, sizes, pol)
     counts = np.zeros((len(sizes), 5), dtype=np.int64)
-    for _, group, cls, _ in _pair_blocks(h, m, sizes, pol):
+    for _, group, cls, _ in _pair_blocks(h, m, sizes, pol, layout=layout):
         _fold(counts, group, cls)
     return counts
 

@@ -26,15 +26,16 @@ def oracle_groups(human, metric, mode):
     group_id = {GroupingMode.NO_GROUPING: lambda system, segment: "",
                 GroupingMode.GROUP_BY_ITEM: lambda system, segment: segment,
                 GroupingMode.GROUP_BY_SYSTEM: lambda system, segment: system}[mode]
+    scores = {(system, segment): m for system, segment, m in metric.items()}
     grouped = {}
     for system, segment, h in human.items():
-        if (system, segment) in metric:
+        if (system, segment) in scores:
             grouped.setdefault(group_id(system, segment), []).append(((system, segment), h))
     groups = []
     for gid in sorted(grouped):
         rows = sorted(grouped[gid])
         groups.append((np.array([h for _, h in rows]),
-                       np.array([metric.get(*key) for key, _ in rows])))
+                       np.array([scores[key] for key, _ in rows])))
     return groups
 
 

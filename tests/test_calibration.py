@@ -1,13 +1,18 @@
 """Tests for the tie-calibration sweep and its companions."""
 
 import itertools
+import math
 import resource
 import tracemalloc
+import warnings
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
 from oracles import brute_force_calibration, naive_suff_stats, oracle_groups, pair_views
 
+import tiecal
 from tiecal import (
     CalibrationConfig,
     EpsilonMode,
@@ -21,7 +26,7 @@ from tiecal import (
     grouped_stat,
     tie_location_histogram,
 )
-from tiecal.calibration import _approx_means, _replay, _sorted_moves
+from tiecal.calibration import _MOVE_BYTES, _SWEEP_MOVES, _approx_means, _replay, _sorted_moves
 from tiecal.stats import _pair_blocks, _stat_from_arrays, _tau_c_contexts
 
 
@@ -117,7 +122,7 @@ class TestCalibrate:
             aligned = align(h, m, mode)
             total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
             counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total)
-            contexts = _tau_c_contexts(*aligned) if kind is StatKind.TAU_C else None
+            contexts = _tau_c_contexts(*aligned[:3]) if kind is StatKind.TAU_C else None
             k, n = (None, None) if contexts is None else contexts
             ends = np.searchsorted(gaps, candidates, "right")
             _, sums, defined = zip(*_approx_means(
@@ -166,7 +171,7 @@ class TestCalibrate:
             mode = GroupingMode.GROUP_BY_ITEM
             pol = EpsilonPolicy(0.0, eps_mode)
             gap, group, _, mid = (np.concatenate(column) for column in zip(
-                *_pair_blocks(*align(h, m, mode), pol, midpoints=True)))
+                *_pair_blocks(*align(h, m, mode)[:3], pol, midpoints=True)))
             gaps, owners, mids = [], [], []
             for gi, (_, mg) in enumerate(oracle_groups(h, m, mode)):
                 iu, ju = np.triu_indices(mg.size, k=1)
@@ -185,15 +190,16 @@ class TestCalibrate:
             monkeypatch.setattr("tiecal.calibration.os.sysconf", lambda name: {
                 "SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}[name])
 
-        machine(32 * 44_850 - 1)
+        need = 32 * 44_850 + _SWEEP_MOVES * _MOVE_BYTES  # the pairs and the walk's block
+        machine(need - 1)
         with pytest.raises(MemoryError) as info:
             calibrate(h, m, config)
         message = str(info.value)
         assert "\n" not in message
         assert "44,850 within-group pairs" in message
-        assert f"about {32 * 44_850 / 2**30:.3g} GiB" in message
-        assert f"machine's {(32 * 44_850 - 1) / 2**30:.3g} GiB of memory" in message
-        machine(32 * 44_850)
+        assert f"about {need / 2**30:.3g} GiB" in message
+        assert f"machine's {(need - 1) / 2**30:.3g} GiB of memory" in message
+        machine(need)
         assert calibrate(h, m, config).report.pairs_total == 44_850
 
     @pytest.mark.parametrize("limit", ["rlimit_as", "cgroup", "cgroup_v1"])
@@ -201,7 +207,7 @@ class TestCalibrate:
                                                                limit):
         h, m = single_group(np.arange(300) % 4, np.arange(300) / 7)  # 44,850 pairs
         config = CalibrationConfig(mode=GroupingMode.NO_GROUPING)
-        need = 32 * 44_850
+        need = 32 * 44_850 + _SWEEP_MOVES * _MOVE_BYTES
         monkeypatch.setattr("tiecal.calibration.os.sysconf", lambda name: {
             "SC_PHYS_PAGES": 2 * need, "SC_PAGE_SIZE": 1}[name])
         monkeypatch.setattr("tiecal.calibration.resource.getrlimit",
@@ -351,6 +357,104 @@ class TestPairMemory:
         step = _replay(counts, packed, [packed.size])
         assert self.peak(lambda: next(step)) < 2**20
         assert counts.tolist() == expected.tolist()
+
+
+class TestPairLayout:
+    """The human side's pair layout, on the item shape of WMT'22 en-de: 15
+    systems and 1315 items, a continuous and a discrete metric on the
+    human's key list."""
+
+    MODE = GroupingMode.GROUP_BY_ITEM
+    PAIRS = 1315 * 15 * 14 // 2
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        rng = np.random.default_rng(21)
+        keys = [(f"sys{i:02d}", f"seg{j:05d}") for j in range(1315) for i in range(15)]
+        human = -rng.integers(0, 5, len(keys)) * (rng.random(len(keys)) < 0.5)
+        return (keys, human.astype(float), np.round(rng.random(len(keys)), 6),
+                rng.integers(0, 5, len(keys)).astype(float))
+
+    @staticmethod
+    def campaign(keys, human, *metrics, rows=None):
+        """A new human matrix, so that its layout is built afresh, and each
+        metric on its key list."""
+        rows = slice(rows)
+        h = ScoreMatrix(zip(*zip(*keys[rows]), human[rows].tolist()))
+        return h, *(h.with_scores(array("d", metric[rows])) for metric in metrics)
+
+    @pytest.mark.parametrize("column", [2, 3], ids=["continuous", "discrete"])
+    def test_calibration_stays_within_its_memory_guard(self, columns, column):
+        # the guard reserves 32 B a pair for the sweep, 13 B a pair for the
+        # layout and 256 B a move for a block of the walk
+        h, m = self.campaign(*columns[:2], columns[column])
+        walk = tiecal.calibration._approx_means
+        with mock.patch("tiecal.calibration._approx_means", wraps=walk) as walked:
+            tracemalloc.start()
+            try:
+                calibrate(h, m, CalibrationConfig(mode=self.MODE))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(align(h, m, self.MODE).pairs) > 0  # the sweep read a layout
+        assert peak <= self.PAIRS * (32 + 13) + _SWEEP_MOVES * 256
+        # 5 levels give 5 candidates, too few for the walk to pay
+        assert walked.called == (column == 2)
+
+    def test_one_layout_per_human_side_and_mode(self, columns, monkeypatch):
+        keys, human, continuous, discrete = columns
+        h, *metrics = self.campaign(keys, human, continuous, discrete, continuous[::-1],
+                                    rows=15 * 40)
+        builds = []
+        build = tiecal.stats._pair_index_blocks
+        monkeypatch.setattr("tiecal.stats._pair_index_blocks",
+                            lambda h, sizes: builds.append(sizes.size) or build(h, sizes))
+        for mode in (self.MODE, GroupingMode.GROUP_BY_SYSTEM, GroupingMode.NO_GROUPING):
+            for m in metrics:
+                calibrate(h, m, CalibrationConfig(mode=mode))
+                f1_curve(h, m, mode, [0.0, 0.5, 2.0], EpsilonMode.RELATIVE)
+                tie_location_histogram(h, m, 0.1, 5, mode)
+        # 40 items and 15 systems get one each.  The 600 rows pooled get none:
+        # they are counted by sorting, save at relative epsilon 2, and their
+        # sweep and histogram list the pairs each time.
+        assert builds == [40, 15] + [1] * (3 * len(metrics))
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "subset"])
+    @pytest.mark.parametrize("step", [math.inf, 512, -math.inf], ids=["walk", "rule", "replay"])
+    @pytest.mark.parametrize("eps_mode", list(EpsilonMode))
+    def test_discrete_calibration_equals_brute_force(self, columns, monkeypatch, shared,
+                                                     step, eps_mode):
+        # the rule candidates x (groups + step) <= moves, patched each way:
+        # with 5 levels, 40 items have far fewer candidates than moves
+        keys, human, _, discrete = columns
+        h, m = self.campaign(keys, human, discrete, rows=15 * 40)
+        if not shared:  # a metric on a subset of the keys lists its own pairs
+            m = ScoreMatrix(list(m.items())[1:])
+        calibrate(h, h.with_scores(array("d", discrete[:15 * 40])),
+                  CalibrationConfig(eps_mode=eps_mode))  # the human side's layout
+        walks = []
+        walk = tiecal.calibration._approx_means
+        monkeypatch.setattr("tiecal.calibration._REPLAY_STEP_MOVES", step)
+        monkeypatch.setattr("tiecal.calibration._approx_means",
+                            lambda *args: walks.append(1) or walk(*args))
+        for kind in (StatKind.ACC_EQ, StatKind.TIES_F1, StatKind.TAU_C, StatKind.RANK_F1):
+            result = calibrate(h, m, CalibrationConfig(kind=kind, eps_mode=eps_mode))
+            assert (align(h, m, self.MODE).pairs is not None) == shared
+            assert (result.epsilon_star, result.stat_star) == brute_force_calibration(
+                h, m, self.MODE, kind, eps_mode is EpsilonMode.RELATIVE)
+        aligned = align(h, m, self.MODE)
+        moves = _sorted_moves(aligned, eps_mode, 40 * 15 * 14 // 2)[1].size
+        assert len(walks) == 4 * (result.candidates_evaluated * (aligned.sizes.size + step)
+                                  > moves)
+
+    @pytest.mark.parametrize("eps_mode, scores", [(EpsilonMode.ABSOLUTE, [1e308, -1e308]),
+                                                  (EpsilonMode.RELATIVE, [1.7e308, -1.7e308])])
+    def test_overflowing_gap_is_no_candidate(self, eps_mode, scores):
+        h, m = single_group([0, 0], scores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            result = calibrate(h, m, CalibrationConfig(eps_mode=eps_mode))
+        assert (result.epsilon_star, result.candidates_evaluated) == (0.0, 1)
 
 
 class TestApplyEpsilon:

@@ -7,6 +7,7 @@ sweep block sizes patched down so that blocks split groups and runs of
 equal gaps."""
 
 import math
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,7 @@ from tiecal import (
     mean_defined,
     tie_location_histogram,
 )
-from tiecal.stats import _BLOCK_PAIRS, _pair_blocks, _pair_counts, _sort_counts
+from tiecal.stats import _BLOCK_PAIRS, _kernel_sized, _pair_blocks, _pair_counts, _sort_counts
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -94,7 +95,7 @@ def test_pair_counts_and_every_statistic_equal_the_oracles(campaign, mode, relat
     groups = oracle_groups(human, metric, mode)
     expected = [list(naive_suff_stats(h.tolist(), m.tolist(), eps, relative).as_tuple())
                 for h, m in groups]
-    h, m, sizes = align(human, metric, mode)
+    h, m, sizes, _ = align(human, metric, mode)
     with mock.patch("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", math.inf), \
             mock.patch("tiecal.stats._BLOCK_PAIRS", block):
         assert _pair_counts(h, m, sizes, pol).tolist() == expected  # the kernel
@@ -113,6 +114,39 @@ def test_pair_counts_and_every_statistic_equal_the_oracles(campaign, mode, relat
         assert (report.groups_total, report.groups_used) == (len(groups), len(used))
         assert report.pairs_total == sum(map(sum, expected))
         assert list(report.pairs_by_class.as_tuple()) == [sum(c) for c in zip(*used, [0] * 5)]
+
+
+def kernel_columns(blocks):
+    """The gap, group, class and midpoint columns of kernel blocks, as bytes."""
+    blocks = list(blocks)
+    return [b"".join(block[column].tobytes() for block in blocks) for column in range(4)]
+
+
+@PROFILE
+@given(campaign=campaigns(), mode=MODES, relative=st.booleans(), block=KERNEL_BLOCKS,
+       eps=st.sampled_from([0.0, 0.3, 1.0, 2.5]), data=st.data())
+def test_pair_layout_passes_equal_the_kernel(campaign, mode, relative, block, eps, data):
+    # The pass that fills a layout and every pass that reads it give the
+    # kernel's gaps, groups, classes and midpoints, bit for bit; counts read
+    # through the human side's shared layout, or without one for a metric
+    # on some of the human's keys, equal the oracle's.
+    human, metric = campaign
+    pool = POOLS[data.draw(st.integers(0, len(POOLS) - 1))]
+    shared = human.with_scores(array("d", data.draw(
+        st.lists(pool, min_size=len(human), max_size=len(human)))))
+    pol = EpsilonPolicy(eps, eps_mode_of(relative))
+    with mock.patch("tiecal.stats._BLOCK_PAIRS", block):
+        for m in (shared, metric):
+            aligned = align(human, m, mode)
+            expected = kernel_columns(_pair_blocks(*aligned[:3], pol, midpoints=True))
+            for layout in ([], aligned.pairs):
+                for _ in range(2):  # the pass that fills the layout, then one that reads it
+                    assert kernel_columns(_pair_blocks(*aligned[:3], pol, midpoints=True,
+                                                       layout=layout)) == expected
+            assert (aligned.pairs is not None) == (m is shared and _kernel_sized(aligned.sizes))
+            counts = [list(naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative).as_tuple())
+                      for hg, mg in oracle_groups(human, m, mode)]
+            assert _pair_counts(*aligned[:3], pol, aligned.pairs).tolist() == counts
 
 
 @PROFILE
@@ -136,7 +170,7 @@ def test_f1_curve_equals_grouped_stat(campaign, mode, relative, block, data):
 def assert_histogram_matches_concatenated_midpoints(human, metric, pol, bins, mode, block):
     with mock.patch("tiecal.stats._BLOCK_PAIRS", block):
         hist = tie_location_histogram(human, metric, pol, bins, mode)
-    blocks = list(_pair_blocks(*align(human, metric, mode), pol, midpoints=True))
+    blocks = list(_pair_blocks(*align(human, metric, mode)[:3], pol, midpoints=True))
     if blocks:
         gap, _, _, mid = (np.concatenate(column) for column in zip(*blocks))
         all_pairs, edges = np.histogram(mid, bins)
@@ -181,8 +215,10 @@ def test_tie_histogram_top_edge_of_mixed_signed_zeros():
 
 @PROFILE
 @given(campaign=campaigns(), mode=MODES, relative=st.booleans(),
-       kind=st.sampled_from(list(StatKind)), moves=st.integers(1, 7), block=KERNEL_BLOCKS)
-def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, block):
+       kind=st.sampled_from(list(StatKind)), moves=st.integers(1, 7), block=KERNEL_BLOCKS,
+       step=st.sampled_from([512, -math.inf]))
+def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, block, step):
+    # step -inf replays every candidate without the walk
     human, metric = campaign
     config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
     if all(h.size < 2 for h, _ in oracle_groups(human, metric, mode)):
@@ -190,7 +226,8 @@ def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, blo
             calibrate(human, metric, config)
         return
     with mock.patch("tiecal.calibration._SWEEP_MOVES", moves), \
-            mock.patch("tiecal.stats._BLOCK_PAIRS", block):
+            mock.patch("tiecal.stats._BLOCK_PAIRS", block), \
+            mock.patch("tiecal.calibration._REPLAY_STEP_MOVES", step):
         result = calibrate(human, metric, config)
     expect_eps, expect_val = brute_force_calibration(human, metric, mode, kind, relative)
     assert (result.epsilon_star, result.stat_star) == (expect_eps, expect_val)

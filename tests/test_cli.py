@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from contextlib import suppress
 from pathlib import Path
 
@@ -160,6 +161,26 @@ class TestCalibrateCommand:
         assert "epsilon=0.05" in out
         assert "acc_eq=1.000000" in out
 
+    @pytest.mark.parametrize("eps_mode, scores", [("absolute", [1e308, -1e308]),
+                                                  ("relative", [1.7e308, -1.7e308])])
+    @pytest.mark.parametrize("command", [["calibrate"], ["rank", "--calibrate"]])
+    def test_overflowing_gap_is_no_candidate(self, tmp_path, capsys, command, eps_mode,
+                                             scores):
+        # the gap overflows to inf, which no finite threshold reaches
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows(scores))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise
+            code = main([*command, "--human", str(h), "--metric", f"m={m}",
+                         "--eps-mode", eps_mode])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == ["calibrate"]:
+            assert captured.out == "metric=m epsilon=0 acc_eq=0.000000\n"
+        else:
+            assert parse_tsv(captured.out)[0]["epsilon"] == "0"
+
     def test_tie_averse_stat_warns(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2, 3]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.1, 0.9, 0.4, 2.0]))
@@ -238,7 +259,7 @@ class TestRank:
         for k in range(17):
             m = write_scores(tmp_path / f"m{k}.tsv", [(*key, float(rng.normal())) for key in rows])
             argv += ["--metric", f"m{k}={m}"]
-        aligns, sides = [], set()
+        aligns, sides, layouts = [], set(), []
 
         def counting_align(*args):
             aligns.append(args[2])
@@ -249,10 +270,16 @@ class TestRank:
             sides.add(id(side))
             return side
 
+        def counting_layout(h, sizes):
+            layouts.append(h.size)
+            return pair_index_blocks(h, sizes)
+
         def no_batch(*args, **kwargs):
             raise AssertionError("grouped_stat called")
 
         align, human_side = tiecal.calibration.align, tiecal.grouping._human_side
+        pair_index_blocks = tiecal.stats._pair_index_blocks
+        monkeypatch.setattr("tiecal.stats._pair_index_blocks", counting_layout)
         monkeypatch.setattr("tiecal.calibration.align", counting_align)
         monkeypatch.setattr("tiecal.grouping.align", counting_align)
         monkeypatch.setattr("tiecal.grouping._human_side", recording_side)
@@ -263,6 +290,8 @@ class TestRank:
         assert len(parse_tsv(capsys.readouterr().out)) == 18
         assert aligns == [tiecal.GroupingMode.GROUP_BY_ITEM] * 18
         assert len(sides) == 1
+        # every sweep and re-verification reads one pair layout, built once
+        assert layouts == [40]
 
     def test_calibrated_ranking_warns_for_tie_averse_stat(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2, 3]))
@@ -333,13 +362,13 @@ class TestAuxCommands:
         code = main(["perturb", "--metric", f"m={m}", "--epsilon", "0",
                      "--seed", "3", "--out", str(out)])
         assert code == 0
-        original = load_scores(m)
-        perturbed = load_scores(out)
-        keys = sorted(original.keys())
+        original = {(system, segment): v for system, segment, v in load_scores(m).items()}
+        perturbed = {(system, segment): v for system, segment, v in load_scores(out).items()}
+        keys = sorted(original)
         for a in keys:
             for b in keys:
-                if original.get(*a) < original.get(*b):
-                    assert perturbed.get(*a) < perturbed.get(*b)
+                if original[a] < original[b]:
+                    assert perturbed[a] < perturbed[b]
 
     def test_perturb_deterministic(self, tmp_path, capsys):
         m = write_scores(tmp_path / "m.tsv", vector_rows([1, 1, 1, 2, 2]))
@@ -601,6 +630,22 @@ class TestFailuresExitTwo:
                      "--mode", "no-grouping", "--out", str(out), "--emit-epsilon", str(eps)])
         assert code == 2
         assert self.one_error_line(capsys.readouterr().err)
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_interrupt_prints_one_line_and_exits_130(self, tmp_path, capsys, monkeypatch):
+        # Ctrl-C during a sweep: no traceback, and the staged outputs are removed
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("tiecal.cli.calibrate", interrupt)
+        code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
+                     "--out", str(tmp_path / "out.tsv"),
+                     "--emit-epsilon", str(tmp_path / "eps.tsv")])
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_failing_second_metric_keeps_the_first_line_and_writes_no_file(self, tmp_path,
