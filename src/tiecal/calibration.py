@@ -101,10 +101,11 @@ def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int
     for gap, group, cls, _ in _pair_blocks(*aligned[:3], EpsilonPolicy(0.0, eps_mode),
                                            layout=aligned.pairs):
         _fold(counts, group, cls)
-        moving = np.flatnonzero((gap > 0.0) & (gap < np.inf))  # no threshold ties inf
-        gaps[n:n + moving.size] = gap[moving]
-        packed[n:n + moving.size] = (group[moving] << 2) | cls[moving]
-        n += moving.size
+        moving = (gap > 0.0) & (gap < np.inf)  # no threshold ties inf
+        moved = gap[moving]
+        gaps[n:n + moved.size] = moved
+        packed[n:n + moved.size] = ((group << 2) | cls)[moving]
+        n += moved.size
     order = np.argsort(gaps[:n])
     gaps = gaps[:n][order]
     packed = packed[:n][order]
@@ -211,9 +212,8 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     """Find the tie threshold maximizing the configured statistic.
 
     Returns the smallest threshold achieving the maximum: an approximate
-    walk over the candidates, a shortlist near the best (every candidate,
-    without the walk, if few), its exact replay, and a batch
-    re-verification (RuntimeError on a mismatch).
+    walk gives a shortlist near the best (or every candidate, if few), then
+    its exact replay and a batch re-verification (RuntimeError on a mismatch).
 
     Raises ValueError when no group has two aligned entries.
     """
