@@ -125,8 +125,8 @@ class Aligned(NamedTuple):
 def _human_side(human: ScoreMatrix, mode: GroupingMode
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list | None]:
     """The rows of the human matrix in align's order, the human vector, each
-    row's group index, the group sizes and their pair layout (None unless
-    the kernel counts them); computed once per matrix and mode, read-only."""
+    row's group index, the group sizes (all read-only) and their pair layout
+    (None unless the kernel counts them, else filled on first use), per mode."""
     side = human._aligned.get(mode)
     if side is None:
         keys = list(human.keys())
