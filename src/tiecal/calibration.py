@@ -43,6 +43,7 @@ from .stats import (
     StatKind,
     _as_policy,
     _fold,
+    _midpoints,
     _pair_blocks,
     _stat_from_arrays,
     _tau_c_contexts,
@@ -323,8 +324,10 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
     m = aligned.metric[np.lexsort((aligned.metric, owner))]
     top = np.cumsum(aligned.sizes)[paired] - 1
     low = top - aligned.sizes[paired] + 1
-    lo = ((m[low] + m[low + 1]) / 2.0).min()
-    hi = ((m[top - 1] + m[top]) / 2.0).max() + 0.0  # a top edge of 0.0 is +0.0
+    lo = float(_midpoints(m[low], m[low + 1]).min())
+    hi = float(_midpoints(m[top - 1], m[top]).max()) + 0.0  # a top edge of 0.0 is +0.0
+    if not np.isfinite(hi - lo):  # numpy's bin edges would overflow
+        raise ValueError(f"pair midpoints from {lo!r} to {hi!r} span more than the float range")
     edges = np.histogram_bin_edges([lo, hi], bins)  # what np.histogram(mid, bins) uses
     all_counts, new_counts = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
     for gap, _, _, mid in _pair_blocks(*aligned[:3], pol, midpoints=True, layout=aligned.pairs):

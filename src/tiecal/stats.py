@@ -78,12 +78,15 @@ class EpsilonPolicy:
         object.__setattr__(self, "epsilon", self.epsilon + 0.0)  # -0.0 is the policy 0.0
 
     def gaps(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Derived gap values, inf past the float range; a pair is tied iff gap <= epsilon."""
+        """Derived gap values; a pair is tied iff gap <= epsilon.  Only absolute gaps reach inf."""
         with np.errstate(over="ignore"):
             d = np.abs(a - b)
         if self.mode is EpsilonMode.ABSOLUTE:
             return d
         denom = np.maximum(np.abs(a), np.abs(b))
+        over = np.isinf(d)
+        if over.any():  # halving scores this large is exact, so the ratio keeps its bits
+            d, denom = np.where(over, np.abs(a / 2 - b / 2), d), np.where(over, denom / 2, denom)
         return np.divide(d, denom, out=np.zeros_like(d), where=denom > 0)
 
 
@@ -242,6 +245,13 @@ def _pair_index_blocks(h: np.ndarray, sizes: np.ndarray) -> Iterator[tuple[np.nd
                ((hi == hj).view(np.uint8) << 1) | (hi > hj).view(np.uint8))
 
 
+def _midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2, or a/2 + b/2 where a + b overflows (exact: both are normal there)."""
+    with np.errstate(over="ignore"):
+        total = a + b
+    return np.where(np.isinf(total), a / 2.0 + b / 2.0, total / 2.0)
+
+
 def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: EpsilonPolicy, *,
                  midpoints: bool = False, layout: list | None = None
                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
@@ -261,7 +271,7 @@ def _pair_blocks(h: np.ndarray, m: np.ndarray, sizes: Sequence[int], pol: Epsilo
         mi, mj = m.take(i), m.take(j)
         gap = pol.gaps(mi, mj)
         code = ((gap <= pol.epsilon).view(np.uint8) << 2) | (relation ^ (mi > mj).view(np.uint8))
-        yield gap, group, _CLASS_OF_CODE.take(code), (mi + mj) / 2.0 if midpoints else None
+        yield gap, group, _CLASS_OF_CODE.take(code), _midpoints(mi, mj) if midpoints else None
 
 
 def _fold(counts: np.ndarray, group: np.ndarray, cls: np.ndarray) -> None:
@@ -272,33 +282,21 @@ def _fold(counts: np.ndarray, group: np.ndarray, cls: np.ndarray) -> None:
         np.subtract(group, first, dtype=np.intp) * 5 + cls, minlength=5 * span).reshape(span, 5)
 
 
-def _window_starts(m: np.ndarray, first: np.ndarray, pol: EpsilonPolicy,
-                   values: np.ndarray, rank: np.ndarray) -> np.ndarray:
+def _window_starts(m: np.ndarray, first: np.ndarray, pol: EpsilonPolicy) -> np.ndarray:
     """For each row of ``m``, sorted ascending inside segments that start at
     rows ``first`` (and non-negative in relative mode), the first row of its
-    segment whose score is tied with it; ``rank`` is each row's index in the
-    distinct scores ``values``.
+    segment whose score is tied with it.
 
     The test is the kernel's own, pol.gaps(m[i], m[p]) <= epsilon, monotone
-    in p along sorted scores.  m[p] >= m[i] - eps (relative: m[i] - eps *
-    m[i]) is not the same test (0.1 + 0.3 reaches 0.4, but 0.4 - 0.1 =
-    0.30000000000000004 is no tie), so it only guesses the starts, by one
-    searchsorted over (segment, rank) keys; rows whose guess fails the
-    kernel's test are bisected.
+    in p along sorted scores, so every row bisects its segment on it.
     """
-    eps, scale = pol.epsilon, m if pol.mode is EpsilonMode.RELATIVE else 1.0
-    key = first * values.size + rank  # ascending: segments in order, sorted inside
-    start = np.searchsorted(key, first * values.size + np.searchsorted(values, m - eps * scale))
-    miss = np.flatnonzero((pol.gaps(m, m[start]) > eps)
-                          | (start > first) & (pol.gaps(m, m[start - 1]) <= eps))
-    lo, hi = first[miss] - 1, miss  # the test fails at lo (or lo is outside), holds at hi
-    for _ in range(int((miss - first[miss]).max(initial=0) + 1).bit_length()):
+    lo, hi = first - 1, np.arange(m.size)  # the test fails at lo (or lo is outside), holds at hi
+    for _ in range(int((hi - first).max(initial=0) + 1).bit_length()):
         mid = (lo + hi) >> 1
-        tied = (pol.gaps(m[miss], m[mid]) <= eps) & (mid > lo)
+        tied = (pol.gaps(m, m[mid]) <= pol.epsilon) & (mid > lo)
         hi = np.where(tied, mid, hi)
         lo = np.where(tied, lo, mid)
-    start[miss] = hi
-    return start
+    return hi
 
 
 def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
@@ -332,10 +330,9 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
     segment, m, rank = 2 * group + ~neg, np.where(neg, -m, m), np.where(neg, span - 1 - rank, rank)
     seg_sizes = np.bincount(segment, minlength=2 * sizes.size)
     first = np.repeat(np.cumsum(seg_sizes) - seg_sizes, seg_sizes)  # each row's segment start
-    values, m_rank = np.unique(m, return_inverse=True)
     by_m = np.lexsort((m, segment))
-    m, rank, m_rank, segment = m[by_m], rank[by_m], m_rank[by_m], segment[by_m]
-    start = _window_starts(m, first, pol, values, m_rank)
+    m, rank, segment = m[by_m], rank[by_m], segment[by_m]
+    start = _window_starts(m, first, pol)
     key = segment * span + rank
     by_h = np.argsort(key, kind="stable")  # (segment, human, metric) order
     key = key[by_h]
@@ -356,8 +353,7 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
     # Columns in input, (segment, metric) and (segment, human) order: a
     # group's rows keep its positions in each, and only group sums are read.
     per_row = np.stack([conc + cross_c, rows - start, rows - run_first + cross_h,
-                        rows - _window_starts(m[by_h], run_first, pol, values, m_rank[by_h])],
-                       axis=1)
+                        rows - _window_starts(m[by_h], run_first, pol)], axis=1)
     cumulative = np.concatenate((np.zeros((1, 4), dtype=np.int64), np.cumsum(per_row, axis=0)))
     c, tied_m, tied_h, both = (cumulative[bounds[1:]] - cumulative[bounds[:-1]]).T
     d = sizes * (sizes - 1) // 2 - tied_m - tied_h + both - c

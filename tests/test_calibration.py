@@ -447,14 +447,17 @@ class TestPairLayout:
         assert len(walks) == 4 * (result.candidates_evaluated * (aligned.sizes.size + step)
                                   > moves)
 
-    @pytest.mark.parametrize("eps_mode, scores", [(EpsilonMode.ABSOLUTE, [1e308, -1e308]),
-                                                  (EpsilonMode.RELATIVE, [1.7e308, -1.7e308])])
-    def test_overflowing_gap_is_no_candidate(self, eps_mode, scores):
+    @pytest.mark.parametrize("eps_mode, scores, expected", [
+        (EpsilonMode.ABSOLUTE, [1e308, -1e308], (0.0, 0.0, 1)),
+        # a - b overflows, yet the relative gap is 2, as on [1.7, -1.7]
+        (EpsilonMode.RELATIVE, [1.7e308, -1.7e308], (2.0, 1.0, 2)),
+    ])
+    def test_overflowing_gap_is_no_candidate(self, eps_mode, scores, expected):
         h, m = single_group([0, 0], scores)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning either
             result = calibrate(h, m, CalibrationConfig(eps_mode=eps_mode))
-        assert (result.epsilon_star, result.candidates_evaluated) == (0.0, 1)
+        assert (result.epsilon_star, result.stat_star, result.candidates_evaluated) == expected
 
 
 class TestApplyEpsilon:

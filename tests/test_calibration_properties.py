@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_calibration,
@@ -231,3 +231,30 @@ def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, blo
         result = calibrate(human, metric, config)
     expect_eps, expect_val = brute_force_calibration(human, metric, mode, kind, relative)
     assert (result.epsilon_star, result.stat_star) == (expect_eps, expect_val)
+
+
+@PROFILE
+@given(campaign=campaigns(), mode=MODES, kind=st.sampled_from(list(StatKind)), data=st.data())
+def test_relative_mode_is_scale_free(campaign, mode, kind, data):
+    # Scaling every metric score by 2**k, with no score or result subnormal,
+    # scales each relative gap's difference and magnitude exactly, even where
+    # a - b overflows: counts on both paths and the calibrated threshold stay.
+    human, metric = campaign
+    exponents = [math.frexp(v)[1] for v in metric.scores().tolist() if v != 0.0]
+    assume(min(exponents, default=0) >= -1021)  # 2**-1022, the least normal, is 0.5 * 2**-1021
+    lowest, highest = -1021 - min(exponents, default=0), 1024 - max(exponents, default=0)
+    k = data.draw(st.sampled_from([lowest, highest]) | st.integers(lowest, highest))
+    scaled = metric.with_scores(array("d", np.ldexp(metric.scores(), k).tobytes()))
+    eps = data.draw(st.sampled_from(observed_gaps(human, metric, mode, True)))
+    pol = EpsilonPolicy(eps, EpsilonMode.RELATIVE)
+    h, m, sizes, _ = align(human, metric, mode)
+    with mock.patch("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", math.inf):  # the kernel
+        assert (_pair_counts(h, np.ldexp(m, k), sizes, pol).tolist()
+                == _pair_counts(h, m, sizes, pol).tolist())
+    if eps < 1:
+        assert (_sort_counts(h, np.ldexp(m, k), sizes, pol).tolist()
+                == _sort_counts(h, m, sizes, pol).tolist())
+    if any(hg.size >= 2 for hg, _ in oracle_groups(human, metric, mode)):
+        config = CalibrationConfig(kind=kind, mode=mode, eps_mode=EpsilonMode.RELATIVE)
+        results = [calibrate(human, matrix, config) for matrix in (metric, scaled)]
+        assert len({(r.epsilon_star, r.stat_star, r.candidates_evaluated) for r in results}) == 1

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -149,6 +150,27 @@ class TestCorrelate:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
+    def test_epsilon_near_the_float_range_on_the_sort_path(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # gaps of up to 2e308 overflow; the sort count's report equals the
+        # blocked kernel's, and neither warns
+        rng = np.random.default_rng(62)
+        h = write_scores(tmp_path / "h.tsv", vector_rows(rng.integers(0, 4, 300)))
+        m = write_scores(tmp_path / "m.tsv", vector_rows(
+            np.resize([1e308, -1e308, 5e307, -5e307], 300)))
+        argv = ["correlate", "--human", str(h), "--metric", f"m={m}", "--epsilon", "1e308",
+                "--stat", "all", "--mode", "no-grouping"]
+        reports = []
+        for level in (0, math.inf):  # the sort count forced, then the kernel
+            monkeypatch.setattr("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", level)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's overflow warning would raise
+                assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert reports[0] == reports[1]
+
 
 class TestCalibrateCommand:
     def test_summary_line(self, tmp_path, capsys):
@@ -161,12 +183,14 @@ class TestCalibrateCommand:
         assert "epsilon=0.05" in out
         assert "acc_eq=1.000000" in out
 
-    @pytest.mark.parametrize("eps_mode, scores", [("absolute", [1e308, -1e308]),
-                                                  ("relative", [1.7e308, -1.7e308])])
+    @pytest.mark.parametrize("eps_mode, scores, eps, acc_eq", [
+        ("absolute", [1e308, -1e308], "0", "0.000000"),
+        ("relative", [1.7e308, -1.7e308], "2", "1.000000"),  # a - b overflows; the gap is 2
+    ])
     @pytest.mark.parametrize("command", [["calibrate"], ["rank", "--calibrate"]])
     def test_overflowing_gap_is_no_candidate(self, tmp_path, capsys, command, eps_mode,
-                                             scores):
-        # the gap overflows to inf, which no finite threshold reaches
+                                             scores, eps, acc_eq):
+        # the absolute gap overflows to inf, which no finite threshold reaches
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0]))
         m = write_scores(tmp_path / "m.tsv", vector_rows(scores))
         with warnings.catch_warnings():
@@ -177,9 +201,9 @@ class TestCalibrateCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         if command == ["calibrate"]:
-            assert captured.out == "metric=m epsilon=0 acc_eq=0.000000\n"
+            assert captured.out == f"metric=m epsilon={eps} acc_eq={acc_eq}\n"
         else:
-            assert parse_tsv(captured.out)[0]["epsilon"] == "0"
+            assert parse_tsv(captured.out)[0]["epsilon"] == eps
 
     def test_tie_averse_stat_warns(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2, 3]))
@@ -403,6 +427,24 @@ class TestAuxCommands:
         assert len(rows) == 4
         assert all(row["newly_tied"] == "0" for row in rows)
         assert sum(int(row["all_pairs"]) for row in rows) == 6
+
+    @pytest.mark.parametrize("scores, code, err", [
+        ([1.7e308, 1.7e308, -1e308], 0, ""),  # a + b overflows; the midpoint does not
+        ([1.7e308, 1.7e308, -1.7e308, -1.7e308], 2,
+         "error: pair midpoints from -1.7e+308 to 1.7e+308 span more than the float range\n"),
+    ], ids=["finite", "overflowing"])
+    def test_tie_hist_midpoints_near_the_float_range(self, tmp_path, capsys, scores, code, err):
+        h = write_scores(tmp_path / "h.tsv", vector_rows(range(len(scores))))
+        m = write_scores(tmp_path / "m.tsv", vector_rows(scores))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tie-hist", "--human", str(h), "--metric", f"m={m}"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if code == 0:
+            rows = parse_tsv(captured.out)
+            assert (rows[0]["bin_start"], rows[-1]["bin_end"]) == ("3.5e+307", "1.7e+308")
+            assert sum(int(row["all_pairs"]) for row in rows) == 3
 
     def test_duplicate_metric_name_rejected(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1]))

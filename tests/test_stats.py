@@ -128,6 +128,9 @@ class TestSuffStats:
         assert counts.tied_metric == 1
         counts = suff_stats([0, 1], [1.0, 0.8], pol)
         assert counts.tied_metric == 0
+        # the gap is 2 on both, though 1.7e308 - -1.7e308 overflows
+        for m in ([1.7, -1.7], [1.7e308, -1.7e308]):
+            assert suff_stats([0, 1], m, EpsilonPolicy(2, EpsilonMode.RELATIVE)).tied_metric == 1
 
     def test_relative_epsilon_double_zero_is_tied(self):
         pol = EpsilonPolicy(0.0, EpsilonMode.RELATIVE)
@@ -249,6 +252,12 @@ class TestSortCount:
         parts = [(np.array([0.0, 1.0, 0.0, 2.0, 1.0, 1.0]), m), (np.zeros(2), np.array([0.1, 0.4]))]
         self.assert_oracle_counts(parts, EpsilonPolicy(0.3))
         assert suff_stats([0, 1], [0.1, 0.4], 0.3).tied_metric == 0
+        # runs a few ulps around 0.3 and 0.4: 21 of their 49 gaps are <= 0.1,
+        # and 22 of their relative gaps are <= 0.25
+        near = np.concatenate([v + np.arange(-3, 4) * np.spacing(v) for v in (0.3, 0.4)])
+        near = np.random.default_rng(250).permutation(near)
+        for pol in (EpsilonPolicy(0.1), EpsilonPolicy(0.25, EpsilonMode.RELATIVE)):
+            self.assert_oracle_counts([(np.arange(near.size) % 3.0, near)], pol)
 
     def test_negative_zero_next_to_zero(self, path):
         h = np.array([0.0, -0.0, 0.0, -1.0, -0.0, 1.0, 0.0])
