@@ -328,7 +328,13 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
     hi = float(_midpoints(m[top - 1], m[top]).max()) + 0.0  # a top edge of 0.0 is +0.0
     if not np.isfinite(hi - lo):  # numpy's bin edges would overflow
         raise ValueError(f"pair midpoints from {lo!r} to {hi!r} span more than the float range")
-    edges = np.histogram_bin_edges([lo, hi], bins)  # what np.histogram(mid, bins) uses
+    try:
+        edges = np.histogram_bin_edges([lo, hi], bins)  # what np.histogram(mid, bins) uses
+    except ValueError:  # numpy's ±0.5 around one large value gives too few distinct edges
+        # edges 4 ulps apart; the ulp read at half the value, as np.spacing(max) is inf
+        pad = 4 * bins * float(np.spacing(max(abs(lo), abs(hi)) / 2))
+        lo, hi = np.nan_to_num([lo - pad, hi + pad])  # an infinite end becomes the largest float
+        edges = np.histogram_bin_edges([lo, hi], bins)
     all_counts, new_counts = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
     for gap, _, _, mid in _pair_blocks(*aligned[:3], pol, midpoints=True, layout=aligned.pairs):
         all_counts += np.histogram(mid, bins, range=(lo, hi))[0]

@@ -11,9 +11,8 @@ Per-group counts come from one of two exact paths.  The blocked kernel
 (``_pair_blocks``) classifies every pair, so its cost grows with the pairs;
 the calibration sweep and tie histogram read it for each pair's gap.  The
 sort count (``_sort_counts``) takes O(n log² n) time for n rows from
-windows and a dominance count over sorted scores.  ``_pair_counts`` picks
-the sort count for large groups unless the policy is relative with
-epsilon >= 1, the one rule that ties scores of opposite signs.
+windows and a dominance count over sorted scores, under every policy.
+``_pair_counts`` picks between them by the group sizes alone.
 """
 
 from __future__ import annotations
@@ -121,13 +120,7 @@ class PairCounts:
                 self.tied_metric, self.tied_both)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "concordant": self.concordant,
-            "discordant": self.discordant,
-            "tied_human": self.tied_human,
-            "tied_metric": self.tied_metric,
-            "tied_both": self.tied_both,
-        }
+        return dict(vars(self))  # the fields, in class order
 
 
 class StatKind(enum.Enum):
@@ -220,7 +213,8 @@ def stat_from_counts(kind: StatKind, counts: PairCounts, *,
 
 
 def _kernel_sized(sizes: np.ndarray) -> bool:
-    """Whether ``_pair_counts`` counts groups of ``sizes`` on the kernel under any policy."""
+    """Whether groups of ``sizes`` hold at most ``_SORT_PAIRS_PER_ROW_LEVEL``
+    pairs per row and level (bit of the largest size), where the kernel counts them."""
     pairs = int((sizes * (sizes - 1) // 2).sum())
     levels = int(sizes.max(initial=0)).bit_length()
     return pairs <= _SORT_PAIRS_PER_ROW_LEVEL * int(sizes.sum()) * levels
@@ -282,37 +276,30 @@ def _fold(counts: np.ndarray, group: np.ndarray, cls: np.ndarray) -> None:
         np.subtract(group, first, dtype=np.intp) * 5 + cls, minlength=5 * span).reshape(span, 5)
 
 
-def _window_starts(m: np.ndarray, first: np.ndarray, pol: EpsilonPolicy) -> np.ndarray:
-    """For each row of ``m``, sorted ascending inside segments that start at
-    rows ``first`` (and non-negative in relative mode), the first row of its
-    segment whose score is tied with it.
-
-    The test is the kernel's own, pol.gaps(m[i], m[p]) <= epsilon, monotone
-    in p along sorted scores, so every row bisects its segment on it.
-    """
-    lo, hi = first - 1, np.arange(m.size)  # the test fails at lo (or lo is outside), holds at hi
-    for _ in range(int((hi - first).max(initial=0) + 1).bit_length()):
+def _bisect(lo: np.ndarray, hi: np.ndarray, holds) -> np.ndarray:
+    """The first p in (lo, hi] where ``holds(p)`` does, for a test that
+    changes value once along each row's range: from failing to holding,
+    and taken to hold at hi.  ``holds`` sees lo too, whose result is unused."""
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
         mid = (lo + hi) >> 1
-        tied = (pol.gaps(m, m[mid]) <= pol.epsilon) & (mid > lo)
-        hi = np.where(tied, mid, hi)
-        lo = np.where(tied, lo, mid)
+        found = holds(mid) & (mid > lo)
+        hi, lo = np.where(found, mid, hi), np.where(found, lo, mid)
     return hi
 
 
 def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
                  pol: EpsilonPolicy) -> np.ndarray:
-    """Per-group class counts by sorting, in O(n log² n) for n rows, for an
-    absolute policy or a relative one with epsilon < 1.
+    """Per-group class counts by sorting, in O(n log² n) for n rows.
 
     In relative mode a group's negative rows form a segment of their own,
-    negated and with human ranks reversed, which keeps every pair's class;
-    no pair of opposite signs is tied, and its class is concordant when its
-    non-negative row has the higher human score.  In (segment, metric)
-    order each row's tie window gives the metric-tied pairs; run lengths in
-    (segment, human, metric) order give the human-tied pairs, and windows
-    inside each run the tied-both pairs.  A dominance count over dense human
-    ranks gives the concordant pairs: rows before a row's window with a
-    smaller human score.  The rest are discordant.
+    negated and with human ranks reversed, which keeps every pair's class.
+    In (segment, metric) order each row's tie window gives the metric-tied
+    pairs; run lengths in (segment, human, metric) order give the
+    human-tied pairs, and windows inside each run the tied-both pairs.  A
+    dominance count over dense human ranks gives the concordant pairs: rows
+    before a row's window with a smaller human score, and the untied pairs
+    of opposite signs whose non-negative row has the higher one.  The rest
+    are discordant.
     """
     rows = np.arange(h.size)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -329,31 +316,44 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
     cross_h = np.where(neg, 0, equal_or_smaller - smaller)
     segment, m, rank = 2 * group + ~neg, np.where(neg, -m, m), np.where(neg, span - 1 - rank, rank)
     seg_sizes = np.bincount(segment, minlength=2 * sizes.size)
-    first = np.repeat(np.cumsum(seg_sizes) - seg_sizes, seg_sizes)  # each row's segment start
+    ends = np.cumsum(seg_sizes)
+    first = np.repeat(ends - seg_sizes, seg_sizes)  # each row's segment start
     by_m = np.lexsort((m, segment))
     m, rank, segment = m[by_m], rank[by_m], segment[by_m]
-    start = _window_starts(m, first, pol)
+    start = _bisect(first - 1, rows, lambda p: pol.gaps(m, m[p]) <= pol.epsilon)
+    # A tied pair of opposite signs counts from its row of larger magnitude
+    # (the negative one if equal).  With that magnitude as the divisor the
+    # gap never falls as the partner's grows, so a row's tied partners are a
+    # prefix of the other segment, from row ``other``.
+    other, nonneg = (ends - seg_sizes)[segment ^ 1], segment & 1 == 1
+    signed = np.where(nonneg, m, -m)
+    tied = _bisect(other - 1, ends[segment ^ 1], lambda p: (m[p] > m) | (m[p] == m) & nonneg
+                   | (pol.gaps(signed, signed[p]) > pol.epsilon)) - other
     key = segment * span + rank
     by_h = np.argsort(key, kind="stable")  # (segment, human, metric) order
-    key = key[by_h]
+    m_h, key = m[by_h], key[by_h]
     run_first = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, rows, 0))
-    # Concordant pairs.  The ``width`` rows of a row's segment before its
-    # window hold, for each set bit k of ``width``, one segment-aligned block
-    # of 2**k rows.  Sorting every row's (block, rank) key at level k puts a
-    # block's keys after the first + (block << k) keys of earlier segments
-    # and blocks, so one searchsorted counts the smaller ranks inside the block.
-    local, width = rows - first, start - first
-    conc = np.zeros(h.size, dtype=np.int64)
+    in_run = rows - _bisect(run_first - 1, rows, lambda p: pol.gaps(m_h, m_h[p]) <= pol.epsilon)
+    # Ranks below q in the first ``count`` rows of the segment from ``base``:
+    # before a row's window, below its rank; in its tied prefix, below and
+    # not above its rank as the other segment stores it.  ``count`` rows
+    # hold, for each set bit k, one segment-aligned block of 2**k rows.
+    # Sorting every row's (block, rank) key at level k puts a block's keys
+    # after the base + (block << k) keys of earlier segments and blocks, so
+    # one searchsorted counts the smaller ranks inside the block.
+    queries = ((first, start - first, rank[None]), (other, tied, span - 1 - rank + [[0], [1]]))
+    conc, lt, le = counts = np.zeros((3, h.size), dtype=np.int64)
     for k in range(int(seg_sizes.max(initial=0)).bit_length()):
-        ranks_by_block = np.sort((first + (local >> k)) * span + rank)
-        sel = np.flatnonzero((width >> k) & 1)
-        block = (width[sel] >> k) - 1
-        conc[sel] += (np.searchsorted(ranks_by_block, (first[sel] + block) * span + rank[sel])
-                      - first[sel] - (block << k))
+        ranks_by_block = np.sort((first + (rows - first >> k)) * span + rank)
+        for found, (base, count, q) in zip((counts[:1], counts[1:]), queries):
+            sel = np.flatnonzero((count >> k) & 1)
+            block = (count[sel] >> k) - 1
+            found[:, sel] += np.searchsorted(
+                ranks_by_block, (base[sel] + block) * span + q[:, sel]) - base[sel] - (block << k)
     # Columns in input, (segment, metric) and (segment, human) order: a
     # group's rows keep its positions in each, and only group sums are read.
-    per_row = np.stack([conc + cross_c, rows - start, rows - run_first + cross_h,
-                        rows - _window_starts(m[by_h], run_first, pol)], axis=1)
+    per_row = np.stack([conc + cross_c - tied + le, rows - start + tied,
+                        rows - run_first + cross_h, in_run + le - lt], axis=1)
     cumulative = np.concatenate((np.zeros((1, 4), dtype=np.int64), np.cumsum(per_row, axis=0)))
     c, tied_m, tied_h, both = (cumulative[bounds[1:]] - cumulative[bounds[:-1]]).T
     d = sizes * (sizes - 1) // 2 - tied_m - tied_h + both - c
@@ -362,16 +362,11 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
 
 def _pair_counts(h: np.ndarray, m: np.ndarray, sizes: Sequence[int],
                  pol: EpsilonPolicy, layout: list | None = None) -> np.ndarray:
-    """Per-group class counts, a (groups, 5) int64 array in class order.
-
-    Counts by sorting when the groups hold more than
-    ``_SORT_PAIRS_PER_ROW_LEVEL`` pairs per row and level (bit of the
-    largest group size), unless the policy is relative with epsilon >= 1,
-    which ties pairs of opposite signs; otherwise bincounts the blocked
-    kernel's classes, with ``layout`` as ``_pair_blocks`` takes it.
-    """
+    """Per-group class counts, a (groups, 5) int64 array in class order:
+    by sorting unless the groups are ``_kernel_sized``, else by bincounting
+    the blocked kernel's classes, with ``layout`` as ``_pair_blocks`` takes it."""
     sizes = np.asarray(sizes, dtype=np.int64)
-    if (pol.mode is EpsilonMode.ABSOLUTE or pol.epsilon < 1) and not _kernel_sized(sizes):
+    if not _kernel_sized(sizes):
         return _sort_counts(h, m, sizes, pol)
     counts = np.zeros((len(sizes), 5), dtype=np.int64)
     for _, group, cls, _ in _pair_blocks(h, m, sizes, pol, layout=layout):
@@ -384,9 +379,8 @@ def suff_stats(human: Scores, metric: Scores, eps: EpsilonPolicy | float = 0.0) 
 
     Human ties are exact equality; metric ties are gap <= epsilon under the
     policy.  Vectors with fewer than two entries yield all-zero counts.
-    Long vectors are counted by sorting in O(n log² n) time, except under
-    a relative policy with epsilon >= 1; otherwise the pairs are enumerated
-    in blocks, so memory stays bounded.
+    Long vectors are counted by sorting in O(n log² n) time, short ones by
+    enumerating their pairs in blocks, so memory stays bounded.
     """
     h = as_score_vector(human)
     m = as_score_vector(metric)

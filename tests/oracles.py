@@ -41,11 +41,15 @@ def oracle_groups(human, metric, mode):
 
 def oracle_gap(a, b, relative=False):
     """Gap between two metric scores; relative gaps divide by the larger
-    magnitude, and two exact zeros have gap 0."""
+    magnitude, and two exact zeros have gap 0.  An absolute gap beyond the
+    float range is inf; a relative one is taken on the halved scores, whose
+    difference fits and whose ratio is the same."""
     gap = abs(a - b)
     if not relative:
         return gap
     scale = max(abs(a), abs(b))
+    if math.isinf(gap):  # both scores are far from subnormal, so halving them is exact
+        return abs(a / 2 - b / 2) / (scale / 2)
     return gap / scale if scale > 0 else 0.0
 
 

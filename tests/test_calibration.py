@@ -415,9 +415,9 @@ class TestPairLayout:
                 f1_curve(h, m, mode, [0.0, 0.5, 2.0], EpsilonMode.RELATIVE)
                 tie_location_histogram(h, m, 0.1, 5, mode)
         # 40 items and 15 systems get one each.  The 600 rows pooled get none:
-        # they are counted by sorting, save at relative epsilon 2, and their
-        # sweep and histogram list the pairs each time.
-        assert builds == [40, 15] + [1] * (3 * len(metrics))
+        # they are counted by sorting at every grid point, relative epsilon 2
+        # too, and their sweep and histogram list the pairs each time.
+        assert builds == [40, 15] + [1] * (2 * len(metrics))
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "subset"])
     @pytest.mark.parametrize("step", [math.inf, 512, -math.inf], ids=["walk", "rule", "replay"])

@@ -271,6 +271,35 @@ class TestSortCount:
             parts = self.random_parts(rng, rng.choice([0, 1, 2, 7, 20], size=4))
             self.assert_oracle_counts(parts, EpsilonPolicy(0.0, EpsilonMode.RELATIVE))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relative_epsilon_of_one_and_more(self, path, seed):
+        # every same-sign pair is tied; pairs of opposite signs have gaps in [1, 2]
+        rng = np.random.default_rng(350 + seed)
+        for _ in range(10):
+            parts = self.random_parts(rng, rng.choice([0, 1, 2, 9, 25], size=3))
+            m = np.concatenate([mg for _, mg in parts])
+            gaps = EpsilonPolicy(0.0, EpsilonMode.RELATIVE).gaps(m[:, None], m[None, :])
+            for eps in (1.0, 1.5, 2.0, *rng.permutation(gaps[gaps >= 1])[:3]):
+                self.assert_oracle_counts(parts, EpsilonPolicy(float(eps), EpsilonMode.RELATIVE))
+
+    def test_opposite_signs_a_few_ulps_apart(self, path):
+        # b fixed and |a| stepped through adjacent floats in [b, 4b): the float
+        # gap |a - b| / |a| rises at some steps where the exact 1 + b/|a| falls,
+        # so a tied pair must be found from its larger magnitude's side
+        rng = np.random.default_rng(360)
+        for _ in range(20):
+            b = rng.uniform(0.01, 10)
+            a = rng.uniform(b, 4 * b)
+            small = b + np.arange(6) * np.spacing(b)
+            large = a + np.arange(30) * np.spacing(a)
+            for m in (np.concatenate((small, -large)), np.concatenate((-small, large))):
+                m = rng.permutation(m)
+                gaps = EpsilonPolicy(0.0, EpsilonMode.RELATIVE).gaps(m[:, None], m[None, :])
+                for gap in rng.choice(gaps[gaps >= 1], size=4):
+                    for eps in (gap, np.nextafter(gap, 0), np.nextafter(gap, 3)):
+                        self.assert_oracle_counts([(np.arange(m.size) % 3.0, m)],
+                                                  EpsilonPolicy(float(eps), EpsilonMode.RELATIVE))
+
     def test_tau_b_matches_scipy_on_the_sort_path(self):
         from scipy.stats import kendalltau
         rng = np.random.default_rng(330)
@@ -293,11 +322,10 @@ class TestSortCount:
         kinds = [StatKind.ACC_EQ, StatKind.TAU_B]
         pooled = GroupingMode.NO_GROUPING
         for pol in (EpsilonPolicy(0.01), EpsilonPolicy(0.0, EpsilonMode.RELATIVE),
-                    EpsilonPolicy(0.01, EpsilonMode.RELATIVE)):
+                    EpsilonPolicy(0.01, EpsilonMode.RELATIVE),
+                    EpsilonPolicy(1.0, EpsilonMode.RELATIVE)):  # ties opposite signs
             reports = grouped_stats(human, metric, pooled, kinds, pol)
             assert reports[0].pairs_total == n * (n - 1) // 2
-        with pytest.raises(AssertionError, match="blocked kernel"):  # ties opposite signs
-            grouped_stats(human, metric, pooled, kinds, EpsilonPolicy(1.0, EpsilonMode.RELATIVE))
         with pytest.raises(AssertionError, match="blocked kernel"):  # 15 rows a group
             grouped_stats(human, metric, GroupingMode.GROUP_BY_SYSTEM, kinds, EpsilonPolicy(0.01))
 
