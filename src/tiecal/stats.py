@@ -120,7 +120,13 @@ class PairCounts:
                 self.tied_metric, self.tied_both)
 
     def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))  # the fields, in class order
+        return {
+            "concordant": self.concordant,
+            "discordant": self.discordant,
+            "tied_human": self.tied_human,
+            "tied_metric": self.tied_metric,
+            "tied_both": self.tied_both,
+        }
 
 
 class StatKind(enum.Enum):
@@ -213,8 +219,7 @@ def stat_from_counts(kind: StatKind, counts: PairCounts, *,
 
 
 def _kernel_sized(sizes: np.ndarray) -> bool:
-    """Whether groups of ``sizes`` hold at most ``_SORT_PAIRS_PER_ROW_LEVEL``
-    pairs per row and level (bit of the largest size), where the kernel counts them."""
+    """Whether ``_pair_counts`` counts groups of ``sizes`` on the kernel."""
     pairs = int((sizes * (sizes - 1) // 2).sum())
     levels = int(sizes.max(initial=0)).bit_length()
     return pairs <= _SORT_PAIRS_PER_ROW_LEVEL * int(sizes.sum()) * levels
@@ -283,8 +288,29 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, holds) -> np.ndarray:
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):
         mid = (lo + hi) >> 1
         found = holds(mid) & (mid > lo)
-        hi, lo = np.where(found, mid, hi), np.where(found, lo, mid)
+        hi = np.where(found, mid, hi)
+        lo = np.where(found, lo, mid)
     return hi
+
+
+def _cross_ties(m: np.ndarray, segment: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                pol: EpsilonPolicy) -> np.ndarray | int:
+    """Each row's count of tied pairs of opposite signs, or 0 if no row has
+    any: a prefix of the other segment of its group (segment ``2g + 1``
+    holds group g's non-negative scores, ``2g`` its negated negative ones,
+    each sorted, from ``starts`` to ``ends``).  A pair counts from its row
+    of larger magnitude (the negative one if equal); with that magnitude as
+    the divisor the gap never falls as the partner's grows.
+    """
+    other, stop, nonneg = starts[segment ^ 1], ends[segment ^ 1], segment & 1 == 1
+    signed = np.where(nonneg, m, -m)
+
+    def untied(p):
+        return (m[p] > m) | (m[p] == m) & nonneg | (pol.gaps(signed, signed[p]) > pol.epsilon)
+
+    if (untied(other % m.size) | (other == stop)).all():  # no row's first partner is tied
+        return 0
+    return _bisect(other - 1, stop, untied) - other
 
 
 def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
@@ -297,9 +323,10 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
     pairs; run lengths in (segment, human, metric) order give the
     human-tied pairs, and windows inside each run the tied-both pairs.  A
     dominance count over dense human ranks gives the concordant pairs: rows
-    before a row's window with a smaller human score, and the untied pairs
-    of opposite signs whose non-negative row has the higher one.  The rest
-    are discordant.
+    before a row's window with a smaller human score, and the pairs of
+    opposite signs whose non-negative row has the higher one.  Tied pairs
+    of opposite signs (``_cross_ties``) leave those counts for the
+    metric-tied ones.  The rest are discordant.
     """
     rows = np.arange(h.size)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -321,39 +348,41 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
     by_m = np.lexsort((m, segment))
     m, rank, segment = m[by_m], rank[by_m], segment[by_m]
     start = _bisect(first - 1, rows, lambda p: pol.gaps(m, m[p]) <= pol.epsilon)
-    # A tied pair of opposite signs counts from its row of larger magnitude
-    # (the negative one if equal).  With that magnitude as the divisor the
-    # gap never falls as the partner's grows, so a row's tied partners are a
-    # prefix of the other segment, from row ``other``.
-    other, nonneg = (ends - seg_sizes)[segment ^ 1], segment & 1 == 1
-    signed = np.where(nonneg, m, -m)
-    tied = _bisect(other - 1, ends[segment ^ 1], lambda p: (m[p] > m) | (m[p] == m) & nonneg
-                   | (pol.gaps(signed, signed[p]) > pol.epsilon)) - other
+    # Concordant pairs: ranks below a row's own in the ``count`` rows of its
+    # segment before its window, from row ``base``.
+    conc = np.zeros(h.size, dtype=np.int64)
+    queries, lt, le = [(conc, first, start - first, rank)], 0, 0
+    tied = _cross_ties(m, segment, ends - seg_sizes, ends, pol)
+    if np.any(tied):
+        # Ranks below and not above the row's own, as the other segment
+        # stores it, split each tied prefix by human relation.
+        other = (ends - seg_sizes)[segment ^ 1]
+        lt, le = np.zeros((2, h.size), dtype=np.int64)
+        queries += [(lt, other, tied, span - 1 - rank), (le, other, tied, span - rank)]
     key = segment * span + rank
     by_h = np.argsort(key, kind="stable")  # (segment, human, metric) order
-    m_h, key = m[by_h], key[by_h]
+    key = key[by_h]
     run_first = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, rows, 0))
-    in_run = rows - _bisect(run_first - 1, rows, lambda p: pol.gaps(m_h, m_h[p]) <= pol.epsilon)
-    # Ranks below q in the first ``count`` rows of the segment from ``base``:
-    # before a row's window, below its rank; in its tied prefix, below and
-    # not above its rank as the other segment stores it.  ``count`` rows
-    # hold, for each set bit k, one segment-aligned block of 2**k rows.
-    # Sorting every row's (block, rank) key at level k puts a block's keys
-    # after the base + (block << k) keys of earlier segments and blocks, so
-    # one searchsorted counts the smaller ranks inside the block.
-    queries = ((first, start - first, rank[None]), (other, tied, span - 1 - rank + [[0], [1]]))
-    conc, lt, le = counts = np.zeros((3, h.size), dtype=np.int64)
+    # The ``count`` rows hold, for each set bit k of ``count``, one
+    # segment-aligned block of 2**k rows.  Sorting every row's (block, rank)
+    # key at level k puts a block's keys after the base + (block << k) keys
+    # of earlier segments and blocks, so one searchsorted counts the smaller
+    # ranks inside the block.
+    local = rows - first
     for k in range(int(seg_sizes.max(initial=0)).bit_length()):
-        ranks_by_block = np.sort((first + (rows - first >> k)) * span + rank)
-        for found, (base, count, q) in zip((counts[:1], counts[1:]), queries):
+        ranks_by_block = np.sort((first + (local >> k)) * span + rank)
+        for found, base, count, q in queries:
             sel = np.flatnonzero((count >> k) & 1)
             block = (count[sel] >> k) - 1
-            found[:, sel] += np.searchsorted(
-                ranks_by_block, (base[sel] + block) * span + q[:, sel]) - base[sel] - (block << k)
+            found[sel] += (np.searchsorted(ranks_by_block, (base[sel] + block) * span + q[sel])
+                           - base[sel] - (block << k))
+    m = m[by_h]
     # Columns in input, (segment, metric) and (segment, human) order: a
     # group's rows keep its positions in each, and only group sums are read.
-    per_row = np.stack([conc + cross_c - tied + le, rows - start + tied,
-                        rows - run_first + cross_h, in_run + le - lt], axis=1)
+    per_row = np.stack([conc + cross_c - tied + le, rows - start + tied, rows - run_first + cross_h,
+                        le - lt + rows - _bisect(run_first - 1, rows,
+                                                 lambda p: pol.gaps(m, m[p]) <= pol.epsilon)],
+                       axis=1)
     cumulative = np.concatenate((np.zeros((1, 4), dtype=np.int64), np.cumsum(per_row, axis=0)))
     c, tied_m, tied_h, both = (cumulative[bounds[1:]] - cumulative[bounds[:-1]]).T
     d = sizes * (sizes - 1) // 2 - tied_m - tied_h + both - c
@@ -362,9 +391,13 @@ def _sort_counts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray,
 
 def _pair_counts(h: np.ndarray, m: np.ndarray, sizes: Sequence[int],
                  pol: EpsilonPolicy, layout: list | None = None) -> np.ndarray:
-    """Per-group class counts, a (groups, 5) int64 array in class order:
-    by sorting unless the groups are ``_kernel_sized``, else by bincounting
-    the blocked kernel's classes, with ``layout`` as ``_pair_blocks`` takes it."""
+    """Per-group class counts, a (groups, 5) int64 array in class order.
+
+    Counts by sorting when the groups hold more than
+    ``_SORT_PAIRS_PER_ROW_LEVEL`` pairs per row and level (bit of the
+    largest group size); otherwise bincounts the blocked kernel's classes,
+    with ``layout`` as ``_pair_blocks`` takes it.
+    """
     sizes = np.asarray(sizes, dtype=np.int64)
     if not _kernel_sized(sizes):
         return _sort_counts(h, m, sizes, pol)

@@ -527,6 +527,17 @@ class TestTieLocationHistogram:
         hist = tie_location_histogram(h, m, EpsilonPolicy(result.epsilon_star), bins=4)
         assert hist.newly_tied[-1] > hist.newly_tied[:2].sum()
 
+    def test_midpoints_too_close_for_numpy_edges(self):
+        # midpoints 1e15, 1e15 + 0.125 and 1e15 + 0.25 are an ulp apart, too
+        # close for 11 distinct edges, so the range is widened
+        h, m = single_group([0, 1, 2, 3], [1e15, 1e15, 1e15 + 0.25, 1e15 + 0.25])
+        hist = tie_location_histogram(h, m, EpsilonPolicy(0.25), bins=10)
+        assert (np.diff(hist.bin_edges) > 0).all()
+        mid = np.array([1e15, 1e15 + 0.25] + [1e15 + 0.125] * 4)
+        assert hist.all_pairs.tolist() == np.histogram(mid, hist.bin_edges)[0].tolist()
+        assert hist.newly_tied.tolist() == np.histogram(mid[2:], hist.bin_edges)[0].tolist()
+        assert np.count_nonzero(hist.all_pairs) > 1  # distinct midpoints, not one bin
+
     def test_invalid_bins(self):
         h, m = single_group([1, 2], [1, 2])
         with pytest.raises(ValueError):
