@@ -24,7 +24,6 @@ from .grouping import (
     ScoreMatrix,
     align,
     bucketize,
-    grouped_stat,
     grouped_stats,
     mean_defined,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "dump_scores",
     "f1_curve",
     "format_value",
-    "grouped_stat",
     "grouped_stats",
     "load_scores",
     "mean_defined",

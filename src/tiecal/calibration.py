@@ -9,7 +9,7 @@ moving pairs, and one sort puts them in gap order.  A walk over them, a
 block at a time, carries each group's counts and value and gives the
 grouped mean at every candidate up to last-ulp drift.  Candidates within a
 stated rounding bound of the best are replayed exactly, in ascending order,
-with the reduction ``grouped_stat`` uses, so ties in the maximum resolve to
+with the reduction ``grouped_stats`` uses, so ties in the maximum resolve to
 the smallest threshold, and the winner is re-verified by a batch
 evaluation; with few candidates for the moves, all are replayed and the
 walk is skipped.  The F1 curve is the batch evaluation at each grid
@@ -85,7 +85,6 @@ class CalibrationResult:
     epsilon_star: float
     stat_star: float | None
     candidates_evaluated: int
-    config: CalibrationConfig
     report: CorrelationReport
 
 
@@ -215,13 +214,9 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     Returns the smallest threshold achieving the maximum: an approximate
     walk gives a shortlist near the best (or every candidate, if few), then
     its exact replay and a batch re-verification (RuntimeError on a mismatch).
-
-    Raises ValueError when no group has two aligned entries.
     """
     aligned = align(human, metric, config.mode)
     total_pairs = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
-    if total_pairs == 0:
-        raise ValueError("nothing to calibrate: no group has two aligned entries")
     need = (total_pairs * (_SWEEP_BYTES_PER_PAIR + (aligned.pairs is not None) * _LAYOUT_BYTES)
             + _SWEEP_MOVES * _MOVE_BYTES)
     have, what = _memory_limit()
@@ -240,8 +235,8 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
 
     values = group_values(slice(None))
     n_candidates = at.size
-    ends = at  # every candidate, when replaying each costs no more than the walk
-    if n_candidates * (n_groups + _REPLAY_STEP_MOVES) > gaps.size:
+    ends = at  # every candidate, when replaying each costs no more than the walk or none moves
+    if n_candidates * (n_groups + _REPLAY_STEP_MOVES) > gaps.size > 0:
         # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum of
         # group values or of their changes exceeds M = 2G, and a float sum of N
         # terms with partial sums below M is within N*M*u of exact.  The walk
@@ -282,7 +277,6 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         epsilon_star=float(best_eps),
         stat_star=report.value,
         candidates_evaluated=n_candidates,
-        config=config,
         report=report,
     )
 

@@ -16,7 +16,7 @@ import sys
 from array import array
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Iterator, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__, calibration, data
 from .calibration import (
@@ -37,7 +37,6 @@ from .grouping import (
     GroupingMode,
     ScoreMatrix,
     bucketize,
-    grouped_stat,
     grouped_stats,
 )
 from .stats import (
@@ -250,7 +249,7 @@ def _load_inputs(human_path: str, metrics: Sequence[tuple[str, Path]]
 
 
 def _document(args: argparse.Namespace, digests: dict[str, str], columns: tuple[str, ...],
-              rows: list[dict[str, Any]], ranking: list[str] | None = None) -> ReportDocument:
+              rows: Iterable[dict[str, Any]], ranking: list[str] | None = None) -> ReportDocument:
     return ReportDocument(version=__version__, command=args.command, inputs=digests,
                           columns=columns, rows=rows, ranking=ranking)
 
@@ -346,7 +345,8 @@ def _cmd_rank(args: argparse.Namespace) -> Outputs:
         constant = human.with_scores(array("d", [0.0]) * len(human))
         metrics.append((BASELINE_NAME, constant))
     reports = {name: calibrate(human, matrix, config).report if args.calibrate
-               else grouped_stat(human, matrix, mode, kind, pol) for name, matrix in metrics}
+               else grouped_stats(human, matrix, mode, [kind], pol)[0]
+               for name, matrix in metrics}
     ranking = rank_metrics({name: report.value for name, report in reports.items()})
     rows = [_row(name, reports[name], rank=position)
             for position, name in enumerate(ranking, start=1)]
@@ -365,15 +365,16 @@ def _cmd_buckets(args: argparse.Namespace) -> Outputs:
     if not k_list or any(k < 1 for k in k_list):
         raise ValueError(f"--k-list must contain positive integers, got {args.k_list!r}")
     human, ((name, matrix),), digests = _load_inputs(args.human, [metric])
-    rows = [_row(name, grouped_stat(human, bucketize(matrix, k), mode, kind, 0.0), k=k)
+    rows = [_row(name, grouped_stats(human, bucketize(matrix, k), mode, [kind])[0], k=k)
             for k in k_list]
     yield args.out, _document(args, digests, _BUCKET_COLUMNS, rows)
 
 
 _HIST_COLUMNS = ("bin_start", "bin_end", "all_pairs", "newly_tied")
-# Peak bytes of one tie-hist bin, by report format: its edge and counts, its
-# row and its report text (RSS grows about 450 B a bin for tsv, 590 B for json).
-_BIN_BYTES = {"tsv": 512, "json": 768}
+# Peak bytes of one tie-hist bin, by report format: its edge and counts, and
+# its report text, as rows reach the writer one at a time (RSS grows about
+# 205 B a bin for tsv, 440 B for json).
+_BIN_BYTES = {"tsv": 256, "json": 512}
 
 
 def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:
@@ -387,8 +388,8 @@ def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:
     human, ((_, matrix),), digests = _load_inputs(args.human, [metric])
     hist = tie_location_histogram(human, matrix, pol, args.bins, mode)
     edges = hist.bin_edges.tolist()
-    rows = [dict(zip(_HIST_COLUMNS, row)) for row in zip(
-        edges[:-1], edges[1:], hist.all_pairs.tolist(), hist.newly_tied.tolist())]
+    rows = (dict(zip(_HIST_COLUMNS, row)) for row in zip(
+        edges[:-1], edges[1:], hist.all_pairs.tolist(), hist.newly_tied.tolist()))
     yield args.out, _document(args, digests, _HIST_COLUMNS, rows)
 
 

@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -247,26 +247,26 @@ def _json_block(value: Any) -> str:
     return text[0] + _JSON_PAD + "  " + text[1:-1] + _JSON_PAD + text[-1]
 
 
-def _json_rows(columns: tuple[str, ...], table: list[list[Any]]) -> Iterator[str]:
+def _json_rows(columns: tuple[str, ...], table: Iterator[list[Any]]) -> Iterator[str]:
     """The rows of ``table``, whose values are scalars, as the report's
     "results": a list of objects keyed by ``columns``, ``_JSON_ROWS`` rows
     an encoder call.  No JSON
     string holds a raw line break, so between rows is the only place
     "},<line break>{" occurs."""
-    if not columns or not table:
-        yield _json_block([{}] * len(table))
+    chunks = iter(lambda: list(islice(table, _JSON_ROWS)), [])
+    if not columns:
+        yield _json_block([{}] * sum(map(len, chunks)))
         return
     inner = _JSON_PAD + "    "
     between = f"{_JSON_PAD}  }},{_JSON_PAD}  {{{inner}"
-    yield f"[{_JSON_PAD}  {{{inner}"
-    for start in range(0, len(table), _JSON_ROWS):
-        rows = [dict(zip(columns, map(_json_value, values)))
-                for values in table[start:start + _JSON_ROWS]]
+    opened = False
+    for chunk in chunks:
+        rows = [dict(zip(columns, map(_json_value, values))) for values in chunk]
         text = json.dumps(rows, ensure_ascii=False, separators=("," + inner, ": "))
-        if start:
-            yield between
+        yield between if opened else f"[{_JSON_PAD}  {{{inner}"
+        opened = True
         yield text[2:-2].replace("}," + inner + "{", between)
-    yield f"{_JSON_PAD}  }}{_JSON_PAD}]"
+    yield f"{_JSON_PAD}  }}{_JSON_PAD}]" if opened else "[]"
 
 
 @dataclass
@@ -275,14 +275,15 @@ class ReportDocument:
 
     ``ranking`` is a permutation of metric names sorted by the requested
     statistic descending (undefined last, ties lexicographic); it is None
-    when no single statistic was requested.
+    when no single statistic was requested.  ``rows`` may be an iterator,
+    which writing the report consumes.
     """
 
     version: str
     command: str
     inputs: dict[str, str]
     columns: tuple[str, ...]
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    rows: Iterable[dict[str, Any]] = field(default_factory=list)
     ranking: list[str] | None = None
 
 
@@ -296,17 +297,15 @@ def rank_metrics(values: Mapping[str, float | None]) -> list[str]:
     return sorted(values, key=key)
 
 
-def _table(doc: ReportDocument) -> list[list[Any]]:
+def _table(doc: ReportDocument) -> Iterator[list[Any]]:
     """Each row's values in column order.  A row may hold other keys too;
     one without a column raises ValueError naming the column and the row,
     so a misspelt key cannot pass for an undefined value."""
-    table = []
     for index, row in enumerate(doc.rows):
         try:
-            table.append([row[col] for col in doc.columns])
+            yield [row[col] for col in doc.columns]
         except KeyError as exc:
             raise ValueError(f"report row {index} has no column {exc.args[0]!r}") from None
-    return table
 
 
 def write_report(doc: ReportDocument, fmt: str = "tsv") -> bytes:

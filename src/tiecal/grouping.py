@@ -77,16 +77,6 @@ class ScoreMatrix:
             self._index = dict(zip(self.keys(), range(len(self))))
         return self._index
 
-    @property
-    def systems(self) -> tuple[str, ...]:
-        """Distinct system ids in first-seen order."""
-        return tuple(dict.fromkeys(self._keys[0]))
-
-    @property
-    def segments(self) -> tuple[str, ...]:
-        """Distinct segment ids in first-seen order."""
-        return tuple(dict.fromkeys(self._keys[1]))
-
     def scores(self) -> np.ndarray:
         return np.array(self._scores, dtype=np.float64)
 
@@ -101,7 +91,7 @@ class ScoreMatrix:
 
     def __repr__(self) -> str:
         return (f"ScoreMatrix({len(self)} entries, "
-                f"{len(self.systems)} systems, {len(self.segments)} segments)")
+                f"{len(set(self._keys[0]))} systems, {len(set(self._keys[1]))} segments)")
 
 
 class GroupingMode(enum.Enum):
@@ -239,25 +229,17 @@ def _reports(aligned: Aligned, mode: GroupingMode, kinds: Sequence[StatKind],
     return reports
 
 
-def grouped_stat(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
-                 kind: StatKind, eps: EpsilonPolicy | float = 0.0) -> CorrelationReport:
-    """:func:`grouped_stats` for a single statistic."""
-    return grouped_stats(human, metric, mode, [kind], eps)[0]
-
-
 def bucketize(metric: ScoreMatrix, k: int) -> ScoreMatrix:
     """Map every score to one of ``k`` equal-width buckets over the global range.
 
     Bucket index is min(k - 1, floor((s - lo) / (hi - lo) * k)) with lo/hi
-    the global extremes of the matrix; a constant matrix maps to all zeros,
-    and a range beyond the float range raises ValueError.
+    the global extremes of the matrix; an empty or constant matrix maps to
+    all zeros, and a range beyond the float range raises ValueError.
     """
     if k < 1:
         raise ValueError(f"bucket count must be >= 1, got {k}")
-    if len(metric) == 0:
-        raise ValueError("cannot bucketize an empty matrix")
     values = metric.scores()
-    lo, hi = float(values.min()), float(values.max())
+    lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
     if not math.isfinite(hi - lo):
         raise ValueError(f"cannot bucketize scores from {lo!r} to {hi!r}: their range "
                          "overflows a float")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -106,9 +106,9 @@ class PairCounts:
     tied_both: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
-            if value < 0:
-                raise ValueError(f"{name} count must be non-negative, got {value}")
+        for field in fields(self):
+            if (value := getattr(self, field.name)) < 0:
+                raise ValueError(f"{field.name} count must be non-negative, got {value}")
 
     @property
     def total(self) -> int:
@@ -118,15 +118,6 @@ class PairCounts:
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.concordant, self.discordant, self.tied_human,
                 self.tied_metric, self.tied_both)
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "concordant": self.concordant,
-            "discordant": self.discordant,
-            "tied_human": self.tied_human,
-            "tied_metric": self.tied_metric,
-            "tied_both": self.tied_both,
-        }
 
 
 class StatKind(enum.Enum):

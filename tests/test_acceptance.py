@@ -29,7 +29,7 @@ from tiecal import (
     StatKind,
     align,
     calibrate,
-    grouped_stat,
+    grouped_stats,
     load_scores,
     mean_defined,
     stat_from_counts,
@@ -191,10 +191,10 @@ def test_constant_metric_identities():
                 if pairs:
                     fractions[gi] = tied / pairs
                     any_untied |= tied < pairs
-            acc = grouped_stat(h, m, mode, StatKind.ACC_EQ)
+            acc = grouped_stats(h, m, mode, [StatKind.ACC_EQ])[0]
             if acc.value != mean_defined(fractions):
                 failures += 1
-            tau10 = grouped_stat(h, m, mode, StatKind.TAU_10)
+            tau10 = grouped_stats(h, m, mode, [StatKind.TAU_10])[0]
             if any_untied:
                 if tau10.value != -1.0:
                     failures += 1
@@ -300,7 +300,7 @@ def test_incremental_sweep_consistency():
         _, sums, defined = zip(*_approx_means(StatKind.ACC_EQ, counts, start, None, packed, ends))
         means = np.concatenate(sums) / np.concatenate(defined)
         for eps, mean, _ in zip(candidates, means, _replay(counts, packed, ends)):
-            batch = grouped_stat(h, m, mode, StatKind.ACC_EQ, EpsilonPolicy(eps, eps_mode))
+            batch = grouped_stats(h, m, mode, [StatKind.ACC_EQ], EpsilonPolicy(eps, eps_mode))[0]
             failures += not abs(mean - batch.value) <= 1e-12
             for gi, (hg, mg) in enumerate(groups):
                 expected = naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative)

@@ -23,7 +23,7 @@ from tiecal import (
     align,
     calibrate,
     f1_curve,
-    grouped_stat,
+    grouped_stats,
     tie_location_histogram,
 )
 from tiecal.calibration import _MOVE_BYTES, _SWEEP_MOVES, _approx_means, _replay, _sorted_moves
@@ -56,8 +56,8 @@ class TestCalibrate:
         assert result.epsilon_star == 0.05
         assert result.stat_star == 1.0
         # threshold zero only ties nothing: accuracy 2/3
-        assert grouped_stat(h, m, GroupingMode.NO_GROUPING,
-                             StatKind.ACC_EQ, 0.0).value == pytest.approx(2 / 3)
+        assert grouped_stats(h, m, GroupingMode.NO_GROUPING,
+                             [StatKind.ACC_EQ], 0.0)[0].value == pytest.approx(2 / 3)
 
     def test_perfect_metric_keeps_zero(self):
         h, m = single_group([1, 2, 3, 4], [1, 2, 3, 4])
@@ -73,11 +73,20 @@ class TestCalibrate:
         assert result.epsilon_star == 4.0  # the maximum gap
         assert result.stat_star == 1.0
 
-    def test_zero_pairs_is_an_error(self):
+    @pytest.mark.parametrize("metric", [
+        [("s1", "g1", 1.0), ("s1", "g2", 2.0)],  # one system by item: groups of one
+        [("s2", "g1", 1.0)],  # no common key: no group
+        [],
+    ], ids=["one system", "no common key", "empty"])
+    def test_zero_pairs_give_zero_and_undefined(self, metric):
         h = ScoreMatrix([("s1", "g1", 1.0), ("s1", "g2", 2.0)])
-        m = ScoreMatrix([("s1", "g1", 1.0), ("s1", "g2", 2.0)])
-        with pytest.raises(ValueError, match="nothing to calibrate"):
-            calibrate(h, m, CalibrationConfig(mode=GroupingMode.GROUP_BY_ITEM))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = calibrate(h, ScoreMatrix(metric),
+                               CalibrationConfig(mode=GroupingMode.GROUP_BY_ITEM))
+        assert (result.epsilon_star, result.stat_star, result.candidates_evaluated) == (
+            0.0, None, 1)
+        assert result.report.pairs_total == 0
 
     def test_never_worse_than_zero_threshold(self):
         rng = np.random.default_rng(19)
@@ -86,7 +95,7 @@ class TestCalibrate:
             config = CalibrationConfig(kind=StatKind.ACC_EQ,
                                        mode=GroupingMode.GROUP_BY_ITEM)
             result = calibrate(h, m, config)
-            at_zero = grouped_stat(h, m, config.mode, config.kind, 0.0).value
+            at_zero = grouped_stats(h, m, config.mode, [config.kind], 0.0)[0].value
             assert result.stat_star >= at_zero
 
     def test_matches_brute_force(self):
@@ -134,7 +143,7 @@ class TestCalibrate:
                 for gi, (hg, mg) in enumerate(groups):
                     expected = naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative)
                     assert tuple(counts[gi].tolist()) == expected.as_tuple()
-                batch = grouped_stat(h, m, mode, kind, EpsilonPolicy(eps, eps_mode)).value
+                batch = grouped_stats(h, m, mode, [kind], EpsilonPolicy(eps, eps_mode))[0].value
                 if batch is None:
                     assert n_defined == 0
                 else:
@@ -157,8 +166,8 @@ class TestCalibrate:
         result = calibrate(h, m, config)
         assert result.epsilon_star == pytest.approx(0.1)
         assert result.stat_star == 1.0
-        check = grouped_stat(h2, m2, GroupingMode.NO_GROUPING, StatKind.ACC_EQ,
-                              EpsilonPolicy(result.epsilon_star, EpsilonMode.RELATIVE))
+        check = grouped_stats(h2, m2, GroupingMode.NO_GROUPING, [StatKind.ACC_EQ],
+                              EpsilonPolicy(result.epsilon_star, EpsilonMode.RELATIVE))[0]
         assert check.value == 1.0
 
     def test_pair_kernel_matches_per_group_triu_order(self):
@@ -268,7 +277,7 @@ class TestManySmallGroups:
     def test_matches_every_candidate(self, campaign, kind):
         h, m, n_groups = campaign
         mode = GroupingMode.GROUP_BY_ITEM
-        batch = [grouped_stat(h, m, mode, kind, float(eps)).value for eps in range(9)]
+        batch = [grouped_stats(h, m, mode, [kind], float(eps))[0].value for eps in range(9)]
         result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode))
         assert result.candidates_evaluated == 9
         assert result.stat_star == max(batch)
@@ -467,8 +476,8 @@ class TestApplyEpsilon:
         h, m = single_group([0, 0, 1], [0.0, 0.05, 1.0])
         result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ,
                                                    mode=GroupingMode.NO_GROUPING))
-        report = grouped_stat(h, m, GroupingMode.NO_GROUPING, StatKind.ACC_EQ,
-                               result.epsilon_star)
+        report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.ACC_EQ],
+                               result.epsilon_star)[0]
         assert report.value == result.stat_star
 
     def test_zero_threshold_equals_plain_stat(self):
@@ -480,10 +489,10 @@ class TestApplyEpsilon:
                 m.append((f"s{i}", f"g{j}", float(rng.normal())))
         h, m = ScoreMatrix(h), ScoreMatrix(m)
         for kind in (StatKind.ACC_EQ, StatKind.TAU_B):
-            plain = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind)
-            assert grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind, 0.0) == plain
-            relative = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, kind,
-                                    EpsilonPolicy(0.0, EpsilonMode.RELATIVE))
+            plain = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [kind])[0]
+            assert grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [kind], 0.0)[0] == plain
+            relative = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [kind],
+                                     EpsilonPolicy(0.0, EpsilonMode.RELATIVE))[0]
             assert (relative.value, relative.pairs_by_class) == (plain.value, plain.pairs_by_class)
 
     def test_threshold_beyond_max_gap_gives_tie_fraction(self):
@@ -491,7 +500,7 @@ class TestApplyEpsilon:
         h_scores = rng.integers(0, 3, 12).astype(float)
         m_scores = rng.normal(size=12)
         h, m = single_group(h_scores, m_scores)
-        report = grouped_stat(h, m, GroupingMode.NO_GROUPING, StatKind.ACC_EQ, 1e9)
+        report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.ACC_EQ], 1e9)[0]
         pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
         tie_fraction = sum(h_scores[i] == h_scores[j] for i, j in pairs) / len(pairs)
         assert report.value == pytest.approx(tie_fraction)
@@ -555,10 +564,10 @@ class TestF1Curve:
         h, m = single_group([0, 0, 1, 2], [0.1, 0.2, 0.5, 0.9])
         (point,) = f1_curve(h, m, GroupingMode.NO_GROUPING, [10.0])
         assert point.rank_f1 is None  # no rank predictions remain
-        report = grouped_stat(h, m, GroupingMode.NO_GROUPING, StatKind.TIES_R, 10.0)
+        report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.TIES_R], 10.0)[0]
         assert report.value == 1.0
 
-    def test_rows_match_grouped_stat(self):
+    def test_rows_match_grouped_stats(self):
         h, m = single_group([0, 0, 1], [0.0, 0.05, 1.0])
         cases = [(h, m, GroupingMode.NO_GROUPING, [0.5, 0.0, 0.05], EpsilonMode.ABSOLUTE)]
         rng = np.random.default_rng(41)
@@ -574,7 +583,7 @@ class TestF1Curve:
                 for kind, got in ((StatKind.TIES_F1, point.ties_f1),
                                   (StatKind.RANK_F1, point.rank_f1),
                                   (StatKind.ACC_EQ, point.acc_eq)):
-                    assert grouped_stat(h, m, mode, kind, pol).value == got
+                    assert grouped_stats(h, m, mode, [kind], pol)[0].value == got
 
     def test_no_aligned_pairs_gives_undefined_points(self):
         h = ScoreMatrix([("s1", "g1", 1.0)])

@@ -11,7 +11,6 @@ from array import array
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -32,7 +31,6 @@ from tiecal import (
     align,
     calibrate,
     f1_curve,
-    grouped_stat,
     grouped_stats,
     mean_defined,
     tie_location_histogram,
@@ -155,7 +153,7 @@ def test_pair_layout_passes_equal_the_kernel(campaign, mode, relative, block, ep
 @PROFILE
 @given(campaign=campaigns(), mode=MODES, relative=st.booleans(), block=KERNEL_BLOCKS,
        data=st.data())
-def test_f1_curve_equals_grouped_stat(campaign, mode, relative, block, data):
+def test_f1_curve_equals_grouped_stats(campaign, mode, relative, block, data):
     human, metric = campaign
     eps_mode = eps_mode_of(relative)
     grid = data.draw(st.lists(st.sampled_from(observed_gaps(human, metric, mode, relative)),
@@ -166,7 +164,7 @@ def test_f1_curve_equals_grouped_stat(campaign, mode, relative, block, data):
     for point in points:
         pol = EpsilonPolicy(point.epsilon, eps_mode)
         assert (point.ties_f1, point.rank_f1, point.acc_eq) == tuple(
-            grouped_stat(human, metric, mode, kind, pol).value
+            grouped_stats(human, metric, mode, [kind], pol)[0].value
             for kind in (StatKind.TIES_F1, StatKind.RANK_F1, StatKind.ACC_EQ))
 
 
@@ -224,10 +222,6 @@ def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, blo
     # step -inf replays every candidate without the walk
     human, metric = campaign
     config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
-    if all(h.size < 2 for h, _ in oracle_groups(human, metric, mode)):
-        with pytest.raises(ValueError, match="nothing to calibrate"):
-            calibrate(human, metric, config)
-        return
     with mock.patch("tiecal.calibration._SWEEP_MOVES", moves), \
             mock.patch("tiecal.stats._BLOCK_PAIRS", block), \
             mock.patch("tiecal.calibration._REPLAY_STEP_MOVES", step):
@@ -256,7 +250,36 @@ def test_relative_mode_is_scale_free(campaign, mode, kind, data):
                 == _pair_counts(h, m, sizes, pol).tolist())
     assert (_sort_counts(h, np.ldexp(m, k), sizes, pol).tolist()
             == _sort_counts(h, m, sizes, pol).tolist())
-    if any(hg.size >= 2 for hg, _ in oracle_groups(human, metric, mode)):
-        config = CalibrationConfig(kind=kind, mode=mode, eps_mode=EpsilonMode.RELATIVE)
-        results = [calibrate(human, matrix, config) for matrix in (metric, scaled)]
-        assert len({(r.epsilon_star, r.stat_star, r.candidates_evaluated) for r in results}) == 1
+    config = CalibrationConfig(kind=kind, mode=mode, eps_mode=EpsilonMode.RELATIVE)
+    results = [calibrate(human, matrix, config) for matrix in (metric, scaled)]
+    assert len({(r.epsilon_star, r.stat_star, r.candidates_evaluated) for r in results}) == 1
+
+
+@PROFILE
+@given(campaign=campaigns(), mode=MODES, kind=st.sampled_from(list(StatKind)), data=st.data())
+def test_absolute_mode_scales_with_epsilon(campaign, mode, kind, data):
+    # Scaling every metric score and epsilon by 2**k, with every nonzero score,
+    # gap and threshold normal before and after, scales each absolute gap
+    # exactly: counts on both paths stay, and the calibrated threshold scales.
+    human, metric = campaign
+    gaps = [oracle_gap(a, b, False) for _, m in oracle_groups(human, metric, mode)
+            for i, a in enumerate(m.tolist()) for b in m.tolist()[i + 1:]]
+    eps = data.draw(st.sampled_from([g for g in observed_gaps(human, metric, mode, False)
+                                     if g == 0.0 or g >= 2.0**-1022]))
+    exponents = [math.frexp(v)[1] for v in [*metric.scores().tolist(), *gaps, eps] if v != 0.0]
+    assume(min(exponents, default=0) >= -1021)  # no subnormal score or gap
+    lowest, highest = -1021 - min(exponents, default=0), 1024 - max(exponents, default=0)
+    k = data.draw(st.sampled_from([lowest, highest]) | st.integers(lowest, highest))
+    scaled = metric.with_scores(array("d", np.ldexp(metric.scores(), k).tobytes()))
+    pol, scaled_pol = (EpsilonPolicy(e, EpsilonMode.ABSOLUTE) for e in (eps, math.ldexp(eps, k)))
+    h, m, sizes, _ = align(human, metric, mode)
+    with mock.patch("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", math.inf):  # the kernel
+        assert (_pair_counts(h, np.ldexp(m, k), sizes, scaled_pol).tolist()
+                == _pair_counts(h, m, sizes, pol).tolist())
+    assert (_sort_counts(h, np.ldexp(m, k), sizes, scaled_pol).tolist()
+            == _sort_counts(h, m, sizes, pol).tolist())
+    config = CalibrationConfig(kind=kind, mode=mode)
+    result, scaled_result = (calibrate(human, matrix, config) for matrix in (metric, scaled))
+    assert scaled_result.epsilon_star == math.ldexp(result.epsilon_star, k)
+    assert (scaled_result.stat_star, scaled_result.candidates_evaluated) == (
+        result.stat_star, result.candidates_evaluated)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from contextlib import suppress
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 
 import tiecal
 from tiecal import load_scores
-from tiecal.cli import main
+from tiecal.cli import _BIN_BYTES, main
 
 
 def write_scores(path, rows):
@@ -299,7 +300,7 @@ class TestRank:
             return pair_index_blocks(h, sizes)
 
         def no_batch(*args, **kwargs):
-            raise AssertionError("grouped_stat called")
+            raise AssertionError("grouped_stats called")
 
         align, human_side = tiecal.calibration.align, tiecal.grouping._human_side
         pair_index_blocks = tiecal.stats._pair_index_blocks
@@ -307,8 +308,7 @@ class TestRank:
         monkeypatch.setattr("tiecal.calibration.align", counting_align)
         monkeypatch.setattr("tiecal.grouping.align", counting_align)
         monkeypatch.setattr("tiecal.grouping._human_side", recording_side)
-        for name in ("grouping.grouped_stat", "grouping.grouped_stats", "cli.grouped_stat",
-                     "cli.grouped_stats"):
+        for name in ("grouping.grouped_stats", "cli.grouped_stats"):
             monkeypatch.setattr(f"tiecal.{name}", no_batch)
         assert main(argv) == 0
         assert len(parse_tsv(capsys.readouterr().out)) == 18
@@ -594,7 +594,8 @@ class TestFailuresExitTwo:
     @pytest.mark.parametrize("fmt, bins", [("tsv", 3), ("json", 2)])
     def test_tie_hist_bins_beyond_memory_refused_before_reading(self, tmp_path, capsys,
                                                                 monkeypatch, fmt, bins):
-        monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (1024, "the test limit"))
+        limit = bins * _BIN_BYTES[fmt] - 1  # a byte short of the estimate
+        monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (limit, "the test limit"))
         missing = tmp_path / "missing.tsv"  # read first, it would fail otherwise
         code = main(["tie-hist", "--human", str(missing), "--metric", f"m={missing}",
                      "--bins", str(bins), "--format", fmt])
@@ -712,11 +713,19 @@ class TestFailuresExitTwo:
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_failing_second_metric_keeps_the_first_line_and_writes_no_file(self, tmp_path,
-                                                                            capsys):
+                                                                            capsys, monkeypatch):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.05, 1.0]))
         other = write_scores(tmp_path / "other.tsv", vector_rows([0.0, 0.5], segment="x"))
         out, eps = tmp_path / "out.tsv", tmp_path / "eps.tsv"
+        calls, real = [], tiecal.cli.calibrate
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("calibration sweep disagrees with batch re-evaluation")
+            return real(*args)
+        monkeypatch.setattr("tiecal.cli.calibrate", second_fails)
         code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
                      "--metric", f"n={other}", "--mode", "no-grouping",
                      "--out", str(out), "--emit-epsilon", str(eps)])
@@ -724,7 +733,7 @@ class TestFailuresExitTwo:
         captured = capsys.readouterr()
         assert captured.out == "metric=m epsilon=0.05 acc_eq=1.000000\n"
         assert self.one_error_line(captured.err)
-        assert "nothing to calibrate" in captured.err
+        assert "calibration sweep disagrees" in captured.err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["h.tsv", "m.tsv", "other.tsv"]
 
     def test_outputs_replace_their_targets_and_leave_no_temporary_file(self, tmp_path, capsys):
@@ -1035,6 +1044,70 @@ def test_calibrate_writes_utf8_whatever_the_locale(tmp_path, encoding):
     assert runs[encoding] == runs["utf-8"]
     assert runs[encoding][0] == "metric=mé epsilon=0.05 acc_eq=1.000000\n".encode()
     assert runs[encoding][2] == "mé\t0.05\n".encode()
+
+
+# Metric files that share no within-group pair with the human scores by item.
+NO_PAIR_METRICS = {
+    "empty": None,
+    "no common key": [("x", "y", 0.5)],
+    "one system": [("s1", "g1", 0.5), ("s1", "g2", 0.1)],
+}
+NO_PAIR_OPTIONS = {
+    "rank --calibrate": ["--baseline"],
+    "calibrate": ["--out", "calibrate.tsv"],
+    "f1-curve": ["--eps-grid", "0,0.5"],
+}
+
+
+@pytest.mark.parametrize("metric", list(NO_PAIR_METRICS))
+@pytest.mark.parametrize("command", ["correlate", "rank", "rank --calibrate", "calibrate",
+                                     "buckets", "f1-curve", "tie-hist"])
+def test_a_metric_without_pairs_is_undefined_not_an_error(tmp_path, capsys, monkeypatch,
+                                                          command, metric):
+    monkeypatch.chdir(tmp_path)
+    h = write_scores(tmp_path / "h.tsv", [("s1", "g1", 0.0), ("s2", "g1", 1.0),
+                                          ("s3", "g1", 2.0), ("s1", "g2", 1.0), ("s2", "g2", 0.0)])
+    m = tmp_path / "m.tsv"
+    if NO_PAIR_METRICS[metric] is None:
+        m.write_bytes(b"")
+    else:
+        write_scores(m, NO_PAIR_METRICS[metric])
+    argv = [*command.split(), "--human", str(h), "--metric", f"m={m}", "--mode", "group-by-item",
+            *NO_PAIR_OPTIONS.get(command, [])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "calibrate":
+        assert captured.out == "metric=m epsilon=0 acc_eq=NaN\n"
+        (row,) = parse_tsv((tmp_path / "calibrate.tsv").read_text())
+        assert (row["epsilon_star"], row["candidates"], row["pairs_total"]) == ("0", "1", "0")
+    rows = parse_tsv(captured.out) if command != "calibrate" else [row]
+    if command == "tie-hist":
+        assert {(row["all_pairs"], row["newly_tied"]) for row in rows} == {("0", "0")}
+    elif command == "f1-curve":
+        assert {row[c] for row in rows for c in ("ties_f1", "rank_f1", "acc_eq")} == {"NaN"}
+    else:  # the metric is ranked last, behind the baseline
+        assert rows[-1]["metric"] == "m"
+        assert {row["value"] for row in rows if row["metric"] == "m"} == {"NaN"}
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_tie_hist_rows_stay_within_the_bins_estimate(tmp_path, fmt):
+    # rows reach the writer one at a time, so traced memory stays under the
+    # per-bin estimate a large --bins is refused by; a list of every row would not
+    h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+    m = write_scores(tmp_path / "m.tsv", vector_rows([0.5, 0.1, 0.9]))
+    bins = 40_000
+    tracemalloc.start()
+    try:
+        assert main(["tie-hist", "--human", str(h), "--metric", f"m={m}", "--bins", str(bins),
+                     "--format", fmt, "--out", str(tmp_path / "hist")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bins * _BIN_BYTES[fmt]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -16,7 +16,7 @@ from tiecal import (
     StatKind,
     align,
     bucketize,
-    grouped_stat,
+    grouped_stats,
     mean_defined,
     tau_c_context,
 )
@@ -56,8 +56,7 @@ class TestScoreMatrix:
 
     def test_ordered_id_sets(self):
         matrix = ScoreMatrix([("b", "y", 1.0), ("a", "x", 2.0), ("b", "x", 3.0)])
-        assert matrix.systems == ("b", "a")
-        assert matrix.segments == ("y", "x")
+        assert list(matrix.keys()) == [("b", "y"), ("a", "x"), ("b", "x")]  # first-seen order
         assert len(matrix) == 3
         assert repr(matrix) == "ScoreMatrix(3 entries, 2 systems, 2 segments)"
 
@@ -166,7 +165,7 @@ class TestGroupedStat:
         m = matrix_from([("s1", "g1", 1.0), ("s2", "g1", 2.0),
                          ("s1", "g2", 2.0), ("s2", "g2", 4.0),
                          ("s3", "g2", 1.0), ("s4", "g2", 3.0)])
-        report = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, StatKind.ACC_EQ)
+        report = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [StatKind.ACC_EQ])[0]
         assert report.value == pytest.approx(0.75)
         assert report.groups_used == 2
         assert report.groups_total == 2
@@ -181,7 +180,7 @@ class TestGroupedStat:
                 h.append((f"s{i}", f"g{j}", score))
                 m.append((f"s{i}", f"g{j}", 1.0))
         h, m = ScoreMatrix(h), ScoreMatrix(m)
-        report = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, StatKind.TAU_B)
+        report = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [StatKind.TAU_B])[0]
         assert report.value is None
         assert report.groups_used == 0
         assert report.groups_total == 4
@@ -190,14 +189,14 @@ class TestGroupedStat:
         rng = np.random.default_rng(2)
         h, _ = random_matrices(rng, 4, 6)
         for mode in GroupingMode:
-            report = grouped_stat(h, h, mode, StatKind.ACC_EQ)
+            report = grouped_stats(h, h, mode, [StatKind.ACC_EQ])[0]
             assert report.value == 1.0
 
     def test_pairs_accounting(self):
         rng = np.random.default_rng(3)
         h, m = random_matrices(rng, 5, 8, missing=0.2)
         for mode in GroupingMode:
-            report = grouped_stat(h, m, mode, StatKind.ACC_EQ)
+            report = grouped_stats(h, m, mode, [StatKind.ACC_EQ])[0]
             groups = oracle_groups(h, m, mode)
             expected = sum(hg.size * (hg.size - 1) // 2 for hg, _ in groups)
             assert report.pairs_total == expected
@@ -207,7 +206,7 @@ class TestGroupedStat:
     def test_single_entry_groups_counted_but_unused(self):
         h = matrix_from([("s1", "g1", 1.0), ("s2", "g1", 2.0), ("s1", "g2", 3.0)])
         m = matrix_from([("s1", "g1", 1.0), ("s2", "g1", 2.0), ("s1", "g2", 3.0)])
-        report = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, StatKind.ACC_EQ)
+        report = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [StatKind.ACC_EQ])[0]
         assert report.groups_total == 2
         assert report.groups_used == 1
         assert report.value == 1.0
@@ -225,8 +224,8 @@ class TestGroupedStat:
             m = ScoreMatrix([rows_m[i] for i in shuffle])
             for mode in GroupingMode:
                 for kind in (StatKind.ACC_EQ, StatKind.TAU_B, StatKind.TAU_C):
-                    a = grouped_stat(base_h, base_m, mode, kind, EpsilonPolicy(0.3))
-                    b = grouped_stat(h, m, mode, kind, EpsilonPolicy(0.3))
+                    a = grouped_stats(base_h, base_m, mode, [kind], EpsilonPolicy(0.3))[0]
+                    b = grouped_stats(h, m, mode, [kind], EpsilonPolicy(0.3))[0]
                     assert a == b
 
     def test_unweighted_mean_ignores_group_size(self):
@@ -240,14 +239,14 @@ class TestGroupedStat:
             h.append((f"x{i}", "big", float(i)))
             m.append((f"x{i}", "big", float(i)))  # accuracy 1 in the big group
         h, m = ScoreMatrix(h), ScoreMatrix(m)
-        report = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, StatKind.ACC_EQ)
+        report = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [StatKind.ACC_EQ])[0]
         assert report.value == pytest.approx(0.5)
 
     def test_acc_eq_never_undefined_with_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             h, m = random_matrices(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
-            report = grouped_stat(h, m, GroupingMode.GROUP_BY_ITEM, StatKind.ACC_EQ)
+            report = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [StatKind.ACC_EQ])[0]
             assert report.groups_used == report.groups_total
 
 
@@ -303,9 +302,8 @@ class TestBucketize:
         out = bucketize(m, 8)
         assert all(score == 0.0 for _, _, score in out.items())
 
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            bucketize(ScoreMatrix(), 4)
+    def test_empty_matrix_maps_to_an_empty_matrix(self):
+        assert len(bucketize(ScoreMatrix(), 4)) == 0
 
     def test_bucket_count_below_one_rejected(self):
         m = matrix_from([("s1", "g1", 0.0), ("s2", "g1", 1.0)])
@@ -357,7 +355,7 @@ class TestBucketize:
         h, m = ScoreMatrix(h), ScoreMatrix(m)
         used = []
         for k in (2, 4, 8, 16, 32, 64):
-            report = grouped_stat(h, bucketize(m, k),
-                                  GroupingMode.GROUP_BY_ITEM, StatKind.TAU_B)
+            report = grouped_stats(h, bucketize(m, k),
+                                   GroupingMode.GROUP_BY_ITEM, [StatKind.TAU_B])[0]
             used.append(report.groups_used)
         assert used == sorted(used)

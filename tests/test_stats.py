@@ -16,7 +16,6 @@ from tiecal import (
     ScoreMatrix,
     StatKind,
     break_ties_randomly,
-    grouped_stat,
     grouped_stats,
     mean_defined,
     stat_from_counts,
@@ -186,8 +185,8 @@ class TestPairKernel:
             relative = eps_mode is EpsilonMode.RELATIVE
             naive = [naive_suff_stats(hg, mg, 0.25, relative) for hg, mg in parts]
             for kind in (StatKind.ACC_EQ, StatKind.TAU_B):
-                report = grouped_stat(human, metric, GroupingMode.GROUP_BY_ITEM, kind,
-                                      EpsilonPolicy(0.25, eps_mode))
+                report = grouped_stats(human, metric, GroupingMode.GROUP_BY_ITEM, [kind],
+                                       EpsilonPolicy(0.25, eps_mode))[0]
                 values = np.array([np.nan if v is None else v for v in
                                    (oracle_stat(kind, *c.as_tuple()) for c in naive)])
                 used = [c for c, v in zip(naive, values) if not np.isnan(v)]
