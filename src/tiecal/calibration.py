@@ -1,20 +1,17 @@
 """Tie calibration: sweep candidate thresholds to maximize a statistic.
 
 The statistic induced by a gap-threshold tie rule is a step function that
-only changes at observed pair gaps, so the candidate set is exactly zero
-plus every distinct within-group gap.  Passing a pair's gap moves the pair
-from its zero-threshold class (concordant, discordant or tied-human) to
-tied-metric or tied-both.  One pass over the pair kernel keeps only the
-moving pairs, and one sort puts them in gap order.  A walk over them, a
-block at a time, carries each group's counts and value and gives the
-grouped mean at every candidate up to last-ulp drift.  Candidates within a
-stated rounding bound of the best are replayed exactly, in ascending order,
-with the reduction ``grouped_stats`` uses, so ties in the maximum resolve to
-the smallest threshold, and the winner is re-verified by a batch
-evaluation; with few candidates for the moves, all are replayed and the
-walk is skipped.  The F1 curve is the batch evaluation at each grid
-point, and the tie histogram reads the kernel's blocks once and keeps no
-pair.
+only changes at observed pair gaps, so the candidates are zero and every
+distinct within-group gap.  Passing a pair's gap moves it from its class at
+zero (concordant, discordant or tied-human) to tied-metric or tied-both.
+One pass over the pair kernel keeps the moving pairs.  For acc_eq and
+tau_eq a move changes its group's value by a fixed weight, so sums of the
+weights by gap bin bound the value inside each bin, and only the window of
+bins that can hold the maximum is sorted by gap; other statistics sort
+every move.  A walk over the sorted moves gives the grouped mean at every
+candidate within a stated rounding bound; those near the best are replayed
+exactly in ascending order, so ties resolve to the smallest threshold, and
+a batch evaluation re-verifies the winner.  Few candidates skip the walk.
 """
 
 from __future__ import annotations
@@ -51,22 +48,30 @@ from .stats import (
 
 # Moves per block of the approximate sweep, and its temporaries' bytes per move.
 _SWEEP_MOVES, _MOVE_BYTES = 1 << 14, 256
-# Peak bytes per pair of a sweep: the moving pairs' gaps and packed group and
-# class (12 B), then the gap sort's permutation and sorted gaps (16 B), and room;
-# and of the pair layout (stats._pair_blocks) that the sweep may build and keep.
+# Peak bytes per pair of a sweep: the moving pairs' gaps (8 B), a window's copy of
+# gaps and packed group and class (12 B), its sort's permutation and sorted packed
+# (12 B); and of the pair layout (stats._pair_blocks) that the sweep may keep.
 _SWEEP_BYTES_PER_PAIR, _LAYOUT_BYTES = 32, 13
 # Where calibrate's memory guard reads this process's cgroups and their limits.
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
 # A move's change to its group's counts, by its class at threshold zero
 # (concordant, discordant, tied-human): it becomes tied-metric or tied-both.
-_MOVE = np.array([[-1, 0, 0, 1, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1]])
+# Row 3, no class, makes a (groups, 4) array indexed by packed moves.
+_MOVE = np.array([[-1, 0, 0, 1, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, 0, 0]])
 # Bits of one class's count in the walk's packed running counts: a block's
 # _SWEEP_MOVES moves fit, so no count carries into the next class's bits.
 _CLASS_BITS = 20
 _PACKED_ONE = np.array([1, 1 << _CLASS_BITS, 1 << 2 * _CLASS_BITS], dtype=np.int64)  # a move
 # A replay step costs about as much as walking this many moves plus one a group.
 _REPLAY_STEP_MOVES = 512
+# A move's change to its group's value numerator, for the statistics whose group
+# value is a fixed row over the counts divided by the group's pair count.
+_MOVE_GAINS = {kind: _MOVE @ row for kind, row in ((StatKind.ACC_EQ, [1, 0, 0, 0, 1]),
+                                                    (StatKind.TAU_EQ, [1, -1, -1, -1, 1]))}
+# Bits a gap's float64 pattern drops to give its bin: at most 2**18 bins (2 MiB a
+# per-bin array), monotone in the gap, and equal gaps share one.
+_BIN_SHIFT = 45
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,11 @@ class CalibrationResult:
     report: CorrelationReport
 
 
-def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _moves(aligned: Aligned, eps_mode: EpsilonMode, total: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass over the pair kernel at threshold zero, for ``total`` pairs:
-    the per-group class counts; the gaps of the pairs a positive threshold
-    can tie, sorted (not stably: moves of equal gap enter at one candidate
-    together), and each one's ``group << 2 | class``; and each candidate as
-    the number of moves it ties: 0, then the end of each run of equal gaps."""
+    the per-group class counts, and in kernel order the gaps of the pairs a
+    positive threshold can tie and each one's ``group << 2 | class``."""
     counts = np.zeros((aligned.sizes.size, 5), dtype=np.int64)
     gaps, packed = np.empty(total), np.empty(total, dtype=np.int32)
     n = 0
@@ -106,26 +109,48 @@ def _sorted_moves(aligned: Aligned, eps_mode: EpsilonMode, total: int
         gaps[n:n + moved.size] = moved
         packed[n:n + moved.size] = ((group << 2) | cls)[moving]
         n += moved.size
-    order = np.argsort(gaps[:n])
-    gaps = gaps[:n][order]
-    packed = packed[:n][order]
-    del order
-    ends = np.concatenate(([True], gaps[1:] != gaps[:-1], [n > 0]))
-    return counts, gaps, packed, np.flatnonzero(ends)
+    return counts, gaps[:n], packed[:n]
+
+
+def _window(kind: StatKind, counts: np.ndarray, values: np.ndarray, gaps: np.ndarray,
+            packed: np.ndarray, bound: float) -> tuple[float, float]:
+    """The gaps [lo, hi) that can hold the first maximum; (0, inf) for a
+    statistic without a bound.  A bin's end value, the sum of group values at
+    its largest gap, is reached, and no candidate inside it exceeds its start
+    value plus its moves' positive weights (changes to a group's value).  The
+    window runs from the first to the last bin whose upper bound is within
+    ``2 * bound`` of the best end value."""
+    gains = _MOVE_GAINS.get(kind)
+    if gains is None or not gaps.size:
+        return 0.0, np.inf
+    first = gaps.min().view(np.int64) >> _BIN_SHIFT
+    n_bins = int((gaps.max().view(np.int64) >> _BIN_SHIFT) - first) + 1
+    weights = gains / np.maximum(counts.sum(axis=1, keepdims=True), 1)  # by packed move
+    sums = np.zeros((2, n_bins))  # all weights and positive weights, by bin
+    for b0 in range(0, gaps.size, _SWEEP_MOVES):
+        bins = (gaps[b0:b0 + _SWEEP_MOVES].view(np.int64) >> _BIN_SHIFT) - first
+        weight = weights.take(packed[b0:b0 + _SWEEP_MOVES])
+        sums[0] += np.bincount(bins, weight, n_bins)
+        sums[1] += np.bincount(bins, np.maximum(weight, 0.0), n_bins)
+    start = np.nansum(values)
+    ends = start + np.cumsum(sums[0])
+    upper = np.append(start, ends[:-1]) + sums[1]
+    near = np.flatnonzero(upper >= max(start, ends.max()) - 2 * bound)[[0, -1]]
+    lo, hi = ((near + [0, 1] + first) << _BIN_SHIFT).view(np.float64)  # the bins' least gaps
+    return float(lo) if near[0] else 0.0, float(hi) if near[1] < n_bins - 1 else np.inf
 
 
 def _replay(counts: np.ndarray, packed: np.ndarray,
             ends: Sequence[int]) -> Iterator[np.ndarray]:
     """Apply the gap-ordered moves to ``counts`` in place, up to each
     ascending prefix length in ``ends``; yields the groups each step touched.
-    A step bincounts its moves by (group, class), ``_SWEEP_MOVES`` at a time."""
+    A step bincounts its moves by ``group << 2 | class``, ``_SWEEP_MOVES`` at a time."""
     n_groups, start = counts.shape[0], 0
     for end in ends:
-        moved = np.zeros((n_groups, 3), dtype=np.int64)
+        moved = np.zeros((n_groups, 4), dtype=np.int64)
         for b0 in range(start, end, _SWEEP_MOVES):
-            block = packed[b0:min(end, b0 + _SWEEP_MOVES)]
-            moved += np.bincount((block >> 2) * 3 + (block & 3),
-                                 minlength=3 * n_groups).reshape(n_groups, 3)
+            moved += np.bincount(packed[b0:min(end, b0 + _SWEEP_MOVES)],
+                                 minlength=4 * n_groups).reshape(n_groups, 4)
         touched = np.flatnonzero(moved.any(axis=1))
         counts[touched] += moved[touched] @ _MOVE
         start = end
@@ -223,7 +248,7 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     if need > have:
         raise MemoryError(f"calibrating {total_pairs:,} within-group pairs needs "
                           f"about {need / 2**30:.3g} GiB, more than {what}")
-    counts, gaps, packed, at = _sorted_moves(aligned, config.eps_mode, total_pairs)
+    counts, gaps, packed = _moves(aligned, config.eps_mode, total_pairs)
 
     kind = config.kind
     n_groups = aligned.sizes.size
@@ -233,19 +258,32 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         k, n = (None, None) if contexts is None else contexts[:, rows]
         return _stat_from_arrays(kind, *counts[rows].T, k, n)
 
+    # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum of group
+    # values, of their changes or of move weights exceeds M = 2G, and a float sum of
+    # N terms with partial sums below M is within N*M*u of exact.  A bin's end value
+    # or upper bound rounds under G + 3E + 4 terms, the walk G + 2E, an exact replay
+    # G + 1; a mean then divides by the defined count D: err(D) = bound / D + 2u.
+    # Twice the summed error keeps the maximizer; the walk prunes with err(1) >= err.
+    u = np.finfo(np.float64).eps / 2
+    bound = 4 * (n_groups + gaps.size + 1) * 2 * n_groups * u
     values = group_values(slice(None))
-    n_candidates = at.size
-    ends = at  # every candidate, when replaying each costs no more than the walk or none moves
-    if n_candidates * (n_groups + _REPLAY_STEP_MOVES) > gaps.size > 0:
-        # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum of
-        # group values or of their changes exceeds M = 2G, and a float sum of N
-        # terms with partial sums below M is within N*M*u of exact.  The walk
-        # sums G + 2E terms, the exact replay G, and each then rounds once more
-        # dividing by the defined count D: err(D) = bound / D + 2u.  Twice the
-        # summed error keeps the true maximizer.  The walk prunes with err(1),
-        # never tighter than the final err.
-        u = np.finfo(np.float64).eps / 2
-        bound = (2 * n_groups + 2 * gaps.size) * 2 * n_groups * u
+    lo, hi = _window(kind, counts, values, gaps, packed, bound)
+    before = gaps < lo  # applied in one step; the largest is the window's first candidate
+    for touched in _replay(counts, packed.compress(before), [np.count_nonzero(before)]):
+        values[touched] = group_values(touched)
+    inside = slice(None) if (lo, hi) == (0.0, np.inf) else (gaps >= lo) & (gaps < hi)
+    window, packed = gaps[inside], packed[inside]  # a view when the window is every move
+    del before, inside
+    packed = packed[np.argsort(window)]  # moves of equal gap enter at one candidate together
+    window.sort()
+    if window.size < gaps.size:  # else the window is every move, sorted in place
+        gaps.sort()  # in place, after the window's copy: no memory is added
+    first_eps = float(gaps[:np.searchsorted(gaps, lo)].max(initial=0.0))
+    n_candidates = 1 + int(np.count_nonzero(gaps[1:] != gaps[:-1])) + (gaps.size > 0)  # 0, gaps
+    at = np.flatnonzero(np.concatenate(([True], window[1:] != window[:-1], [window.size > 0])))
+
+    ends = at  # every window candidate, when replaying each costs no more than the walk
+    if at.size * (n_groups + _REPLAY_STEP_MOVES) > window.size > 0:
         best, fewest, kept = -np.inf, n_groups, [(np.empty(0, dtype=at.dtype), np.empty(0))]
         for first, sums, defined in _approx_means(kind, counts, values, contexts, packed, at):
             live = np.flatnonzero(defined > 0)
@@ -263,7 +301,7 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     for end, touched in zip(ends.tolist(), _replay(counts, packed, ends)):
         values[touched] = group_values(touched)
         value = mean_defined(values)
-        eps = float(gaps[end - 1]) if end else 0.0
+        eps = float(window[end - 1]) if end else first_eps
         if value is not None and (best_val is None or value > best_val):
             best_val = value
             best_eps = eps

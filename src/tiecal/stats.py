@@ -456,16 +456,18 @@ def break_ties_randomly(metric: Scores, eps: EpsilonPolicy | float = 0.0, *,
     n = m.size
     rng = np.random.default_rng(seed)
     order = np.argsort(m, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
+    s, ranks = m[order], np.empty(n, dtype=np.float64)
+    ranks[order] = np.arange(1, n + 1, dtype=np.float64)  # clusters of one keep their place
+    paired = np.flatnonzero(pol.gaps(s[:-1], s[1:]) <= pol.epsilon)  # i where s[i + 1] ties s[i]
     i = 0
-    while i < n:
-        j = i + 1
-        first = m[order[i]]
-        while j < n and pol.gaps(first, m[order[j]]) <= pol.epsilon:
-            j += 1
-        cluster = order[i:j]
-        if j - i > 1:
-            cluster = cluster[rng.permutation(j - i)]
-        ranks[cluster] = np.arange(i + 1, j + 1, dtype=np.float64)
+    while (k := np.searchsorted(paired, i)) < paired.size:
+        i = int(paired[k])
+        # The first score to fail the test ends the cluster: relative gaps are not
+        # monotone along the scores, so windows of doubling length are tested whole.
+        j, width = i + 2, 1
+        while j < n and not (fails := pol.gaps(s[i], s[j:j + width]) > pol.epsilon).any():
+            j, width = j + width, 2 * width
+        j = j + int(np.argmax(fails)) if j < n else n
+        ranks[order[i:j][rng.permutation(j - i)]] = np.arange(i + 1, j + 1, dtype=np.float64)
         i = j
     return ranks

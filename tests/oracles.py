@@ -3,8 +3,7 @@
 Everything here re-derives expected values directly from definitions
 (pure-python or flat-numpy enumeration, plain-dict grouping); none of it
 shares code with the alignment, blocked or incremental paths it is used
-to check.  The only library piece reused is the aggregation contract
-(mean over defined groups).
+to check.
 """
 
 import math
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tiecal import GroupingMode, PairCounts, mean_defined
+from tiecal import GroupingMode, PairCounts
 
 
 def oracle_groups(human, metric, mode):
@@ -178,6 +177,12 @@ def counts_from_cells(cells):
                       tied_both=cells["=", "="])
 
 
+def mean_defined(values):
+    """The mean over defined (non-NaN) group values, or None if none is defined."""
+    defined = np.count_nonzero(~np.isnan(values))
+    return float(np.nansum(values) / defined) if defined else None
+
+
 def brute_force_calibration(human, metric, mode, kind, relative=False):
     """Maximize by re-evaluating every candidate threshold from scratch.
 
@@ -210,6 +215,29 @@ def brute_force_calibration(human, metric, mode, kind, relative=False):
             best_val = value
             best_eps = eps
     return best_eps, best_val
+
+
+def loop_break_ties_randomly(metric, eps, relative, seed):
+    """``break_ties_randomly`` as a loop over the sorted scores: a score joins
+    the current cluster while its gap to the cluster's first is <= eps, and
+    each cluster of two or more is permuted by the seeded generator."""
+    m = np.asarray(metric, dtype=np.float64)
+    n = m.size
+    rng = np.random.default_rng(seed)
+    order = np.argsort(m, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i + 1
+        first = m[order[i]]
+        while j < n and oracle_gap(float(first), float(m[order[j]]), relative) <= eps:
+            j += 1
+        cluster = order[i:j]
+        if j - i > 1:
+            cluster = cluster[rng.permutation(j - i)]
+        ranks[cluster] = np.arange(i + 1, j + 1, dtype=np.float64)
+        i = j
+    return ranks
 
 
 # README's score format: a finite base-10 decimal in ASCII digits, optionally

@@ -14,6 +14,7 @@ from oracles import (
     brute_force_calibration,
     counts_from_cells,
     grid_stat,
+    mean_defined,
     naive_suff_stats,
     oracle_groups,
     pair_views,
@@ -31,12 +32,11 @@ from tiecal import (
     calibrate,
     grouped_stats,
     load_scores,
-    mean_defined,
     stat_from_counts,
     suff_stats,
     tau_c_context,
 )
-from tiecal.calibration import _approx_means, _replay, _sorted_moves
+from tiecal.calibration import _approx_means, _moves, _replay
 from tiecal.cli import main as cli_main
 from tiecal.stats import _stat_from_arrays
 
@@ -294,7 +294,9 @@ def test_incremental_sweep_consistency():
         failures += result.candidates_evaluated != len(candidates)
         aligned = align(h, m, mode)
         total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
-        counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total)
+        counts, gaps, packed = _moves(aligned, eps_mode, total)
+        order = np.argsort(gaps)  # every move, in gap order
+        gaps, packed = gaps[order], packed[order]
         ends = np.searchsorted(gaps, candidates, "right")
         start = _stat_from_arrays(StatKind.ACC_EQ, *counts.T)
         _, sums, defined = zip(*_approx_means(StatKind.ACC_EQ, counts, start, None, packed, ends))

@@ -26,7 +26,13 @@ from tiecal import (
     grouped_stats,
     tie_location_histogram,
 )
-from tiecal.calibration import _MOVE_BYTES, _SWEEP_MOVES, _approx_means, _replay, _sorted_moves
+from tiecal.calibration import (
+    _MOVE_BYTES,
+    _SWEEP_MOVES,
+    _approx_means,
+    _moves,
+    _replay,
+)
 from tiecal.stats import _pair_blocks, _stat_from_arrays, _tau_c_contexts
 
 
@@ -34,6 +40,14 @@ def single_group(h_scores, m_scores):
     h = ScoreMatrix((f"s{i}", "seg", float(v)) for i, v in enumerate(h_scores))
     m = ScoreMatrix((f"s{i}", "seg", float(v)) for i, v in enumerate(m_scores))
     return h, m
+
+
+def sorted_moves(aligned, eps_mode):
+    """The kernel pass's counts and every move, sorted by gap."""
+    total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
+    counts, gaps, packed = _moves(aligned, eps_mode, total)
+    order = np.argsort(gaps)
+    return counts, gaps[order], packed[order]
 
 
 def random_instance(rng):
@@ -129,8 +143,7 @@ class TestCalibrate:
             assert result.candidates_evaluated == len(candidates)
 
             aligned = align(h, m, mode)
-            total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
-            counts, gaps, packed, _ = _sorted_moves(aligned, eps_mode, total)
+            counts, gaps, packed = sorted_moves(aligned, eps_mode)
             contexts = _tau_c_contexts(*aligned[:3]) if kind is StatKind.TAU_C else None
             k, n = (None, None) if contexts is None else contexts
             ends = np.searchsorted(gaps, candidates, "right")
@@ -285,9 +298,7 @@ class TestManySmallGroups:
         assert result.report.groups_total == n_groups
 
         # the blocked sweep's approximate means track the batch values at every candidate
-        aligned = align(h, m, mode)
-        total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
-        counts, gaps, packed, _ = _sorted_moves(aligned, EpsilonMode.ABSOLUTE, total)
+        counts, gaps, packed = sorted_moves(align(h, m, mode), EpsilonMode.ABSOLUTE)
         start = _stat_from_arrays(kind, *counts.T)
         at = np.searchsorted(gaps, np.arange(9.0), "right")
         _, sums, defined = zip(*_approx_means(kind, counts, start, None, packed, at))
@@ -358,7 +369,7 @@ class TestPairMemory:
 
     def test_replay_step_holds_no_per_move_arrays(self, campaign):
         aligned = align(*campaign, self.MODE)
-        counts, _, packed, _ = _sorted_moves(aligned, EpsilonMode.RELATIVE, self.PAIRS)
+        counts, _, packed = _moves(aligned, EpsilonMode.RELATIVE, self.PAIRS)  # in kernel order
         expected = counts.copy()  # past the largest gap, every pair is metric-tied
         expected[:, 3] += expected[:, 0] + expected[:, 1]
         expected[:, 4] += expected[:, 2]
@@ -391,6 +402,20 @@ class TestPairLayout:
         rows = slice(rows)
         h = ScoreMatrix(zip(*zip(*keys[rows]), human[rows].tolist()))
         return h, *(h.with_scores(array("d", metric[rows])) for metric in metrics)
+
+    @pytest.mark.parametrize("eps_mode", list(EpsilonMode))
+    def test_walk_takes_under_a_tenth_of_the_moves(self, columns, eps_mode):
+        # acc_eq's gap bins bound where its maximum can lie: only their window
+        # is sorted and walked
+        h, m = self.campaign(*columns[:3])
+        walked = []
+        walk = tiecal.calibration._approx_means
+        with mock.patch("tiecal.calibration._approx_means",
+                        lambda *args: walked.append(args[4].size) or walk(*args)):
+            result = calibrate(h, m, CalibrationConfig(eps_mode=eps_mode))
+        moves = _moves(align(h, m, self.MODE), eps_mode, self.PAIRS)[1].size
+        assert result.candidates_evaluated > 10**5 and moves > 10**5
+        assert len(walked) == 1 and 0 < walked[0] < moves / 10
 
     @pytest.mark.parametrize("column", [2, 3], ids=["continuous", "discrete"])
     def test_calibration_stays_within_its_memory_guard(self, columns, column):
@@ -433,28 +458,35 @@ class TestPairLayout:
     @pytest.mark.parametrize("eps_mode", list(EpsilonMode))
     def test_discrete_calibration_equals_brute_force(self, columns, monkeypatch, shared,
                                                      step, eps_mode):
-        # the rule candidates x (groups + step) <= moves, patched each way:
-        # with 5 levels, 40 items have far fewer candidates than moves
+        # the rule window candidates x (groups + step) <= window moves, patched
+        # each way: with 5 levels, 40 items have far fewer candidates than moves
         keys, human, _, discrete = columns
         h, m = self.campaign(keys, human, discrete, rows=15 * 40)
         if not shared:  # a metric on a subset of the keys lists its own pairs
             m = ScoreMatrix(list(m.items())[1:])
         calibrate(h, h.with_scores(array("d", discrete[:15 * 40])),
                   CalibrationConfig(eps_mode=eps_mode))  # the human side's layout
-        walks = []
-        walk = tiecal.calibration._approx_means
+        walks, windows = [], []
+        walk, window = tiecal.calibration._approx_means, tiecal.calibration._window
         monkeypatch.setattr("tiecal.calibration._REPLAY_STEP_MOVES", step)
         monkeypatch.setattr("tiecal.calibration._approx_means",
-                            lambda *args: walks.append(1) or walk(*args))
+                            lambda *args: walks.append(len(windows)) or walk(*args))
+        monkeypatch.setattr("tiecal.calibration._window",
+                            lambda *args: windows.append(window(*args)) or windows[-1])
         for kind in (StatKind.ACC_EQ, StatKind.TIES_F1, StatKind.TAU_C, StatKind.RANK_F1):
             result = calibrate(h, m, CalibrationConfig(kind=kind, eps_mode=eps_mode))
             assert (align(h, m, self.MODE).pairs is not None) == shared
             assert (result.epsilon_star, result.stat_star) == brute_force_calibration(
                 h, m, self.MODE, kind, eps_mode is EpsilonMode.RELATIVE)
         aligned = align(h, m, self.MODE)
-        moves = _sorted_moves(aligned, eps_mode, 40 * 15 * 14 // 2)[1].size
-        assert len(walks) == 4 * (result.candidates_evaluated * (aligned.sizes.size + step)
-                                  > moves)
+        _, gaps, _ = _moves(aligned, eps_mode, 40 * 15 * 14 // 2)
+        expected = []
+        for call, (lo, hi) in enumerate(windows, start=1):
+            inside = gaps[(gaps >= lo) & (gaps < hi)]
+            candidates = 1 + np.unique(inside).size  # the window's start, then its gaps
+            if candidates * (aligned.sizes.size + step) > inside.size > 0:
+                expected.append(call)
+        assert walks == expected
 
     @pytest.mark.parametrize("eps_mode, scores, expected", [
         (EpsilonMode.ABSOLUTE, [1e308, -1e308], (0.0, 0.0, 1)),
@@ -467,6 +499,60 @@ class TestPairLayout:
             warnings.simplefilter("error")  # no overflow warning either
             result = calibrate(h, m, CalibrationConfig(eps_mode=eps_mode))
         assert (result.epsilon_star, result.stat_star, result.candidates_evaluated) == expected
+
+
+class TestGapBins:
+    """acc_eq and tau_eq sort and walk only the window of gap bins whose
+    bound reaches the best bin end; other statistics take every move."""
+
+    # Items whose acc_eq rises at 0.001 (item a), again at 0.01 (b), falls at
+    # 0.5 (c) and rises at 1.0 (d): the maximum, 3 of 4, is reached at 0.01
+    # and 1.0, and the bin of 0.001 cannot reach it.
+    HUMAN = {"a": (0, 0), "b": (0, 0), "c": (0, 1), "d": (0, 0)}
+    METRIC = {"a": (0, 0.001), "b": (0, 0.01), "c": (0, 0.5), "d": (0, 1.0)}
+
+    @staticmethod
+    def campaign(*sides):
+        """Score matrices of two systems from {item: (score, score)}."""
+        return (ScoreMatrix((f"s{i}", item, float(v)) for item, pair in scores.items()
+                            for i, v in enumerate(pair)) for scores in sides)
+
+    @pytest.mark.parametrize("shift", [45, 63], ids=["default", "one bin"])
+    @pytest.mark.parametrize("kind", [StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TAU_B])
+    def test_equal_maxima_in_different_bins_give_the_smaller_gap(self, monkeypatch, shift,
+                                                                 kind):
+        h, m = self.campaign(self.HUMAN, self.METRIC)
+        windows = []
+        window = tiecal.calibration._window
+        monkeypatch.setattr("tiecal.calibration._BIN_SHIFT", shift)
+        monkeypatch.setattr("tiecal.calibration._window",
+                            lambda *args: windows.append(window(*args)) or windows[-1])
+        result = calibrate(h, m, CalibrationConfig(kind=kind))
+        assert (result.epsilon_star, result.stat_star) == brute_force_calibration(
+            h, m, GroupingMode.GROUP_BY_ITEM, kind)
+        assert result.candidates_evaluated == 5
+        (lo, hi), = windows
+        assert hi == math.inf  # the bin of 1.0 is the last
+        if kind is StatKind.TAU_B or shift == 63:
+            assert lo == 0.0  # every move
+        else:
+            assert result.epsilon_star == 0.01
+            assert 0.001 < lo <= 0.01  # the bin of 0.001 is left out
+
+    def test_maximum_inside_a_bin_whose_ends_are_lower(self):
+        # acc_eq of 7 items sums to 3 at 0, 2 from 0.01, 4 from 1.0, 2 from 1.005
+        # (in the bin of 1.0) and 4 from 100.  Only the bin's positive moves
+        # bound its inside, where the first maximum lies.
+        items = {"a": ((0, 1), (0, 0.01)), "b": ((0, 0), (0, 1.0)), "c": ((0, 0), (0, 1.0)),
+                 "d": ((0, 1), (0, 1.005)), "e": ((0, 1), (0, 1.005)),
+                 "f": ((0, 0), (0, 100.0)), "g": ((0, 0), (0, 100.0))}
+        h, m = self.campaign(*({item: pairs[side] for item, pairs in items.items()}
+                               for side in (0, 1)))
+        for kind in (StatKind.ACC_EQ, StatKind.TAU_EQ):
+            result = calibrate(h, m, CalibrationConfig(kind=kind))
+            assert (result.epsilon_star, result.stat_star) == brute_force_calibration(
+                h, m, GroupingMode.GROUP_BY_ITEM, kind)
+            assert result.epsilon_star == 1.0
 
 
 class TestApplyEpsilon:

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_calibration,
+    mean_defined,
     naive_suff_stats,
     oracle_gap,
     oracle_groups,
@@ -32,9 +33,9 @@ from tiecal import (
     calibrate,
     f1_curve,
     grouped_stats,
-    mean_defined,
     tie_location_histogram,
 )
+from tiecal.calibration import _BIN_SHIFT
 from tiecal.stats import _BLOCK_PAIRS, _kernel_sized, _pair_blocks, _pair_counts, _sort_counts
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -51,6 +52,9 @@ POOLS = (
 # small and zero scores among them.
 NEAR_MAX = st.sampled_from([-1.7976931348623157e308, -1.7e308, -1e308, -5e307, -1.0, -0.0,
                             0.0, 1.0, 5e307, 1e308, 1.7e308, 1.7976931348623157e308])
+# Scores whose gaps fall in many gap bins, binades apart, so that equal maxima
+# can sit in different bins and a window can leave bins out.
+SPREAD = st.sampled_from([-1.0, -0.01, 0.0, 0.001, 0.002, 0.01, 0.5, 1.0, 1.005, 2.0, 100.0])
 MODES = st.sampled_from(list(GroupingMode))
 KERNEL_BLOCKS = st.sampled_from([1, 2, 3, 7, _BLOCK_PAIRS])
 
@@ -224,6 +228,25 @@ def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, blo
     config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
     with mock.patch("tiecal.calibration._SWEEP_MOVES", moves), \
             mock.patch("tiecal.stats._BLOCK_PAIRS", block), \
+            mock.patch("tiecal.calibration._REPLAY_STEP_MOVES", step):
+        result = calibrate(human, metric, config)
+    expect_eps, expect_val = brute_force_calibration(human, metric, mode, kind, relative)
+    assert (result.epsilon_star, result.stat_star) == (expect_eps, expect_val)
+
+
+@PROFILE
+@given(campaign=campaigns(POOLS + (SPREAD,)), mode=MODES, relative=st.booleans(),
+       kind=st.sampled_from([StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TAU_B]),
+       shift=st.sampled_from([_BIN_SHIFT, 63]), moves=st.integers(1, 7),
+       step=st.sampled_from([512, -math.inf]))
+def test_calibrate_over_gap_bins_equals_brute_force(campaign, mode, relative, kind, shift,
+                                                    moves, step):
+    # acc_eq and tau_eq sort only a window of gap bins, tau_b every move; a
+    # shift of 63 puts every gap in one bin, so no window leaves one out
+    human, metric = campaign
+    config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
+    with mock.patch("tiecal.calibration._BIN_SHIFT", shift), \
+            mock.patch("tiecal.calibration._SWEEP_MOVES", moves), \
             mock.patch("tiecal.calibration._REPLAY_STEP_MOVES", step):
         result = calibrate(human, metric, config)
     expect_eps, expect_val = brute_force_calibration(human, metric, mode, kind, relative)

@@ -184,6 +184,16 @@ class TestCalibrateCommand:
         assert "epsilon=0.05" in out
         assert "acc_eq=1.000000" in out
 
+    @pytest.mark.parametrize("stat", ["acc_eq", "tau_b"])  # with gap bins, and without
+    def test_json_report(self, tmp_path, capsys, stat):
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.05, 1.0, 1.5]))
+        out = tmp_path / "calibrate.json"
+        assert main(["calibrate", "--human", str(h), "--metric", f"m={m}", "--mode",
+                     "no-grouping", "--stat", stat, "--format", "json", "--out", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["results"]
+        assert (row["stat"], row["candidates"]) == (stat, 7)  # 0 and six distinct gaps
+
     @pytest.mark.parametrize("eps_mode, scores, eps, acc_eq", [
         ("absolute", [1e308, -1e308], "0", "0.000000"),
         ("relative", [1.7e308, -1.7e308], "2", "1.000000"),  # a - b overflows; the gap is 2
@@ -1108,6 +1118,31 @@ def test_tie_hist_rows_stay_within_the_bins_estimate(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < bins * _BIN_BYTES[fmt]
+
+
+@pytest.mark.parametrize("mode", ["group-by-item", "no-grouping"])
+def test_relative_mode_reports_are_scale_free(tmp_path, mode):
+    # Scaling every metric score by 2**k, with every score normal before and
+    # after, keeps each relative gap's bits: the report lines after the input
+    # digests are the same bytes.
+    rng = np.random.default_rng(17)
+    keys = [(f"s{i}", f"g{j}") for i in range(6) for j in range(5)]
+    h = write_scores(tmp_path / "h.tsv", [(*key, float(rng.integers(0, 3))) for key in keys])
+    scores = np.round(rng.normal(size=len(keys)), 2)  # both signs, ties and zeros
+    commands = (["correlate", "--stat", "all", "--epsilon", "0.1"], ["calibrate"],
+                ["calibrate", "--stat", "tau_b"], ["f1-curve", "--eps-grid", "0,0.05,0.5,1,1.5"])
+    bodies = {}
+    for k in (0, -1000, -1, 7, 1020):
+        m = write_scores(tmp_path / f"m{k}.tsv", [(*key, float(np.ldexp(v, k)))
+                                                 for key, v in zip(keys, scores)])
+        for command in commands:
+            out = tmp_path / "report.tsv"
+            assert main([*command, "--human", str(h), "--metric", f"m={m}", "--mode", mode,
+                         "--eps-mode", "relative", "--out", str(out)]) == 0
+            lines = out.read_bytes().splitlines(keepends=True)
+            last_input = max(i for i, line in enumerate(lines) if line.startswith(b"# input:"))
+            bodies.setdefault(" ".join(command), set()).add(b"".join(lines[last_input + 1:]))
+    assert {command: len(body) for command, body in bodies.items()} == dict.fromkeys(bodies, 1)
 
 
 def test_cli_import_leaves_scipy_unloaded():

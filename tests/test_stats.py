@@ -5,7 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import COEFFICIENT_GRIDS, counts_from_cells, grid_stat, naive_suff_stats, oracle_stat
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    COEFFICIENT_GRIDS,
+    counts_from_cells,
+    grid_stat,
+    loop_break_ties_randomly,
+    mean_defined,
+    naive_suff_stats,
+    oracle_gap,
+    oracle_stat,
+)
 
 from tiecal import (
     OVERALL_STAT_KINDS,
@@ -17,7 +28,6 @@ from tiecal import (
     StatKind,
     break_ties_randomly,
     grouped_stats,
-    mean_defined,
     stat_from_counts,
     suff_stats,
     tau_c_context,
@@ -26,6 +36,11 @@ from tiecal.stats import _pair_blocks, _pair_counts, _stat_from_arrays
 
 H_FIG = [0, 0, 0, 0, 1, 2]
 M1_FIG = [0, 0, 0, 0, 2, 1]
+# Scores for the tie-break property: a 3-decimal lattice with signed zeros,
+# 2**53 and 2**53 + 2, whose relative gaps to 1 fall as the score grows, and
+# scores near ±max float, whose differences overflow.
+TIE_BREAK_SCORES = [-0.002, -0.001, -0.0, 0.0, 0.001, 0.002, 0.003, 1.0, 1.5, 2.0**53,
+                    2.0**53 + 2, -1.7e308, 1e308, 1.7976931348623157e308]
 M2_FIG = [0, 1, 2, 3, 4, 5]
 
 M1_COUNTS = PairCounts(concordant=8, discordant=1, tied_human=0,
@@ -621,6 +636,21 @@ class TestBreakTiesRandomly:
         a = break_ties_randomly(m, seed=77)
         b = break_ties_randomly(m, seed=77)
         assert a.tolist() == b.tolist()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(scores=st.lists(st.sampled_from(TIE_BREAK_SCORES) | st.floats(-3.0, 3.0), max_size=40),
+           relative=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(scores=[1.0, 1.5, 2.0**53, 2.0**53 + 2], relative=True, seed=0,
+             data=None)  # epsilon 1 - 2**-52 ties 2**53 + 2 to 1, but not 2**53
+    def test_equals_the_loop_over_sorted_scores(self, scores, relative, seed, data):
+        # the same ranks, bit for bit, and so the same generator draws
+        gaps = {0.0, *(oracle_gap(a, b, relative) for a in scores for b in scores)}
+        near = {math.nextafter(g, step) for g in gaps for step in (-math.inf, math.inf)}
+        eps = (1.0 - 2.0**-52 if data is None else data.draw(
+            st.sampled_from(sorted(g for g in gaps | near if 0.0 <= g < math.inf))))
+        pol = EpsilonPolicy(eps, EpsilonMode.RELATIVE if relative else EpsilonMode.ABSOLUTE)
+        assert (break_ties_randomly(scores, pol, seed=seed).tobytes()
+                == loop_break_ties_randomly(scores, eps, relative, seed).tobytes())
 
 
 class TestEpsilonPolicy:
