@@ -3,8 +3,9 @@
 Subcommands: correlate, calibrate, rank, buckets, tie-hist, f1-curve,
 perturb.  All outputs are plot-ready data tables (TSV or JSON); exit code
 is 0 on success (undefined statistic values are results), 2 on usage or
-input errors, 130 on an interrupt.  Each subcommand yields (destination,
-content) pairs, ``-`` or a path and a report or bytes; ``main`` writes all.
+input errors, 130 on an interrupt.  Each subcommand yields its outputs as
+(destination, chunks) pairs, ``-`` or a path and an iterable of bytes;
+``main`` writes each chunk as it is made.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
-from . import __version__, calibration, data
+from . import __version__, data
 from .calibration import (
     CalibrationConfig,
     calibrate,
@@ -56,8 +57,10 @@ TIE_AVERSE_KINDS = frozenset({
 })
 
 BASELINE_NAME = "Constant-Metric"
+# The most --bins tie-hist takes: at about 60 B a bin, 166 MB peak RSS at the cap.
+_MAX_BINS = 2**22
 
-Outputs = Iterator[tuple[str, ReportDocument | bytes]]  # what a subcommand yields
+Outputs = Iterator[tuple[str, Iterable[bytes]]]  # what a subcommand yields
 
 _REPORT_COLUMNS = (
     "metric", "stat", "mode", "eps_mode", "epsilon", "value",
@@ -81,14 +84,15 @@ def _seed(text: str) -> int:
 
 
 def _bins(text: str) -> int:
-    """A --bins value: a histogram has at least one bin, so a lower count
-    is refused before any input is read."""
+    """A --bins value: a histogram has at least one bin and at most
+    ``_MAX_BINS``, so another count is refused before any input is read."""
     try:
         bins = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if bins < 1:
-        raise argparse.ArgumentTypeError(f"bins must be >= 1, got {bins}")
+    if not 1 <= bins <= _MAX_BINS:
+        bound = ">= 1" if bins < 1 else f"<= {_MAX_BINS}"
+        raise argparse.ArgumentTypeError(f"bins must be {bound}, got {bins}")
     return bins
 
 
@@ -249,9 +253,10 @@ def _load_inputs(human_path: str, metrics: Sequence[tuple[str, Path]]
 
 
 def _document(args: argparse.Namespace, digests: dict[str, str], columns: tuple[str, ...],
-              rows: Iterable[dict[str, Any]], ranking: list[str] | None = None) -> ReportDocument:
-    return ReportDocument(version=__version__, command=args.command, inputs=digests,
-                          columns=columns, rows=rows, ranking=ranking)
+              rows: Iterable[dict[str, Any]], ranking: list[str] | None = None
+              ) -> Iterator[bytes]:
+    return write_report(ReportDocument(version=__version__, command=args.command, inputs=digests,
+                                       columns=columns, rows=rows, ranking=ranking), args.format)
 
 
 def _row(name: str, report: CorrelationReport, **extra: Any) -> dict[str, Any]:
@@ -317,16 +322,16 @@ def _cmd_calibrate(args: argparse.Namespace) -> Outputs:
     for name, matrix in metrics:
         result = calibrate(human, matrix, config)
         value_text = "NaN" if result.stat_star is None else f"{result.stat_star:.6f}"
-        yield "-", (f"metric={name} epsilon={result.epsilon_star:.6g} "
-                    f"{config.kind.value}={value_text}\n").encode("utf-8")
+        yield "-", [f"metric={name} epsilon={result.epsilon_star:.6g} "
+                    f"{config.kind.value}={value_text}\n".encode("utf-8")]
         rows.append(_row(name, result.report, **_EXACT_SEARCH,
                          candidates=result.candidates_evaluated,
                          epsilon_star=result.epsilon_star))
     if args.out != "-":
         yield args.out, _document(args, digests, _CALIBRATE_COLUMNS, rows)
     if args.emit_epsilon:
-        yield args.emit_epsilon, "".join(
-            f"{row['metric']}\t{row['epsilon_star']!r}\n" for row in rows).encode("utf-8")
+        yield args.emit_epsilon, (f"{row['metric']}\t{row['epsilon_star']!r}\n".encode("utf-8")
+                                  for row in rows)
 
 
 _RANK_COLUMNS = ("rank", "metric", "stat", "mode", "value", "epsilon",
@@ -371,25 +376,18 @@ def _cmd_buckets(args: argparse.Namespace) -> Outputs:
 
 
 _HIST_COLUMNS = ("bin_start", "bin_end", "all_pairs", "newly_tied")
-# Peak bytes of one tie-hist bin, by report format: its edge and counts, and
-# its report text, as rows reach the writer one at a time (RSS grows about
-# 205 B a bin for tsv, 440 B for json).
-_BIN_BYTES = {"tsv": 256, "json": 512}
 
 
 def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:
     metric = _one_metric(args)
     mode = GroupingMode(args.mode)
     pol = _policy(args)
-    need, (have, what) = args.bins * _BIN_BYTES[args.format], calibration._memory_limit()
-    if need > have:
-        raise MemoryError(f"--bins {args.bins:,} needs about {need / 2**30:.3g} GiB, "
-                          f"more than {what}")
     human, ((_, matrix),), digests = _load_inputs(args.human, [metric])
     hist = tie_location_histogram(human, matrix, pol, args.bins, mode)
-    edges = hist.bin_edges.tolist()
-    rows = (dict(zip(_HIST_COLUMNS, row)) for row in zip(
-        edges[:-1], edges[1:], hist.all_pairs.tolist(), hist.newly_tied.tolist()))
+    columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.all_pairs, hist.newly_tied)
+    rows = (dict(zip(_HIST_COLUMNS, row)) for start in range(0, args.bins, data._REPORT_ROWS)
+            for row in zip(*(column[start:start + data._REPORT_ROWS].tolist()
+                             for column in columns)))
     yield args.out, _document(args, digests, _HIST_COLUMNS, rows)
 
 
@@ -413,8 +411,8 @@ def _cmd_perturb(args: argparse.Namespace) -> Outputs:
     pol = _policy(args)
     items = sorted(data.load_scores(path).items())  # keys are unique: sorted by key
     ranks = break_ties_randomly([score for *_, score in items], pol, seed=args.seed)
-    yield args.out, dump_scores(ScoreMatrix((system, segment, float(rank))
-                                            for (system, segment, _), rank in zip(items, ranks)))
+    yield args.out, [dump_scores(ScoreMatrix((system, segment, float(rank))
+                                             for (system, segment, _), rank in zip(items, ranks)))]
 
 
 def _stage(flag: str, path: Path) -> Path | None:
@@ -456,14 +454,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         for flag, path in (("--out", args.out), ("--emit-epsilon", emit)):
             if path not in (None, "-") and (temp := _stage(flag, Path(path))) is not None:
                 staged[path] = temp
-        for dest, content in args.func(args):
-            if isinstance(content, ReportDocument):
-                content = write_report(content, args.format)
+        for dest, chunks in args.func(args):
             if dest == "-":
-                sys.stdout.buffer.write(content)  # UTF-8 bytes, whatever the locale
+                sys.stdout.buffer.writelines(chunks)  # UTF-8 bytes, whatever the locale
                 sys.stdout.buffer.flush()  # calibrate's lines show as each sweep ends
             else:  # a link, a device or a pipe has no temporary file
-                staged.get(dest, Path(dest)).write_bytes(content)
+                with staged.get(dest, Path(dest)).open("wb") as handle:
+                    handle.writelines(chunks)
         for path, temp in staged.items():
             os.replace(temp, path)
         return 0

@@ -3,7 +3,7 @@
 Score files are UTF-8 TSV with three columns (system, segment, score), an
 optional literal header line, and '#' comment lines.  Reports serialize to
 TSV or JSON with stable ordering, floats at six significant digits, and
-undefined values rendered as "NaN" (TSV) or null (JSON).
+undefined values as "NaN" (TSV) or null (JSON), in chunks made as written.
 """
 
 from __future__ import annotations
@@ -231,11 +231,12 @@ def _json_value(value: Any) -> Any:
     return float(format_value(value)) if isinstance(value, float) else value
 
 
+# Rows a report chunk holds at most.
+_REPORT_ROWS = 1024
 # The JSON writers below lay out what json.dumps(indent=2) would, one level
 # in, but encode through the C encoder, which json.dumps uses only without
 # indent: the pure-Python one holds every token of the report in a list.
 _JSON_PAD = "\n  "
-_JSON_ROWS = 1024
 
 
 def _json_block(value: Any) -> str:
@@ -247,26 +248,22 @@ def _json_block(value: Any) -> str:
     return text[0] + _JSON_PAD + "  " + text[1:-1] + _JSON_PAD + text[-1]
 
 
-def _json_rows(columns: tuple[str, ...], table: Iterator[list[Any]]) -> Iterator[str]:
-    """The rows of ``table``, whose values are scalars, as the report's
-    "results": a list of objects keyed by ``columns``, ``_JSON_ROWS`` rows
-    an encoder call.  No JSON
-    string holds a raw line break, so between rows is the only place
-    "},<line break>{" occurs."""
-    chunks = iter(lambda: list(islice(table, _JSON_ROWS)), [])
+def _json_rows(columns: tuple[str, ...], chunks: Iterator[list[list[Any]]]) -> Iterator[str]:
+    """``chunks`` of rows of scalars as the report's "results", objects keyed
+    by ``columns``, a chunk an encoder call.  No JSON string holds a raw line
+    break, so between rows is the only place "},<line break>{" occurs."""
     if not columns:
         yield _json_block([{}] * sum(map(len, chunks)))
         return
     inner = _JSON_PAD + "    "
     between = f"{_JSON_PAD}  }},{_JSON_PAD}  {{{inner}"
-    opened = False
+    opening = f"[{_JSON_PAD}  {{{inner}"  # before the chunk's first row
     for chunk in chunks:
         rows = [dict(zip(columns, map(_json_value, values))) for values in chunk]
         text = json.dumps(rows, ensure_ascii=False, separators=("," + inner, ": "))
-        yield between if opened else f"[{_JSON_PAD}  {{{inner}"
-        opened = True
-        yield text[2:-2].replace("}," + inner + "{", between)
-    yield f"{_JSON_PAD}  }}{_JSON_PAD}]" if opened else "[]"
+        yield opening + text[2:-2].replace("}," + inner + "{", between)
+        opening = between
+    yield f"{_JSON_PAD}  }}{_JSON_PAD}]" if opening == between else "[]"
 
 
 @dataclass
@@ -308,25 +305,30 @@ def _table(doc: ReportDocument) -> Iterator[list[Any]]:
             raise ValueError(f"report row {index} has no column {exc.args[0]!r}") from None
 
 
-def write_report(doc: ReportDocument, fmt: str = "tsv") -> bytes:
-    """Serialize a report deterministically as TSV or JSON."""
+def write_report(doc: ReportDocument, fmt: str = "tsv") -> Iterator[bytes]:
+    """Serialize a report deterministically as TSV or JSON: its UTF-8 bytes
+    in chunks, the header lines first, then at most ``_REPORT_ROWS`` rows a
+    chunk.  An unknown format raises ValueError at the call."""
+    if fmt not in ("tsv", "json"):
+        raise ValueError(f"unknown report format {fmt!r} (known: tsv, json)")
+    return (text.encode("utf-8") for text in _texts(doc, fmt))
+
+
+def _texts(doc: ReportDocument, fmt: str) -> Iterator[str]:
+    table = _table(doc)
+    chunks = iter(lambda: list(islice(table, _REPORT_ROWS)), [])
     if fmt == "tsv":
-        lines = [f"# version={doc.version}", f"# command={doc.command}"]
-        for label, digest in doc.inputs.items():
-            lines.append(f"# input:{label}={digest}")
-        if doc.ranking is not None:
-            lines.append("# ranking=" + ",".join(doc.ranking))
-        lines.append("\t".join(doc.columns))
-        for values in _table(doc):
-            lines.append("\t".join(map(_cell, values)))
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "json":  # json.dumps(payload, ensure_ascii=False, indent=2), laid out by hand
-        head = {"version": doc.version, "command": doc.command, "inputs": doc.inputs,
-                "columns": list(doc.columns)}
-        parts = ["{"]
-        for key, value in head.items():
-            parts.append(f'{_JSON_PAD}"{key}": {_json_block(value)},')
-        parts += [f'{_JSON_PAD}"results": ', *_json_rows(doc.columns, _table(doc)),
-                  f',{_JSON_PAD}"ranking": {_json_block(doc.ranking)}\n}}\n']
-        return "".join(parts).encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r} (known: tsv, json)")
+        ranking = [] if doc.ranking is None else ["# ranking=" + ",".join(doc.ranking)]
+        yield "\n".join([f"# version={doc.version}", f"# command={doc.command}",
+                         *(f"# input:{label}={digest}" for label, digest in doc.inputs.items()),
+                         *ranking, "\t".join(doc.columns), ""])
+        for chunk in chunks:
+            yield "".join("\t".join(map(_cell, values)) + "\n" for values in chunk)
+        return
+    # json.dumps(payload, ensure_ascii=False, indent=2), laid out by hand
+    head = {"version": doc.version, "command": doc.command, "inputs": doc.inputs,
+            "columns": list(doc.columns)}
+    yield "{" + "".join(f'{_JSON_PAD}"{key}": {_json_block(value)},'
+                        for key, value in head.items()) + f'{_JSON_PAD}"results": '
+    yield from _json_rows(doc.columns, chunks)
+    yield f',{_JSON_PAD}"ranking": {_json_block(doc.ranking)}\n}}\n'

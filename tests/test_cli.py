@@ -19,7 +19,7 @@ import pytest
 
 import tiecal
 from tiecal import load_scores
-from tiecal.cli import _BIN_BYTES, main
+from tiecal.cli import _bins, main
 
 
 def write_scores(path, rows):
@@ -601,20 +601,17 @@ class TestFailuresExitTwo:
         assert self.one_error_line(captured.err)
         assert "calibrating 3 within-group pairs" in captured.err
 
-    @pytest.mark.parametrize("fmt, bins", [("tsv", 3), ("json", 2)])
-    def test_tie_hist_bins_beyond_memory_refused_before_reading(self, tmp_path, capsys,
-                                                                monkeypatch, fmt, bins):
-        limit = bins * _BIN_BYTES[fmt] - 1  # a byte short of the estimate
-        monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (limit, "the test limit"))
-        missing = tmp_path / "missing.tsv"  # read first, it would fail otherwise
-        code = main(["tie-hist", "--human", str(missing), "--metric", f"m={missing}",
-                     "--bins", str(bins), "--format", fmt])
+    def test_tie_hist_bins_above_the_cap_refused_before_opening_a_file(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # the cap is a constant: the command line alone decides, on every host
+        monkeypatch.chdir(tmp_path)
+        code = main(["tie-hist", "--human", "missing.tsv", "--metric", "m=missing.tsv",
+                     "--bins", "4194305"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert self.one_error_line(captured.err)
-        assert f"--bins {bins} needs about" in captured.err
-        assert captured.err.endswith("more than the test limit\n")
+        assert captured.err == "error: argument --bins: bins must be <= 4194304, got 4194305\n"
+        assert _bins("4194304") == 2**22
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_tie_hist_bins_below_one_refused_before_opening_a_file(self, tmp_path, capsys,
@@ -643,8 +640,10 @@ class TestFailuresExitTwo:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_tie_hist_bins_within_memory_run(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("tiecal.calibration._memory_limit", lambda: (1024, "the test limit"))
+    def test_tie_hist_reads_no_host_memory_limit(self, tmp_path, capsys, monkeypatch):
+        def unread():
+            raise AssertionError("tie-hist read the host's memory limit")
+        monkeypatch.setattr("tiecal.calibration._memory_limit", unread)
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
         assert main(["tie-hist", "--human", str(h), "--metric", f"m={m}", "--bins", "2"]) == 0
@@ -688,7 +687,8 @@ class TestFailuresExitTwo:
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_run_leaves_no_new_or_altered_output(self, tmp_path, capsys, monkeypatch,
                                                         existing):
-        # calibrate has written its epsilon file when serializing the report fails
+        # serializing the report fails when it is asked for, or once its first
+        # chunk is written; the epsilon file would be written after it
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
         out, eps = tmp_path / "out.tsv", tmp_path / "eps.tsv"
@@ -699,12 +699,18 @@ class TestFailuresExitTwo:
 
         def fail(*args):
             raise ValueError("report row 0 has no column 'value'")
-        monkeypatch.setattr("tiecal.cli.write_report", fail)
-        code = main(["calibrate", "--human", str(h), "--metric", f"a={m}", "--metric", f"b={m}",
-                     "--mode", "no-grouping", "--out", str(out), "--emit-epsilon", str(eps)])
-        assert code == 2
-        assert self.one_error_line(capsys.readouterr().err)
-        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+        def fail_after_a_chunk(*args):
+            yield b"# version=0.1.0\n"
+            fail()
+        for writer in (fail, fail_after_a_chunk):
+            monkeypatch.setattr("tiecal.cli.write_report", writer)
+            code = main(["calibrate", "--human", str(h), "--metric", f"a={m}", "--metric",
+                         f"b={m}", "--mode", "no-grouping", "--out", str(out),
+                         "--emit-epsilon", str(eps)])
+            assert code == 2
+            assert self.one_error_line(capsys.readouterr().err)
+            assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_interrupt_prints_one_line_and_exits_130(self, tmp_path, capsys, monkeypatch):
         # Ctrl-C during a sweep: no traceback, and the staged outputs are removed
@@ -1034,6 +1040,25 @@ def test_stdout_carries_the_bytes_of_the_output_file(tmp_path, command, encoding
     assert "é".encode() in runs[0].stdout
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--stat", "all"], ["rank", "--calibrate", "--baseline"],
+    ["buckets", "--k-list", "4,2,1"], ["tie-hist", "--bins", "7"],
+    ["tie-hist", "--bins", "3000"], ["f1-curve", "--eps-grid", "0,0.1,0.5"],
+], ids=["correlate", "rank", "buckets", "tie-hist", "tie-hist-3000", "f1-curve"])
+def test_report_on_stdout_equals_its_out_file(tmp_path, capsysbinary, argv, fmt):
+    # the report is written a chunk at a time: 3,000 bins span several chunks
+    h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1, 2, 2, 3]))
+    m = write_scores(tmp_path / "m.tsv", vector_rows([0.5, 0.1, 0.9, 0.2, 0.7, 0.7]))
+    argv = [*argv, "--human", str(h), "--metric", f"m={m}", "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert capsysbinary.readouterr() == (b"", b"")
+    assert stdout == ((tmp_path / "out").read_bytes(), b"")
+    assert stdout.out.count(b"\n") > (3000 if "3000" in argv else 5)
+
+
 @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
 def test_calibrate_writes_utf8_whatever_the_locale(tmp_path, encoding):
     # the summary line, the report and the epsilon file of a non-ASCII metric name
@@ -1105,8 +1130,9 @@ def test_a_metric_without_pairs_is_undefined_not_an_error(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_tie_hist_rows_stay_within_the_bins_estimate(tmp_path, fmt):
-    # rows reach the writer one at a time, so traced memory stays under the
-    # per-bin estimate a large --bins is refused by; a list of every row would not
+    # rows come from slices of the histogram arrays and the report is written
+    # a chunk at a time, so traced memory is the arrays and numpy's temporaries
+    # (about 60 B a bin); a list of every row or every line would not be
     h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
     m = write_scores(tmp_path / "m.tsv", vector_rows([0.5, 0.1, 0.9]))
     bins = 40_000
@@ -1117,7 +1143,7 @@ def test_tie_hist_rows_stay_within_the_bins_estimate(tmp_path, fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bins * _BIN_BYTES[fmt]
+    assert peak < bins * 80
 
 
 @pytest.mark.parametrize("mode", ["group-by-item", "no-grouping"])

@@ -294,7 +294,7 @@ def sample_document():
 
 class TestWriteReport:
     def test_tsv_layout(self):
-        text = write_report(sample_document(), "tsv").decode()
+        text = b"".join(write_report(sample_document(), "tsv")).decode()
         lines = text.splitlines()
         assert "# version=0.1.0" in lines
         assert "# ranking=m1,m2" in lines
@@ -303,20 +303,20 @@ class TestWriteReport:
         assert "m2\tNaN\t0" in lines
 
     def test_json_layout(self):
-        payload = json.loads(write_report(sample_document(), "json"))
+        payload = json.loads(b"".join(write_report(sample_document(), "json")))
         assert payload["version"] == "0.1.0"
         assert payload["results"][0]["value"] == 0.933333
         assert payload["results"][1]["value"] is None
         assert payload["ranking"] == ["m1", "m2"]
 
     def test_deterministic_bytes(self):
-        doc = sample_document()
-        assert write_report(doc, "tsv") == write_report(sample_document(), "tsv")
-        assert write_report(doc, "json") == write_report(sample_document(), "json")
+        for fmt in ("tsv", "json"):
+            first, second = (b"".join(write_report(sample_document(), fmt)) for _ in range(2))
+            assert first == second
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            write_report(sample_document(), "xml")
+            write_report(sample_document(), "xml")  # at the call, not the first chunk
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_row_without_a_column_rejected(self, fmt):
@@ -324,16 +324,29 @@ class TestWriteReport:
         doc = sample_document()
         doc.rows[1] = {"metric": "m2", "valeu": None, "count": 0}
         with pytest.raises(ValueError, match=r"^report row 1 has no column 'value'$"):
-            write_report(doc, fmt)
+            b"".join(write_report(doc, fmt))
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_keys_beyond_the_columns_are_not_written(self, fmt):
         doc = sample_document()
         for row in doc.rows:
             row["pairs_total"] = 7
-        assert write_report(doc, fmt) == write_report(sample_document(), fmt)
+        assert b"".join(write_report(doc, fmt)) == b"".join(write_report(sample_document(), fmt))
 
-    @pytest.mark.parametrize("rows_per_call", [1, 2, data._JSON_ROWS])
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_chunks_hold_the_header_then_at_most_report_rows_rows(self, monkeypatch, fmt):
+        doc = sample_document()
+        doc.rows = [{"metric": f"m{i}", "value": i / 7, "count": i} for i in range(5)]
+        whole = b"".join(write_report(doc, fmt))
+        monkeypatch.setattr(data, "_REPORT_ROWS", 2)
+        chunks = list(write_report(doc, fmt))
+        assert b"".join(chunks) == whole
+        # the "#" lines and header row, or the JSON up to "results", then the rows
+        assert chunks[0].endswith(b'"results": ' if fmt == "json" else b"metric\tvalue\tcount\n")
+        rows = [chunk.count(b'"metric": ' if fmt == "json" else b"\n") for chunk in chunks[1:]]
+        assert rows == ([2, 2, 1, 0, 0] if fmt == "json" else [2, 2, 1])
+
+    @pytest.mark.parametrize("rows_per_call", [1, 2, data._REPORT_ROWS])
     @pytest.mark.parametrize("columns, rows, ranking", [
         (("metric", "value", "exact", "count"),
          [{"metric": "mé", "value": 14 / 15, "exact": True, "count": 15},
@@ -347,7 +360,7 @@ class TestWriteReport:
     ], ids=["mixed", "one-row", "no-rows", "no-columns"])
     def test_json_bytes_equal_indented_json_dumps(self, monkeypatch, rows_per_call, columns,
                                                   rows, ranking):
-        monkeypatch.setattr(data, "_JSON_ROWS", rows_per_call)
+        monkeypatch.setattr(data, "_REPORT_ROWS", rows_per_call)
         doc = ReportDocument(version="0.1.0", command="rank",
                              inputs={"human": "abc", "metric:mé": "def"},
                              columns=columns, rows=rows, ranking=ranking)
@@ -359,4 +372,4 @@ class TestWriteReport:
             "ranking": ranking,
         }
         expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-        assert write_report(doc, "json") == expected.encode("utf-8")
+        assert b"".join(write_report(doc, "json")) == expected.encode("utf-8")
