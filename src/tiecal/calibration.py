@@ -65,11 +65,10 @@ _CLASS_BITS = 20
 _PACKED_ONE = np.array([1, 1 << _CLASS_BITS, 1 << 2 * _CLASS_BITS], dtype=np.int64)  # a move
 # A replay step costs about as much as walking this many moves plus one a group.
 _REPLAY_STEP_MOVES = 512
-# A move's change to its group's value numerator, for the statistics whose group value
-# is a fixed row over the counts divided by one no threshold changes (_window's den).
-_MOVE_GAINS = {kind: _MOVE @ row for kind, row in (
-    (StatKind.ACC_EQ, [1, 0, 0, 0, 1]), (StatKind.TAU_EQ, [1, -1, -1, -1, 1]),
-    (StatKind.TAU_A, [1, -1, 0, 0, 0]), (StatKind.TAU_C, [1, -1, 0, 0, 0]))}
+# A move's change to its group's value numerator, for the statistics whose group
+# value is a fixed row over the counts divided by the group's pair count.
+_MOVE_GAINS = {kind: _MOVE @ row for kind, row in ((StatKind.ACC_EQ, [1, 0, 0, 0, 1]),
+                                                    (StatKind.TAU_EQ, [1, -1, -1, -1, 1]))}
 # Bits a gap's float64 pattern drops to give its bin: at most 2**18 bins (2 MiB a
 # per-bin array), monotone in the gap, and equal gaps share one.
 _BIN_SHIFT = 45
@@ -113,8 +112,8 @@ def _moves(aligned: Aligned, eps_mode: EpsilonMode, total: int
     return counts, gaps[:n], packed[:n]
 
 
-def _window(kind: StatKind, counts: np.ndarray, values: np.ndarray, contexts: np.ndarray | None,
-            gaps: np.ndarray, packed: np.ndarray, bound: float) -> tuple[float, float]:
+def _window(kind: StatKind, counts: np.ndarray, values: np.ndarray, gaps: np.ndarray,
+            packed: np.ndarray, bound: float) -> tuple[float, float]:
     """The gaps [lo, hi) that can hold the first maximum; (0, inf) for a
     statistic without a bound.  A bin's end value, the sum of group values at
     its largest gap, is reached, and no candidate inside it exceeds its start
@@ -126,9 +125,7 @@ def _window(kind: StatKind, counts: np.ndarray, values: np.ndarray, contexts: np
         return 0.0, np.inf
     first = gaps.min().view(np.int64) >> _BIN_SHIFT
     n_bins = int((gaps.max().view(np.int64) >> _BIN_SHIFT) - first) + 1
-    k, n = (None, None) if contexts is None else contexts
-    den = counts.sum(axis=1) if contexts is None else n * n * (k - 1.0) / k
-    weights = gains / np.where(den > 0, den, np.inf)[:, None]  # by packed move; 0 if undefined
+    weights = gains / np.maximum(counts.sum(axis=1, keepdims=True), 1)  # by packed move
     sums = np.zeros((2, n_bins))  # all weights and positive weights, by bin
     for b0 in range(0, gaps.size, _SWEEP_MOVES):
         bins = (gaps[b0:b0 + _SWEEP_MOVES].view(np.int64) >> _BIN_SHIFT) - first
@@ -261,18 +258,16 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
         k, n = (None, None) if contexts is None else contexts[:, rows]
         return _stat_from_arrays(kind, *counts[rows].T, k, n)
 
-    # Rounding bound.  Every statistic lies in [-1, 1], and a group's move weights sum
-    # in magnitude to at most 2 (tau_c's to pairs/den <= 1: den >= n²/2 >= pairs for
-    # k >= 2), so no partial sum of group values, of their changes or of move weights
-    # exceeds M = 2G, and a float sum of N terms with partial sums below M is within N*M*u
-    # of exact.  A bin's end value or upper bound rounds under G + 3E + 4 terms, the
-    # walk G + 2E, an exact replay G + 1; a mean then divides by the defined count D:
-    # err(D) = bound / D + 2u.
+    # Rounding bound.  Every statistic lies in [-1, 1], so no partial sum of group
+    # values, of their changes or of move weights exceeds M = 2G, and a float sum of
+    # N terms with partial sums below M is within N*M*u of exact.  A bin's end value
+    # or upper bound rounds under G + 3E + 4 terms, the walk G + 2E, an exact replay
+    # G + 1; a mean then divides by the defined count D: err(D) = bound / D + 2u.
     # Twice the summed error keeps the maximizer; the walk prunes with err(1) >= err.
     u = np.finfo(np.float64).eps / 2
     bound = 4 * (n_groups + gaps.size + 1) * 2 * n_groups * u
     values = group_values(slice(None))
-    lo, hi = _window(kind, counts, values, contexts, gaps, packed, bound)
+    lo, hi = _window(kind, counts, values, gaps, packed, bound)
     before = gaps < lo  # applied in one step; the largest is the window's first candidate
     for touched in _replay(counts, packed.compress(before), [np.count_nonzero(before)]):
         values[touched] = group_values(touched)

@@ -376,6 +376,7 @@ def _cmd_buckets(args: argparse.Namespace) -> Outputs:
 
 
 _HIST_COLUMNS = ("bin_start", "bin_end", "all_pairs", "newly_tied")
+_HIST_SLICE = 1024  # bins a tolist() converts at a time
 
 
 def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:
@@ -385,9 +386,8 @@ def _cmd_tie_hist(args: argparse.Namespace) -> Outputs:
     human, ((_, matrix),), digests = _load_inputs(args.human, [metric])
     hist = tie_location_histogram(human, matrix, pol, args.bins, mode)
     columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.all_pairs, hist.newly_tied)
-    rows = (dict(zip(_HIST_COLUMNS, row)) for start in range(0, args.bins, data._REPORT_ROWS)
-            for row in zip(*(column[start:start + data._REPORT_ROWS].tolist()
-                             for column in columns)))
+    rows = (dict(zip(_HIST_COLUMNS, row)) for start in range(0, args.bins, _HIST_SLICE)
+            for row in zip(*(column[start:start + _HIST_SLICE].tolist() for column in columns)))
     yield args.out, _document(args, digests, _HIST_COLUMNS, rows)
 
 

@@ -502,8 +502,8 @@ class TestPairLayout:
 
 
 class TestGapBins:
-    """acc_eq, tau_eq, tau_a and tau_c sort and walk only the window of gap
-    bins whose bound reaches the best bin end; other statistics take every move."""
+    """acc_eq and tau_eq sort and walk only the window of gap bins whose
+    bound reaches the best bin end; other statistics take every move."""
 
     # Items whose acc_eq rises at 0.001 (item a), again at 0.01 (b), falls at
     # 0.5 (c) and rises at 1.0 (d): the maximum, 3 of 4, is reached at 0.01
@@ -538,23 +538,6 @@ class TestGapBins:
         else:
             assert result.epsilon_star == 0.01
             assert 0.001 < lo <= 0.01  # the bin of 0.001 is left out
-
-    @pytest.mark.parametrize("kind", [StatKind.TAU_A, StatKind.TAU_C])
-    def test_tau_a_and_tau_c_leave_out_the_bins_past_their_fall(self, monkeypatch, kind):
-        # only item c's concordant pair moves the value, down at 0.5, so the bin
-        # of 1.0 cannot reach the value at 0; items a, b and d tie on the human
-        # side, so their tau_c is undefined (k = 1) and their moves weigh nothing
-        h, m = self.campaign(self.HUMAN, self.METRIC)
-        windows = []
-        window = tiecal.calibration._window
-        monkeypatch.setattr("tiecal.calibration._window",
-                            lambda *args: windows.append(window(*args)) or windows[-1])
-        result = calibrate(h, m, CalibrationConfig(kind=kind))
-        assert (result.epsilon_star, result.stat_star) == brute_force_calibration(
-            h, m, GroupingMode.GROUP_BY_ITEM, kind)
-        assert result.epsilon_star == 0.0  # tau_a 1/4 over four items, tau_c 1/2 over item c
-        (lo, hi), = windows
-        assert lo == 0.0 and 0.5 < hi <= 1.0  # the bin of 1.0 is left out
 
     def test_maximum_inside_a_bin_whose_ends_are_lower(self):
         # acc_eq of 7 items sums to 3 at 0, 2 from 0.01, 4 from 1.0, 2 from 1.005

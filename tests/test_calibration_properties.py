@@ -236,14 +236,13 @@ def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, blo
 
 @PROFILE
 @given(campaign=campaigns(POOLS + (SPREAD,)), mode=MODES, relative=st.booleans(),
-       kind=st.sampled_from([StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TAU_A,
-                             StatKind.TAU_C, StatKind.TAU_B]),
+       kind=st.sampled_from([StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TAU_B]),
        shift=st.sampled_from([_BIN_SHIFT, 63]), moves=st.integers(1, 7),
        step=st.sampled_from([512, -math.inf]))
 def test_calibrate_over_gap_bins_equals_brute_force(campaign, mode, relative, kind, shift,
                                                     moves, step):
-    # acc_eq, tau_eq, tau_a and tau_c sort only a window of gap bins, tau_b
-    # every move; a shift of 63 puts every gap in one bin, so no window leaves one out
+    # acc_eq and tau_eq sort only a window of gap bins, tau_b every move; a
+    # shift of 63 puts every gap in one bin, so no window leaves one out
     human, metric = campaign
     config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
     with mock.patch("tiecal.calibration._BIN_SHIFT", shift), \
