@@ -346,18 +346,16 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
     pol = _as_policy(eps)
     aligned = align(human, metric, mode)
     paired = aligned.sizes >= 2
-    if not paired.any():
-        edges = np.linspace(0.0, 1.0, bins + 1)
-        zeros = np.zeros(bins, dtype=np.int64)
-        return TieHistogram(edges, zeros, zeros.copy())
-    # Rounding is monotone, so the extreme midpoints are those of each
-    # group's two lowest and two highest scores.
-    owner = np.repeat(np.arange(paired.size), aligned.sizes)
-    m = aligned.metric[np.lexsort((aligned.metric, owner))]
-    top = np.cumsum(aligned.sizes)[paired] - 1
-    low = top - aligned.sizes[paired] + 1
-    lo = float(_midpoints(m[low], m[low + 1]).min())
-    hi = float(_midpoints(m[top - 1], m[top]).max()) + 0.0  # a top edge of 0.0 is +0.0
+    lo, hi = 0.0, 1.0  # the range of an input without pairs
+    if paired.any():
+        # Rounding is monotone, so the extreme midpoints are those of each
+        # group's two lowest and two highest scores.
+        owner = np.repeat(np.arange(paired.size), aligned.sizes)
+        m = aligned.metric[np.lexsort((aligned.metric, owner))]
+        top = np.cumsum(aligned.sizes)[paired] - 1
+        low = top - aligned.sizes[paired] + 1
+        lo = float(_midpoints(m[low], m[low + 1]).min())
+        hi = float(_midpoints(m[top - 1], m[top]).max()) + 0.0  # a top edge of 0.0 is +0.0
     if not np.isfinite(hi - lo):  # numpy's bin edges would overflow
         raise ValueError(f"pair midpoints from {lo!r} to {hi!r} span more than the float range")
     try:

@@ -2,8 +2,8 @@
 
 Score files are UTF-8 TSV with three columns (system, segment, score), an
 optional literal header line, and '#' comment lines.  Reports serialize to
-TSV or JSON with stable ordering, floats at six significant digits, and
-undefined values as "NaN" (TSV) or null (JSON), in chunks made as written.
+TSV (floats at six significant digits, undefined as "NaN") or JSON (exact
+floats, undefined as null) with stable ordering, in chunks made as written.
 """
 
 from __future__ import annotations
@@ -227,25 +227,17 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _json_value(value: Any) -> Any:
-    return float(format_value(value)) if isinstance(value, float) else value
-
-
 # Rows a report chunk holds at most.
 _REPORT_ROWS = 1024
 # The JSON writers below lay out what json.dumps(indent=2) would, one level
-# in, but encode through the C encoder, which json.dumps uses only without
+# in; rows go through the C encoder, which json.dumps uses only without
 # indent: the pure-Python one holds every token of the report in a list.
 _JSON_PAD = "\n  "
 
 
 def _json_block(value: Any) -> str:
-    """A scalar, or a dict or list of scalars, as a value of the report's
-    top-level object."""
-    text = json.dumps(value, ensure_ascii=False, separators=("," + _JSON_PAD + "  ", ": "))
-    if not isinstance(value, (dict, list)) or not value:
-        return text
-    return text[0] + _JSON_PAD + "  " + text[1:-1] + _JSON_PAD + text[-1]
+    """A value of the report's top-level object, its lines indented one level."""
+    return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", _JSON_PAD)
 
 
 def _json_rows(columns: tuple[str, ...], chunks: Iterator[list[list[Any]]]) -> Iterator[str]:
@@ -259,7 +251,7 @@ def _json_rows(columns: tuple[str, ...], chunks: Iterator[list[list[Any]]]) -> I
     between = f"{_JSON_PAD}  }},{_JSON_PAD}  {{{inner}"
     opening = f"[{_JSON_PAD}  {{{inner}"  # before the chunk's first row
     for chunk in chunks:
-        rows = [dict(zip(columns, map(_json_value, values))) for values in chunk]
+        rows = [dict(zip(columns, values)) for values in chunk]
         text = json.dumps(rows, ensure_ascii=False, separators=("," + inner, ": "))
         yield opening + text[2:-2].replace("}," + inner + "{", between)
         opening = between

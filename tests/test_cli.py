@@ -16,9 +16,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tiecal
-from tiecal import load_scores
+from tiecal import (
+    OVERALL_STAT_KINDS,
+    EpsilonPolicy,
+    GroupingMode,
+    StatKind,
+    bucketize,
+    f1_curve,
+    grouped_stats,
+    load_scores,
+    tie_location_histogram,
+)
 from tiecal.cli import _bins, main
 
 
@@ -1169,6 +1181,119 @@ def test_relative_mode_reports_are_scale_free(tmp_path, mode):
             last_input = max(i for i, line in enumerate(lines) if line.startswith(b"# input:"))
             bodies.setdefault(" ".join(command), set()).add(b"".join(lines[last_input + 1:]))
     assert {command: len(body) for command, body in bodies.items()} == dict.fromkeys(bodies, 1)
+
+
+def json_results(argv, out):
+    """The "results" rows of the JSON report that ``main`` writes to ``out`` for ``argv``."""
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    return json.loads(out.read_bytes())["results"]
+
+
+def calibrate_then_correlate(tmp_path, human, metric, options):
+    """The JSON row of ``calibrate``, and of ``correlate`` at its ``epsilon_star``
+    passed as repr."""
+    h, m = write_scores(tmp_path / "h.tsv", human), write_scores(tmp_path / "m.tsv", metric)
+    inputs = ["--human", str(h), "--metric", f"m={m}", *options]
+    (calibrated,) = json_results(["calibrate", *inputs], tmp_path / "c.json")
+    epsilon = repr(calibrated["epsilon_star"])
+    (correlated,) = json_results(["correlate", *inputs, "--epsilon", epsilon], tmp_path / "r.json")
+    return calibrated, correlated
+
+
+# Decimal scores whose float differences carry noise: 0.3 - 0.1 is
+# 0.19999999999999998 and 28.1 - 28.06 is 0.0400000000000027.
+NOISY_SCORES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.1, 2.3, 28.06, 28.1, 28.12])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(scores=st.lists(st.tuples(st.integers(0, 2), NOISY_SCORES), min_size=2, max_size=12),
+       mode=st.sampled_from([mode.value for mode in GroupingMode]),
+       eps_mode=st.sampled_from(["absolute", "relative"]),
+       stat=st.sampled_from(["acc_eq", "tau_eq", "ties_f1", "rank_f1"]))
+def test_calibrated_epsilon_reproduces_its_value(tmp_path_factory, scores, mode, eps_mode, stat):
+    # systems s0..s3 score segments g0, g1, ... in turn
+    keys = [(f"s{i % 4}", f"g{i // 4}") for i in range(len(scores))]
+    calibrated, correlated = calibrate_then_correlate(
+        tmp_path_factory.mktemp("round-trip"),
+        [(*key, float(h)) for key, (h, _) in zip(keys, scores)],
+        [(*key, m) for key, (_, m) in zip(keys, scores)],
+        ["--mode", mode, "--eps-mode", eps_mode, "--stat", stat])
+    assert repr(correlated["epsilon"]) == repr(calibrated["epsilon_star"])
+    assert repr(correlated["value"]) == repr(calibrated["value"])
+
+
+def test_json_epsilon_star_is_exact_and_the_summary_line_rounded(tmp_path, capsys):
+    # by item, acc_eq is 1 only at the gap 0.3 - 0.1, one ulp below 0.2: at
+    # 0.2 itself item b's pair ties as well
+    human = [("s1", "a", 0.0), ("s2", "a", 0.0), ("s1", "b", 0.0), ("s2", "b", 1.0)]
+    metric = [("s1", "a", 0.1), ("s2", "a", 0.3), ("s1", "b", 0.0), ("s2", "b", 0.2)]
+    calibrated, correlated = calibrate_then_correlate(tmp_path, human, metric,
+                                                      ["--mode", "group-by-item"])
+    assert (calibrated["epsilon_star"], calibrated["value"]) == (0.19999999999999998, 1.0)
+    assert correlated["value"] == 1.0
+    assert capsys.readouterr().out == "metric=m epsilon=0.2 acc_eq=1.000000\n"
+    (rounded,) = json_results(["correlate", "--human", str(tmp_path / "h.tsv"), "--metric",
+                               f"m={tmp_path / 'm.tsv'}", "--mode", "group-by-item",
+                               "--epsilon", "0.2"], tmp_path / "r.json")
+    assert rounded["value"] == 0.5
+
+
+def as_floats(values):
+    """``values`` as Python floats (None stays), whose repr is their exact value."""
+    return [None if value is None else float(value) for value in values]
+
+
+@pytest.mark.parametrize("command", ["correlate", "rank", "buckets", "f1-curve", "tie-hist"])
+def test_json_floats_are_the_in_process_floats(tmp_path, command):
+    # noisy decimals by item: values and thresholds that six digits would round
+    rng = np.random.default_rng(5)
+    keys = [(f"s{i}", f"g{j}") for i in range(5) for j in range(4)]
+    human_rows = [(*key, float(rng.integers(0, 3))) for key in keys]
+    metric_rows = [(*key, float(rng.choice([0.1, 0.2, 0.3, 0.7, 28.06, 28.1]))) for key in keys]
+    h = write_scores(tmp_path / "h.tsv", human_rows)
+    m = write_scores(tmp_path / "m.tsv", metric_rows)
+    human, metric = load_scores(h), load_scores(m)
+    mode, pol = GroupingMode.GROUP_BY_ITEM, EpsilonPolicy(0.19999999999999998)
+    inputs = ["--human", str(h), "--metric", f"m={m}", "--mode", mode.value]
+    if command in ("correlate", "rank"):
+        argv = ["--stat", "all"] if command == "correlate" else ["--stat", "tau_b"]
+        reports = grouped_stats(human, metric, mode, OVERALL_STAT_KINDS if command == "correlate"
+                                else [StatKind.TAU_B], pol)
+        expected = {"value": as_floats(report.value for report in reports),
+                    "epsilon": as_floats(report.epsilon.epsilon for report in reports)}
+        argv += ["--epsilon", repr(pol.epsilon)]
+    elif command == "buckets":
+        argv = ["--k-list", "7,3,1"]
+        expected = {"value": as_floats(grouped_stats(human, bucketize(metric, k), mode,
+                                                     [StatKind.TAU_B])[0].value
+                                       for k in (7, 3, 1))}
+    elif command == "f1-curve":
+        grid = [0.0, 0.09999999999999998, 0.19999999999999998, 0.3]
+        argv = ["--eps-grid", ",".join(map(repr, grid))]
+        points = f1_curve(human, metric, mode, grid)
+        expected = {column: as_floats(getattr(point, column) for point in points)
+                    for column in ("epsilon", "ties_f1", "rank_f1", "acc_eq")}
+    else:
+        argv = ["--bins", "7", "--epsilon", repr(pol.epsilon)]
+        edges = tie_location_histogram(human, metric, pol, 7, mode).bin_edges
+        expected = {"bin_start": as_floats(edges[:-1]), "bin_end": as_floats(edges[1:])}
+    rows = json_results([command, *inputs, *argv], tmp_path / "report.json")
+    got = {column: [row[column] for row in rows] for column in expected}
+    assert repr(got) == repr(expected)
+    assert any(value is not None and float(f"{value:.6g}") != value
+               for values in expected.values() for value in values)
+
+
+@pytest.mark.parametrize("scores", [[1000.0, 1000.005, 1000.01], [1e15] * 3])
+def test_tie_hist_json_edges_are_distinct_where_numpys_are(tmp_path, scores):
+    # six digits would print these 11 edges as 2 and as 1 distinct numbers
+    h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 1]))
+    m = write_scores(tmp_path / "m.tsv", vector_rows(scores))
+    rows = json_results(["tie-hist", "--human", str(h), "--metric", f"m={m}"],
+                        tmp_path / "hist.json")
+    edges = tie_location_histogram(load_scores(h), load_scores(m), 0.0, 10).bin_edges
+    assert [rows[0]["bin_start"], *(row["bin_end"] for row in rows)] == edges.tolist()
+    assert len(set(edges.tolist())) == 11
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -305,7 +305,7 @@ class TestWriteReport:
     def test_json_layout(self):
         payload = json.loads(b"".join(write_report(sample_document(), "json")))
         assert payload["version"] == "0.1.0"
-        assert payload["results"][0]["value"] == 0.933333
+        assert payload["results"][0]["value"] == 14 / 15
         assert payload["results"][1]["value"] is None
         assert payload["ranking"] == ["m1", "m2"]
 
@@ -367,8 +367,7 @@ class TestWriteReport:
         payload = {
             "version": "0.1.0", "command": "rank", "inputs": doc.inputs,
             "columns": list(columns),
-            "results": [{column: float(f"{row[column]:.6g}") if isinstance(row[column], float)
-                         else row[column] for column in columns} for row in rows],
+            "results": [{column: row[column] for column in columns} for row in rows],
             "ranking": ranking,
         }
         expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
