@@ -35,9 +35,6 @@ from .stats import (
     StatKind,
     as_score_vector,
     break_ties_randomly,
-    stat_from_counts,
-    suff_stats,
-    tau_c_context,
 )
 
 __version__ = "0.1.0"
@@ -69,9 +66,6 @@ __all__ = [
     "load_scores",
     "mean_defined",
     "rank_metrics",
-    "stat_from_counts",
-    "suff_stats",
-    "tau_c_context",
     "tie_location_histogram",
     "write_report",
     "__version__",

@@ -38,7 +38,6 @@ from .stats import (
     EpsilonMode,
     EpsilonPolicy,
     StatKind,
-    _as_policy,
     _fold,
     _midpoints,
     _pair_blocks,
@@ -334,7 +333,7 @@ class TieHistogram:
 
 
 def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
-                           eps: EpsilonPolicy | float, bins: int,
+                           pol: EpsilonPolicy, bins: int,
                            mode: GroupingMode = GroupingMode.NO_GROUPING) -> TieHistogram:
     """Where on the score axis does a threshold introduce ties?
 
@@ -343,7 +342,6 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    pol = _as_policy(eps)
     aligned = align(human, metric, mode)
     paired = aligned.sizes >= 2
     lo, hi = 0.0, 1.0  # the range of an input without pairs

@@ -22,7 +22,6 @@ from .stats import (
     EpsilonPolicy,
     PairCounts,
     StatKind,
-    _as_policy,
     _kernel_sized,
     _pair_counts,
     _stat_from_arrays,
@@ -193,7 +192,7 @@ def mean_defined(values: np.ndarray) -> float | None:
 
 
 def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
-                  kinds: Sequence[StatKind], eps: EpsilonPolicy | float = 0.0
+                  kinds: Sequence[StatKind], eps: EpsilonPolicy = EpsilonPolicy()
                   ) -> list[CorrelationReport]:
     """Compute statistics under a grouping mode with full NaN accounting.
 
@@ -203,7 +202,7 @@ def grouped_stats(human: ScoreMatrix, metric: ScoreMatrix, mode: GroupingMode,
     statistic is defined; NO_GROUPING evaluates the pooled vectors
     directly.  Undefined results are reported as value None, never raised.
     """
-    return _reports(align(human, metric, mode), mode, kinds, _as_policy(eps))
+    return _reports(align(human, metric, mode), mode, kinds, eps)
 
 
 def _reports(aligned: Aligned, mode: GroupingMode, kinds: Sequence[StatKind],

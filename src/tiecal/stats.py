@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -89,12 +89,6 @@ class EpsilonPolicy:
         return np.divide(d, denom, out=np.zeros_like(d), where=denom > 0)
 
 
-def _as_policy(eps: EpsilonPolicy | float) -> EpsilonPolicy:
-    if isinstance(eps, EpsilonPolicy):
-        return eps
-    return EpsilonPolicy(float(eps))
-
-
 @dataclass(frozen=True)
 class PairCounts:
     """The five pair classes summarizing two paired score vectors."""
@@ -105,19 +99,10 @@ class PairCounts:
     tied_metric: int = 0  # tied in the metric scores only
     tied_both: int = 0
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            if (value := getattr(self, field.name)) < 0:
-                raise ValueError(f"{field.name} count must be non-negative, got {value}")
-
     @property
     def total(self) -> int:
         return (self.concordant + self.discordant + self.tied_human
                 + self.tied_metric + self.tied_both)
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.concordant, self.discordant, self.tied_human,
-                self.tied_metric, self.tied_both)
 
 
 class StatKind(enum.Enum):
@@ -188,25 +173,6 @@ def _stat_from_arrays(kind: StatKind, c: np.ndarray, d: np.ndarray, th: np.ndarr
         StatKind.RANK_F1: lambda: f1(ratio(c, c + d + th), ratio(c, c + d + tm)),
     }
     return formulas[kind]()
-
-
-def stat_from_counts(kind: StatKind, counts: PairCounts, *,
-                     k: int | None = None, n: int | None = None) -> float | None:
-    """Evaluate a statistic from pair counts.
-
-    Returns None (undefined) whenever the formula's denominator is zero;
-    callers decide how undefined values aggregate.  ``k`` (the smaller
-    unique-value count of the two vectors) and ``n`` (the vector length)
-    are required for TAU_C only.
-    """
-    if kind is StatKind.TAU_C:
-        if k is None or n is None:
-            raise ValueError("tau_c needs the k and n context of the input vectors")
-        if k < 1 or n < 0:
-            raise ValueError(f"invalid tau_c context k={k}, n={n}")
-    columns = np.array(counts.as_tuple(), dtype=np.int64)[:, None]
-    value = float(_stat_from_arrays(kind, *columns, k=k, n=n)[0])
-    return None if math.isnan(value) else value
 
 
 def _kernel_sized(sizes: np.ndarray) -> bool:
@@ -398,33 +364,6 @@ def _pair_counts(h: np.ndarray, m: np.ndarray, sizes: Sequence[int],
     return counts
 
 
-def suff_stats(human: Scores, metric: Scores, eps: EpsilonPolicy | float = 0.0) -> PairCounts:
-    """Classify every unordered pair of the two vectors into the five classes.
-
-    Human ties are exact equality; metric ties are gap <= epsilon under the
-    policy.  Vectors with fewer than two entries yield all-zero counts.
-    Long vectors are counted by sorting in O(n log² n) time, short ones by
-    enumerating their pairs in blocks, so memory stays bounded.
-    """
-    h = as_score_vector(human)
-    m = as_score_vector(metric)
-    if h.size != m.size:
-        raise ValueError(f"length mismatch: {h.size} human vs {m.size} metric scores")
-    return PairCounts(*_pair_counts(h, m, [h.size], _as_policy(eps))[0].tolist())
-
-
-def tau_c_context(human: Scores, metric: Scores) -> tuple[int, int]:
-    """(k, n) for TAU_C: smaller unique-value count and the vector length.
-
-    Unique values are counted on the raw vectors, before any epsilon tying.
-    """
-    h = as_score_vector(human)
-    m = as_score_vector(metric)
-    if h.size != m.size:
-        raise ValueError(f"length mismatch: {h.size} vs {m.size}")
-    return tuple(_tau_c_contexts(h, m, np.array([h.size]))[:, 0].tolist())
-
-
 def _tau_c_contexts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """TAU_C's (k, n) for each group of ``sizes`` consecutive entries, as a
     (2, groups) int64 array: k is the smaller count of distinct values,
@@ -440,7 +379,7 @@ def _tau_c_contexts(h: np.ndarray, m: np.ndarray, sizes: np.ndarray) -> np.ndarr
     return np.stack([np.minimum(distinct(h), distinct(m)), sizes])
 
 
-def break_ties_randomly(metric: Scores, eps: EpsilonPolicy | float = 0.0, *,
+def break_ties_randomly(metric: Scores, pol: EpsilonPolicy = EpsilonPolicy(), *,
                         seed: int) -> np.ndarray:
     """Replace scores by their ranks after randomly ordering tied clusters.
 
@@ -451,7 +390,6 @@ def break_ties_randomly(metric: Scores, eps: EpsilonPolicy | float = 0.0, *,
     order is chosen uniformly at random; the result is deterministic for a
     given seed.  Returned scores are the ranks 1..n.
     """
-    pol = _as_policy(eps)
     m = as_score_vector(metric)
     n = m.size
     rng = np.random.default_rng(seed)

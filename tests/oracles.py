@@ -12,19 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from tiecal import GroupingMode, PairCounts
-
 
 def oracle_groups(human, metric, mode):
     """Per group, the (human, metric) vectors of the keys both matrices score.
 
     Groups come in id order and entries in (system, segment) order inside
     each; no-grouping pools every key in one group, and no common key
-    gives no group.
+    gives no group.  ``mode`` is a grouping mode, read by its value.
     """
-    group_id = {GroupingMode.NO_GROUPING: lambda system, segment: "",
-                GroupingMode.GROUP_BY_ITEM: lambda system, segment: segment,
-                GroupingMode.GROUP_BY_SYSTEM: lambda system, segment: system}[mode]
+    group_id = {"no-grouping": lambda system, segment: "",
+                "group-by-item": lambda system, segment: segment,
+                "group-by-system": lambda system, segment: system}[mode.value]
     scores = {(system, segment): m for system, segment, m in metric.items()}
     grouped = {}
     for system, segment, h in human.items():
@@ -53,7 +51,8 @@ def oracle_gap(a, b, relative=False):
 
 
 def naive_suff_stats(h, m, eps=0.0, relative=False):
-    """Pure-python pair classification."""
+    """Pure-python pair classification: the counts of concordant,
+    discordant, human-only tied, metric-only tied and both tied pairs."""
     c = d = th = tm = thm = 0
     n = len(h)
     for i in range(n):
@@ -70,7 +69,7 @@ def naive_suff_stats(h, m, eps=0.0, relative=False):
                 c += 1
             else:
                 d += 1
-    return PairCounts(c, d, th, tm, thm)
+    return c, d, th, tm, thm
 
 
 def oracle_tau_c_context(h, m):
@@ -169,12 +168,11 @@ def grid_stat(grid, cells):
 
 
 def counts_from_cells(cells):
-    """Fold 3x3 relation-cell counts into the five pair classes."""
-    return PairCounts(concordant=cells["<", "<"] + cells[">", ">"],
-                      discordant=cells["<", ">"] + cells[">", "<"],
-                      tied_human=cells["=", "<"] + cells["=", ">"],
-                      tied_metric=cells["<", "="] + cells[">", "="],
-                      tied_both=cells["=", "="])
+    """Fold 3x3 relation-cell counts into the five pair classes, in
+    ``naive_suff_stats`` order."""
+    return (cells["<", "<"] + cells[">", ">"], cells["<", ">"] + cells[">", "<"],
+            cells["=", "<"] + cells["=", ">"], cells["<", "="] + cells[">", "="],
+            cells["=", "="])
 
 
 def mean_defined(values):

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per exit criterion, each printing a
 pass/fail line and enforcing its stated tolerance and time budget."""
 
+import json
 import os
 import time
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from oracles import (
 )
 
 from tiecal import (
-    OVERALL_STAT_KINDS,
     CalibrationConfig,
     EpsilonMode,
     EpsilonPolicy,
@@ -32,13 +33,10 @@ from tiecal import (
     calibrate,
     grouped_stats,
     load_scores,
-    stat_from_counts,
-    suff_stats,
-    tau_c_context,
 )
 from tiecal.calibration import _approx_means, _moves, _replay
 from tiecal.cli import main as cli_main
-from tiecal.stats import _stat_from_arrays
+from tiecal.stats import _pair_counts, _stat_from_arrays
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -49,25 +47,31 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def test_figure3_exactness():
-    """All 16 statistic values on the worked example, within +-0.005, < 1s."""
+def test_figure3_exactness(tmp_path):
+    """All 16 statistic values on the worked example, from one `correlate
+    --stat all` report, within +-0.005, < 1s."""
     expected = {
         "m1": {"tau_a": .47, "tau_b": .78, "tau_c": .29, "tau_10": .78,
                "tau_13": .78, "tau_14": .78, "tau_eq": .87, "acc_eq": .93},
         "m2": {"tau_a": .60, "tau_b": .77, "tau_c": .38, "tau_10": 1.0,
                "tau_13": 1.0, "tau_14": 1.0, "tau_eq": .20, "acc_eq": .60},
     }
-    h = [0, 0, 0, 0, 1, 2]
-    metrics = {"m1": [0, 0, 0, 0, 2, 1], "m2": [0, 1, 2, 3, 4, 5]}
+    columns = {"h": [0, 0, 0, 0, 1, 2], "m1": [0, 0, 0, 0, 2, 1], "m2": [0, 1, 2, 3, 4, 5]}
+    for name, scores in columns.items():
+        (tmp_path / f"{name}.tsv").write_text(
+            "".join(f"s{i}\tg\t{v}\n" for i, v in enumerate(scores)), encoding="utf-8")
     start = time.perf_counter()
-    worst = 0.0
-    for name, m in metrics.items():
-        counts = suff_stats(h, m)
-        k, n = tau_c_context(h, m)
-        for kind in OVERALL_STAT_KINDS:
-            value = stat_from_counts(kind, counts, k=k, n=n)
-            worst = max(worst, abs(value - expected[name][kind.value]))
+    code = cli_main(["correlate", "--stat", "all", "--format", "json",
+                     "--human", str(tmp_path / "h.tsv"),
+                     "--metric", f"m1={tmp_path / 'm1.tsv'}",
+                     "--metric", f"m2={tmp_path / 'm2.tsv'}",
+                     "--out", str(tmp_path / "report.json")])
     elapsed = time.perf_counter() - start
+    rows = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["results"]
+    values = {(row["metric"], row["stat"]): row["value"] for row in rows}
+    assert code == 0 and len(values) == 16
+    worst = max(abs(values[name, stat] - value)
+                for name, stats in expected.items() for stat, value in stats.items())
     # the stated tolerance plus one ulp-scale guard for the 0.375 vs .38 boundary
     ok = worst <= 0.005 + 1e-9 and elapsed < 1.0
     report("figure3-exactness", ok, f"max dev {worst:.4f}, {elapsed:.2f}s")
@@ -115,17 +119,20 @@ def test_tabular_equivalence():
     """1000 random cell grids: tabular == closed-form, exact incl. undefined; < 5s."""
     rng = np.random.default_rng(77)
     start = time.perf_counter()
-    mismatches = 0
+    grids = []
     for _ in range(1000):
         cells = {(a, b): int(rng.integers(0, 9)) for a in "<=>" for b in "<=>"}
         if rng.random() < 0.25:
             for cell in list(cells):
                 if rng.random() < 0.8:
                     cells[cell] = 0
-        counts = counts_from_cells(cells)
-        for name, grid in COEFFICIENT_GRIDS.items():
-            if grid_stat(grid, cells) != stat_from_counts(StatKind(name), counts):
-                mismatches += 1
+        grids.append(cells)
+    counts = np.array([counts_from_cells(cells) for cells in grids]).T
+    mismatches = 0
+    for name, grid in COEFFICIENT_GRIDS.items():
+        values = _stat_from_arrays(StatKind(name), *counts).tolist()
+        mismatches += sum(grid_stat(grid, cells) != (None if np.isnan(value) else value)
+                          for cells, value in zip(grids, values))
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 5.0
     report("tabular-equivalence", ok, f"{mismatches} mismatches, {elapsed:.1f}s")
@@ -141,18 +148,18 @@ def test_no_ties_collapse():
         n = int(rng.integers(2, 60))
         h = rng.permutation(n).astype(float)
         m = rng.permutation(n).astype(float)
-        counts = suff_stats(h, m)
-        tau_a = stat_from_counts(StatKind.TAU_A, counts)
-        same = all(stat_from_counts(kind, counts) == tau_a
-                   for kind in (StatKind.TAU_B, StatKind.TAU_10, StatKind.TAU_13,
-                                StatKind.TAU_14, StatKind.TAU_EQ))
+        human = ScoreMatrix((f"s{i}", "g", v) for i, v in enumerate(h.tolist()))
+        metric = ScoreMatrix((f"s{i}", "g", v) for i, v in enumerate(m.tolist()))
+        tau_a, *others = grouped_stats(human, metric, GroupingMode.NO_GROUPING,
+                                       [StatKind.TAU_A, StatKind.TAU_B, StatKind.TAU_10,
+                                        StatKind.TAU_13, StatKind.TAU_14, StatKind.TAU_EQ])
+        same = all(report.value == tau_a.value for report in others)
         # acc_eq = (tau_a + 1) / 2 holds as an exact rational identity; the
         # two float expressions round differently, so verify with Fractions
-        total = counts.total
-        acc_identity = (Fraction(counts.concordant + counts.tied_both, total)
-                        == (Fraction(counts.concordant - counts.discordant, total) + 1) / 2)
-        if not (same and acc_identity
-                and counts.tied_human == counts.tied_metric == counts.tied_both == 0):
+        c, d, tied_human, tied_metric, tied_both = astuple(tau_a.pairs_by_class)
+        total = tau_a.pairs_total
+        acc_identity = Fraction(c + tied_both, total) == (Fraction(c - d, total) + 1) / 2
+        if not (same and acc_identity and tied_human == tied_metric == tied_both == 0):
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 5.0
@@ -238,7 +245,7 @@ def test_nan_gaming_reproduction(tmp_path, capsys):
     human = load_scores(h_path)
     metric = load_scores(m_path)
 
-    tie_counts = suff_stats_totals(human, GroupingMode.GROUP_BY_ITEM)
+    tie_counts = human_tie_totals(human, GroupingMode.GROUP_BY_ITEM)
     tie_fraction = tie_counts[0] / tie_counts[1]
 
     code = cli_main(["buckets", "--human", str(h_path), "--metric", f"m={m_path}",
@@ -264,13 +271,11 @@ def test_nan_gaming_reproduction(tmp_path, capsys):
            f"best later {max(v for v in values[1:] if v is not None):.3f}, {elapsed:.1f}s")
 
 
-def suff_stats_totals(human, mode):
-    tied = total = 0
-    for hg, _ in oracle_groups(human, human, mode):
-        counts = suff_stats(hg, hg)
-        tied += counts.tied_both
-        total += counts.total
-    return tied, total
+def human_tie_totals(human, mode):
+    """Pairs tied in the human scores, and all pairs, summed over the groups."""
+    aligned = align(human, human, mode)
+    counts = _pair_counts(*aligned[:3], EpsilonPolicy()).sum(axis=0)
+    return int(counts[4]), int(counts.sum())
 
 
 def test_incremental_sweep_consistency():
@@ -306,7 +311,7 @@ def test_incremental_sweep_consistency():
             failures += not abs(mean - batch.value) <= 1e-12
             for gi, (hg, mg) in enumerate(groups):
                 expected = naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative)
-                failures += tuple(counts[gi].tolist()) != expected.as_tuple()
+                failures += tuple(counts[gi].tolist()) != expected
     report("incremental-sweep-consistency", failures == 0, f"{failures} failures")
 
 
@@ -318,9 +323,9 @@ def test_performance():
     h = rng.integers(0, 30, n).astype(float)
     m = h + rng.normal(size=n)
     start = time.perf_counter()
-    counts = suff_stats(h, m)
+    counts = _pair_counts(h, m, [n], EpsilonPolicy())
     t_pairs = time.perf_counter() - start
-    assert counts.total == n * (n - 1) // 2
+    assert counts.sum() == n * (n - 1) // 2
 
     hmat, mmat = [], []
     for j in range(1500):
@@ -338,11 +343,11 @@ def test_performance():
 
     ok = t_pairs < 60.0 and t_sweep < 10.0
     report("performance", ok,
-           f"suff_stats(20k)={t_pairs:.1f}s, calibrate(15x1500)={t_sweep:.1f}s")
+           f"pair counts(20k)={t_pairs:.1f}s, calibrate(15x1500)={t_sweep:.1f}s")
 
 
 def test_pooled_counting_at_a_million():
-    """Pooled suff_stats on 10**6 scores at epsilon 0.01 counts every pair
+    """Pooled pair counting of 10**6 scores at epsilon 0.01 counts every pair
     in under 30 s (single-threaded) with under 512 MB of numpy memory at
     its peak, as tracemalloc sees it."""
     rng = np.random.default_rng(12)
@@ -352,14 +357,14 @@ def test_pooled_counting_at_a_million():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        counts = suff_stats(h, m, 0.01)
+        counts = _pair_counts(h, m, [n], EpsilonPolicy(0.01))
         elapsed = time.perf_counter() - start
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    ok = counts.total == n * (n - 1) // 2 and elapsed < 30.0 and peak_mb < 512
+    ok = counts.sum() == n * (n - 1) // 2 and elapsed < 30.0 and peak_mb < 512
     report("pooled-counting-at-a-million", ok,
-           f"suff_stats(1e6)={elapsed:.1f}s, peak {peak_mb:.0f} MB")
+           f"pair counts(1e6)={elapsed:.1f}s, peak {peak_mb:.0f} MB")
 
 
 # Group-by-item accuracy-with-calibration values for WMT'22 en-de, used only

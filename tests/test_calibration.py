@@ -71,7 +71,7 @@ class TestCalibrate:
         assert result.stat_star == 1.0
         # threshold zero only ties nothing: accuracy 2/3
         assert grouped_stats(h, m, GroupingMode.NO_GROUPING,
-                             [StatKind.ACC_EQ], 0.0)[0].value == pytest.approx(2 / 3)
+                             [StatKind.ACC_EQ], EpsilonPolicy())[0].value == pytest.approx(2 / 3)
 
     def test_perfect_metric_keeps_zero(self):
         h, m = single_group([1, 2, 3, 4], [1, 2, 3, 4])
@@ -109,7 +109,7 @@ class TestCalibrate:
             config = CalibrationConfig(kind=StatKind.ACC_EQ,
                                        mode=GroupingMode.GROUP_BY_ITEM)
             result = calibrate(h, m, config)
-            at_zero = grouped_stats(h, m, config.mode, [config.kind], 0.0)[0].value
+            at_zero = grouped_stats(h, m, config.mode, [config.kind], EpsilonPolicy())[0].value
             assert result.stat_star >= at_zero
 
     def test_matches_brute_force(self):
@@ -126,7 +126,7 @@ class TestCalibrate:
             assert result.stat_star == expect_val
             assert result.epsilon_star == expect_eps
 
-    def test_incremental_counts_match_fresh_suff_stats(self):
+    def test_incremental_counts_match_fresh_counts(self):
         # at the oracle's candidates, zero and every distinct within-group gap,
         # the exact replay's counts and the walk's grouped means, grouped and
         # pooled, in both epsilon modes
@@ -155,7 +155,7 @@ class TestCalibrate:
                 assert end == 0 or gaps[end - 1] == eps
                 for gi, (hg, mg) in enumerate(groups):
                     expected = naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative)
-                    assert tuple(counts[gi].tolist()) == expected.as_tuple()
+                    assert tuple(counts[gi].tolist()) == expected
                 batch = grouped_stats(h, m, mode, [kind], EpsilonPolicy(eps, eps_mode))[0].value
                 if batch is None:
                     assert n_defined == 0
@@ -290,7 +290,7 @@ class TestManySmallGroups:
     def test_matches_every_candidate(self, campaign, kind):
         h, m, n_groups = campaign
         mode = GroupingMode.GROUP_BY_ITEM
-        batch = [grouped_stats(h, m, mode, [kind], float(eps))[0].value for eps in range(9)]
+        batch = [grouped_stats(h, m, mode, [kind], EpsilonPolicy(eps))[0].value for eps in range(9)]
         result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode))
         assert result.candidates_evaluated == 9
         assert result.stat_star == max(batch)
@@ -447,7 +447,7 @@ class TestPairLayout:
             for m in metrics:
                 calibrate(h, m, CalibrationConfig(mode=mode))
                 f1_curve(h, m, mode, [0.0, 0.5, 2.0], EpsilonMode.RELATIVE)
-                tie_location_histogram(h, m, 0.1, 5, mode)
+                tie_location_histogram(h, m, EpsilonPolicy(0.1), 5, mode)
         # 40 items and 15 systems get one each.  The 600 rows pooled get none:
         # they are counted by sorting at every grid point, relative epsilon 2
         # too, and their sweep and histogram list the pairs each time.
@@ -563,7 +563,7 @@ class TestApplyEpsilon:
         result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ,
                                                    mode=GroupingMode.NO_GROUPING))
         report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.ACC_EQ],
-                               result.epsilon_star)[0]
+                               EpsilonPolicy(result.epsilon_star))[0]
         assert report.value == result.stat_star
 
     def test_zero_threshold_equals_plain_stat(self):
@@ -576,7 +576,8 @@ class TestApplyEpsilon:
         h, m = ScoreMatrix(h), ScoreMatrix(m)
         for kind in (StatKind.ACC_EQ, StatKind.TAU_B):
             plain = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [kind])[0]
-            assert grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [kind], 0.0)[0] == plain
+            assert grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [kind],
+                                 EpsilonPolicy(0.0))[0] == plain
             relative = grouped_stats(h, m, GroupingMode.GROUP_BY_ITEM, [kind],
                                      EpsilonPolicy(0.0, EpsilonMode.RELATIVE))[0]
             assert (relative.value, relative.pairs_by_class) == (plain.value, plain.pairs_by_class)
@@ -586,7 +587,8 @@ class TestApplyEpsilon:
         h_scores = rng.integers(0, 3, 12).astype(float)
         m_scores = rng.normal(size=12)
         h, m = single_group(h_scores, m_scores)
-        report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.ACC_EQ], 1e9)[0]
+        report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.ACC_EQ],
+                               EpsilonPolicy(1e9))[0]
         pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
         tie_fraction = sum(h_scores[i] == h_scores[j] for i, j in pairs) / len(pairs)
         assert report.value == pytest.approx(tie_fraction)
@@ -607,7 +609,7 @@ class TestTieLocationHistogram:
     def test_zero_threshold_has_no_new_ties(self):
         rng = np.random.default_rng(20)
         h, m = single_group(rng.integers(0, 3, 10), rng.normal(size=10))
-        hist = tie_location_histogram(h, m, 0.0, bins=5)
+        hist = tie_location_histogram(h, m, EpsilonPolicy(), bins=5)
         assert hist.newly_tied.sum() == 0
         assert hist.all_pairs.sum() == 45
 
@@ -636,7 +638,7 @@ class TestTieLocationHistogram:
     def test_invalid_bins(self):
         h, m = single_group([1, 2], [1, 2])
         with pytest.raises(ValueError):
-            tie_location_histogram(h, m, 0.0, bins=0)
+            tie_location_histogram(h, m, EpsilonPolicy(), bins=0)
 
 
 class TestF1Curve:
@@ -650,7 +652,8 @@ class TestF1Curve:
         h, m = single_group([0, 0, 1, 2], [0.1, 0.2, 0.5, 0.9])
         (point,) = f1_curve(h, m, GroupingMode.NO_GROUPING, [10.0])
         assert point.rank_f1 is None  # no rank predictions remain
-        report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.TIES_R], 10.0)[0]
+        report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.TIES_R],
+                               EpsilonPolicy(10.0))[0]
         assert report.value == 1.0
 
     def test_rows_match_grouped_stats(self):

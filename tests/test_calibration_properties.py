@@ -8,6 +8,7 @@ equal gaps."""
 
 import math
 from array import array
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -99,8 +100,7 @@ def test_pair_counts_and_every_statistic_equal_the_oracles(campaign, mode, relat
     eps = data.draw(st.sampled_from(observed_gaps(human, metric, mode, relative)))
     pol = EpsilonPolicy(eps, eps_mode_of(relative))
     groups = oracle_groups(human, metric, mode)
-    expected = [list(naive_suff_stats(h.tolist(), m.tolist(), eps, relative).as_tuple())
-                for h, m in groups]
+    expected = [list(naive_suff_stats(h.tolist(), m.tolist(), eps, relative)) for h, m in groups]
     h, m, sizes, _ = align(human, metric, mode)
     with mock.patch("tiecal.stats._SORT_PAIRS_PER_ROW_LEVEL", math.inf), \
             mock.patch("tiecal.stats._BLOCK_PAIRS", block):
@@ -118,7 +118,7 @@ def test_pair_counts_and_every_statistic_equal_the_oracles(campaign, mode, relat
         assert report.value == mean_defined(np.array(values, dtype=float))
         assert (report.groups_total, report.groups_used) == (len(groups), len(used))
         assert report.pairs_total == sum(map(sum, expected))
-        assert list(report.pairs_by_class.as_tuple()) == [sum(c) for c in zip(*used, [0] * 5)]
+        assert list(astuple(report.pairs_by_class)) == [sum(c) for c in zip(*used, [0] * 5)]
 
 
 def kernel_columns(blocks):
@@ -149,7 +149,7 @@ def test_pair_layout_passes_equal_the_kernel(campaign, mode, relative, block, ep
                     assert kernel_columns(_pair_blocks(*aligned[:3], pol, midpoints=True,
                                                        layout=layout)) == expected
             assert (aligned.pairs is not None) == (m is shared and _kernel_sized(aligned.sizes))
-            counts = [list(naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative).as_tuple())
+            counts = [list(naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative))
                       for hg, mg in oracle_groups(human, m, mode)]
             assert _pair_counts(*aligned[:3], pol, aligned.pairs).tolist() == counts
 
@@ -214,7 +214,7 @@ def test_tie_histogram_top_edge_of_mixed_signed_zeros():
             for block in (3, _BLOCK_PAIRS):
                 assert_histogram_matches_concatenated_midpoints(
                     human, metric, EpsilonPolicy(0.5), 4, GroupingMode.NO_GROUPING, block)
-            hist = tie_location_histogram(human, metric, 0.5, 4)
+            hist = tie_location_histogram(human, metric, EpsilonPolicy(0.5), 4)
             assert hist.bin_edges[-1] == 0.0 and not np.signbit(hist.bin_edges[-1])
 
 

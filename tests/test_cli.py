@@ -1291,7 +1291,7 @@ def test_tie_hist_json_edges_are_distinct_where_numpys_are(tmp_path, scores):
     m = write_scores(tmp_path / "m.tsv", vector_rows(scores))
     rows = json_results(["tie-hist", "--human", str(h), "--metric", f"m={m}"],
                         tmp_path / "hist.json")
-    edges = tie_location_histogram(load_scores(h), load_scores(m), 0.0, 10).bin_edges
+    edges = tie_location_histogram(load_scores(h), load_scores(m), EpsilonPolicy(), 10).bin_edges
     assert [rows[0]["bin_start"], *(row["bin_end"] for row in rows)] == edges.tolist()
     assert len(set(edges.tolist())) == 11
 

@@ -18,7 +18,6 @@ from tiecal import (
     bucketize,
     grouped_stats,
     mean_defined,
-    tau_c_context,
 )
 from tiecal.stats import _tau_c_contexts
 
@@ -251,7 +250,7 @@ class TestGroupedStat:
 
 
 class TestTauCContexts:
-    def test_matches_tau_c_context_per_group(self):
+    def test_matches_the_oracle_per_group(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
             sizes = rng.choice([0, 1, 2, 3, 6], size=rng.integers(0, 7))
@@ -261,12 +260,9 @@ class TestTauCContexts:
             contexts = _tau_c_contexts(h, m, np.asarray(sizes, dtype=np.int64))
             starts = np.concatenate(([0], np.cumsum(sizes)))
             bounds = list(zip(starts[:-1], starts[1:]))
-            expected = [tau_c_context(h[a:b], m[a:b]) for a, b in bounds]
             oracle = [oracle_tau_c_context(h[a:b].tolist(), m[a:b].tolist()) for a, b in bounds]
             assert contexts.shape == (2, sizes.size)
-            assert list(zip(*contexts.tolist())) == expected
             assert list(zip(*contexts.tolist())) == oracle
-            assert expected == oracle
 
 
 class TestMeanDefined:
