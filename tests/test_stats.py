@@ -23,9 +23,11 @@ from oracles import (
 )
 
 from tiecal import (
+    OVERALL_STAT_KINDS,
     EpsilonMode,
     EpsilonPolicy,
     GroupingMode,
+    PairCounts,
     ScoreMatrix,
     StatKind,
     break_ties_randomly,
@@ -344,6 +346,60 @@ class TestSortCount:
 
 
 class TestPooledStatistics:
+    """Hand-checked values of the statistics, through ``grouped_stats``."""
+
+    # the worked example's figure, to two decimals
+    FIG_EXPECTED = {
+        "m1": {"tau_a": .47, "tau_b": .78, "tau_c": .29, "tau_10": .78,
+               "tau_13": .78, "tau_14": .78, "tau_eq": .87, "acc_eq": .93},
+        "m2": {"tau_a": .60, "tau_b": .77, "tau_c": .38, "tau_10": 1.0,
+               "tau_13": 1.0, "tau_14": 1.0, "tau_eq": .20, "acc_eq": .60},
+    }
+
+    @pytest.mark.parametrize("kind", OVERALL_STAT_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("metric,scores", [("m1", M1_FIG), ("m2", M2_FIG)],
+                             ids=["m1", "m2"])
+    def test_worked_example_values(self, metric, scores, kind):
+        # TAU_C takes k=3, n=6 from the scores; 0.005 covers the 2-decimal
+        # rounding, the tiny extra the float of the boundary case 0.375 vs 0.38
+        value = pooled(H_FIG, scores, [kind])[0].value
+        assert value == pytest.approx(self.FIG_EXPECTED[metric][kind.value], abs=0.005 + 1e-9)
+
+    def test_constant_metric_non_constant_human(self):
+        reports = pooled([0, 1, 2, 3, 4], [1] * 5,
+                         [StatKind.TAU_B, StatKind.TAU_10, StatKind.ACC_EQ])
+        assert astuple(reports[0].pairs_by_class) == (0, 0, 0, 0, 0)  # no group used
+        assert reports[1].pairs_by_class == PairCounts(tied_metric=10)
+        assert [r.value for r in reports] == [None, -1.0, 0.0]
+
+    def test_class_statistics_on_worked_example(self):
+        kinds = [StatKind.TIES_P, StatKind.TIES_R, StatKind.RANK_P, StatKind.RANK_R]
+        assert [r.value for r in pooled(H_FIG, M1_FIG, kinds)] == [1.0, 1.0, 8 / 9, 8 / 9]
+
+    def test_f1_undefined_when_both_zero(self):
+        report = pooled([0, 1, 2], [2, 1, 0], [StatKind.RANK_F1])[0]  # precision 0, recall 0
+        assert report.value is None
+        assert report.pairs_total == 3
+
+    def test_f1_undefined_when_part_undefined(self):
+        report = pooled([0, 0, 0], [0, 1, 2], [StatKind.TIES_F1])[0]  # ties precision 0/0
+        assert report.value is None
+        assert report.pairs_total == 3
+
+    def test_f1_harmonic_mean(self):
+        # concordant 2, discordant 2, tied in the metric only 2
+        report = pooled([0, 1, 2, 3], [0, 1, 1, 0], [StatKind.RANK_F1])[0]
+        assert report.pairs_by_class == PairCounts(concordant=2, discordant=2, tied_metric=2)
+        p, r = 2 / 4, 2 / 6
+        assert report.value == 2 * p * r / (p + r)
+
+    def test_tau_c_undefined_for_single_unique_value(self):
+        assert pooled([0, 1, 2], [1, 1, 1], [StatKind.TAU_C])[0].value is None
+
+    def test_all_zero_counts_undefined(self):
+        for report in pooled([1.0], [2.0], list(StatKind)):
+            assert (report.value, report.pairs_total, report.groups_used) == (None, 0, 0)
+
     def test_no_ties_degeneracy(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
