@@ -58,10 +58,6 @@ _CGROUP_ROOT = Path("/sys/fs/cgroup")
 # (concordant, discordant, tied-human): it becomes tied-metric or tied-both.
 # Row 3, no class, makes a (groups, 4) array indexed by packed moves.
 _MOVE = np.array([[-1, 0, 0, 1, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, 0, 0]])
-# Bits of one class's count in the walk's packed running counts: a block's
-# _SWEEP_MOVES moves fit, so no count carries into the next class's bits.
-_CLASS_BITS = 20
-_PACKED_ONE = np.array([1, 1 << _CLASS_BITS, 1 << 2 * _CLASS_BITS], dtype=np.int64)  # a move
 # A replay step costs about as much as walking this many moves plus one a group.
 _REPLAY_STEP_MOVES = 512
 # A move's change to its group's value numerator, for the statistics whose group
@@ -175,14 +171,11 @@ def _approx_means(kind: StatKind, counts: np.ndarray, values: np.ndarray,
         g, cls = moves >> 2, moves & 3
         starts = np.flatnonzero(np.diff(g, prepend=-1))
         lengths = np.diff(np.append(starts, g.size))
-        # own-group moves of each class up to here, inclusive, packed in one int64
-        one = _PACKED_ONE.take(cls)
-        moved = np.cumsum(one)
-        moved -= np.repeat(moved[starts] - one[starts], lengths)
-        mask = (1 << _CLASS_BITS) - 1
         now = columns.take(g, axis=1)
         for cls_k, to in enumerate((3, 3, 4)):  # the rows of _MOVE, in place
-            own = moved >> _CLASS_BITS * cls_k & mask
+            is_k = cls == cls_k
+            own = np.cumsum(is_k)  # own-group moves of the class up to here, inclusive
+            own -= np.repeat(own[starts] - is_k[starts], lengths)
             now[cls_k] -= own
             now[to] += own
         k, n = (None, None) if contexts is None else contexts[:, g]
@@ -365,7 +358,7 @@ def tie_location_histogram(human: ScoreMatrix, metric: ScoreMatrix,
         edges = np.histogram_bin_edges([lo, hi], bins)
     all_counts, new_counts = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
     for gap, _, _, mid in _pair_blocks(*aligned[:3], pol, midpoints=True, layout=aligned.pairs):
-        all_counts += np.histogram(mid, bins, range=(lo, hi))[0]
+        all_counts += np.histogram(mid, edges)[0]
         new_counts += np.histogram(mid[(gap > 0.0) & (gap <= pol.epsilon)], edges)[0]
     return TieHistogram(edges, all_counts, new_counts)
 

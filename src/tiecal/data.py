@@ -229,9 +229,8 @@ def _cell(value: Any) -> str:
 
 # Rows a report chunk holds at most.
 _REPORT_ROWS = 1024
-# The JSON writers below lay out what json.dumps(indent=2) would, one level
-# in; rows go through the C encoder, which json.dumps uses only without
-# indent: the pure-Python one holds every token of the report in a list.
+# The JSON writers below give what json.dumps(payload, indent=2) would, one
+# header value or chunk of rows at a time, each laid out by json.dumps one level in.
 _JSON_PAD = "\n  "
 
 
@@ -242,20 +241,13 @@ def _json_block(value: Any) -> str:
 
 def _json_rows(columns: tuple[str, ...], chunks: Iterator[list[list[Any]]]) -> Iterator[str]:
     """``chunks`` of rows of scalars as the report's "results", objects keyed
-    by ``columns``, a chunk an encoder call.  No JSON string holds a raw line
-    break, so between rows is the only place "},<line break>{" occurs."""
-    if not columns:
-        yield _json_block([{}] * sum(map(len, chunks)))
-        return
-    inner = _JSON_PAD + "    "
-    between = f"{_JSON_PAD}  }},{_JSON_PAD}  {{{inner}"
-    opening = f"[{_JSON_PAD}  {{{inner}"  # before the chunk's first row
+    by ``columns``: each chunk's list without its brackets, joined by commas."""
+    opening = "["
     for chunk in chunks:
-        rows = [dict(zip(columns, values)) for values in chunk]
-        text = json.dumps(rows, ensure_ascii=False, separators=("," + inner, ": "))
-        yield opening + text[2:-2].replace("}," + inner + "{", between)
-        opening = between
-    yield f"{_JSON_PAD}  }}{_JSON_PAD}]" if opening == between else "[]"
+        text = _json_block([dict(zip(columns, values)) for values in chunk])
+        yield opening + text.removeprefix("[").removesuffix(_JSON_PAD + "]")
+        opening = ","
+    yield _JSON_PAD + "]" if opening == "," else "[]"
 
 
 @dataclass
@@ -317,7 +309,7 @@ def _texts(doc: ReportDocument, fmt: str) -> Iterator[str]:
         for chunk in chunks:
             yield "".join("\t".join(map(_cell, values)) + "\n" for values in chunk)
         return
-    # json.dumps(payload, ensure_ascii=False, indent=2), laid out by hand
+    # json.dumps(payload, ensure_ascii=False, indent=2), a value at a time
     head = {"version": doc.version, "command": doc.command, "inputs": doc.inputs,
             "columns": list(doc.columns)}
     yield "{" + "".join(f'{_JSON_PAD}"{key}": {_json_block(value)},'

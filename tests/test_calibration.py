@@ -62,6 +62,37 @@ def random_instance(rng):
     return ScoreMatrix(h), ScoreMatrix(m)
 
 
+def assert_replay_and_walk_match_fresh_counts(h, m, mode, eps_mode, kind):
+    """At the oracle's candidates, zero and every distinct within-group gap,
+    the exact replay's counts and the walk's grouped means."""
+    relative = eps_mode is EpsilonMode.RELATIVE
+    groups = oracle_groups(h, m, mode)
+    candidates = sorted({0.0, *(float(gap) for view in pair_views(groups, relative)
+                                if view is not None for gap in view[0])})
+    result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode))
+    assert result.candidates_evaluated == len(candidates)
+
+    aligned = align(h, m, mode)
+    counts, gaps, packed = sorted_moves(aligned, eps_mode)
+    contexts = _tau_c_contexts(*aligned[:3]) if kind is StatKind.TAU_C else None
+    k, n = (None, None) if contexts is None else contexts
+    ends = np.searchsorted(gaps, candidates, "right")
+    _, sums, defined = zip(*_approx_means(
+        kind, counts, _stat_from_arrays(kind, *counts.T, k, n), contexts, packed, ends))
+    sums, defined = np.concatenate(sums), np.concatenate(defined)
+    for eps, end, total_value, n_defined, _ in zip(candidates, ends, sums, defined,
+                                                   _replay(counts, packed, ends)):
+        assert end == 0 or gaps[end - 1] == eps
+        for gi, (hg, mg) in enumerate(groups):
+            expected = naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative)
+            assert tuple(counts[gi].tolist()) == expected
+        batch = grouped_stats(h, m, mode, [kind], EpsilonPolicy(eps, eps_mode))[0].value
+        if batch is None:
+            assert n_defined == 0
+        else:
+            assert total_value / n_defined == pytest.approx(batch, rel=0, abs=1e-12)
+
+
 class TestCalibrate:
     def test_small_example_finds_gap(self):
         h, m = single_group([0, 0, 1], [0.0, 0.05, 1.0])
@@ -127,40 +158,31 @@ class TestCalibrate:
             assert result.epsilon_star == expect_eps
 
     def test_incremental_counts_match_fresh_counts(self):
-        # at the oracle's candidates, zero and every distinct within-group gap,
-        # the exact replay's counts and the walk's grouped means, grouped and
-        # pooled, in both epsilon modes
+        # grouped and pooled, in both epsilon modes
         rng = np.random.default_rng(55)
         for mode, eps_mode, kind in itertools.product(
                 (GroupingMode.GROUP_BY_ITEM, GroupingMode.NO_GROUPING), EpsilonMode,
                 (StatKind.ACC_EQ, StatKind.TIES_F1, StatKind.TAU_B, StatKind.TAU_C)):
-            relative = eps_mode is EpsilonMode.RELATIVE
             h, m = random_instance(rng)
-            groups = oracle_groups(h, m, mode)
-            candidates = sorted({0.0, *(float(gap) for view in pair_views(groups, relative)
-                                        if view is not None for gap in view[0])})
-            result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode))
-            assert result.candidates_evaluated == len(candidates)
+            assert_replay_and_walk_match_fresh_counts(h, m, mode, eps_mode, kind)
 
-            aligned = align(h, m, mode)
-            counts, gaps, packed = sorted_moves(aligned, eps_mode)
-            contexts = _tau_c_contexts(*aligned[:3]) if kind is StatKind.TAU_C else None
-            k, n = (None, None) if contexts is None else contexts
-            ends = np.searchsorted(gaps, candidates, "right")
-            _, sums, defined = zip(*_approx_means(
-                kind, counts, _stat_from_arrays(kind, *counts.T, k, n), contexts, packed, ends))
-            sums, defined = np.concatenate(sums), np.concatenate(defined)
-            for eps, end, total_value, n_defined, _ in zip(candidates, ends, sums, defined,
-                                                           _replay(counts, packed, ends)):
-                assert end == 0 or gaps[end - 1] == eps
-                for gi, (hg, mg) in enumerate(groups):
-                    expected = naive_suff_stats(hg.tolist(), mg.tolist(), eps, relative)
-                    assert tuple(counts[gi].tolist()) == expected
-                batch = grouped_stats(h, m, mode, [kind], EpsilonPolicy(eps, eps_mode))[0].value
-                if batch is None:
-                    assert n_defined == 0
-                else:
-                    assert total_value / n_defined == pytest.approx(batch, rel=0, abs=1e-12)
+    @pytest.mark.parametrize("kind", [StatKind.ACC_EQ, StatKind.TIES_F1, StatKind.TAU_C])
+    def test_walk_restarts_at_blocks_and_groups(self, kind):
+        # item a's three moves are tied-human; item b's six are of all three
+        # classes and span the three blocks of four moves
+        h = ScoreMatrix([("s0", "a", 0.0), ("s1", "a", 0.0), ("s2", "a", 0.0),
+                         ("s0", "b", 0.0), ("s1", "b", 0.0), ("s2", "b", 1.0), ("s3", "b", 2.0)])
+        m = ScoreMatrix([("s0", "a", 0.0), ("s1", "a", 2.05), ("s2", "a", 4.3),
+                         ("s0", "b", 0.0), ("s1", "b", 1.1), ("s2", "b", 6.5), ("s3", "b", 3.2)])
+        mode = GroupingMode.GROUP_BY_ITEM
+        _, _, packed = sorted_moves(align(h, m, mode), EpsilonMode.ABSOLUTE)
+        blocks = [packed[b0:b0 + 4] for b0 in range(0, packed.size, 4)]
+        assert [set((block >> 2).tolist()) for block in blocks] == [{0, 1}, {0, 1}, {1}]
+        # the classes of each block's first group, in the walk's (group, gap) order
+        assert [np.unique(block[block >> 2 == block.min() >> 2] & 3).tolist()
+                for block in blocks] == [[2], [2], [0]]
+        with mock.patch("tiecal.calibration._SWEEP_MOVES", 4):
+            assert_replay_and_walk_match_fresh_counts(h, m, mode, EpsilonMode.ABSOLUTE, kind)
 
     def test_deterministic(self):
         rng = np.random.default_rng(77)

@@ -200,6 +200,25 @@ def test_tie_histogram_equals_np_histogram_of_all_midpoints(campaign, mode, rela
         human, metric, EpsilonPolicy(eps, eps_mode_of(relative)), bins, mode, block)
 
 
+def test_tie_histogram_of_midpoints_on_its_edges():
+    # scores 0..4 in 6 bins: every pair midpoint is an edge (0.5, 1.0, ..., 3.5)
+    scores = [0.0, 1.0, 2.0, 3.0, 4.0]
+    human = ScoreMatrix((f"s{i}", "g", float(i % 2)) for i in range(len(scores)))
+    metric = ScoreMatrix((f"s{i}", "g", score) for i, score in enumerate(scores))
+    pairs = [(a, b) for i, a in enumerate(scores) for b in scores[i + 1:]]
+    midpoints = [(a + b) / 2 for a, b in pairs]
+    newly_tied = [(a + b) / 2 for a, b in pairs if 0.0 < oracle_gap(a, b) <= 2.0]
+    for block in (3, _BLOCK_PAIRS):
+        with mock.patch("tiecal.stats._BLOCK_PAIRS", block):
+            hist = tie_location_histogram(human, metric, EpsilonPolicy(2.0), 6)
+        edges = hist.bin_edges
+        assert edges.tolist() == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+        assert hist.all_pairs.tolist() == np.histogram(midpoints, edges)[0].tolist() == [
+            1, 1, 2, 2, 2, 2]
+        assert hist.newly_tied.tolist() == np.histogram(newly_tied, edges)[0].tolist() == [
+            1, 1, 1, 1, 1, 2]
+
+
 def test_tie_histogram_top_edge_of_mixed_signed_zeros():
     # every midpoint is at most zero and the top ones are 0.0 and -0.0:
     # the last edge is +0.0, wherever each sign sits

@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,11 +14,22 @@ import tracemalloc
 import warnings
 from contextlib import suppress
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    brute_force_calibration,
+    mean_defined,
+    naive_suff_stats,
+    oracle_gap,
+    oracle_groups,
+    oracle_load_scores,
+    oracle_stat,
+    oracle_tau_c_context,
+)
 
 import tiecal
 from tiecal import (
@@ -1294,6 +1306,89 @@ def test_tie_hist_json_edges_are_distinct_where_numpys_are(tmp_path, scores):
     edges = tie_location_histogram(load_scores(h), load_scores(m), EpsilonPolicy(), 10).bin_edges
     assert [rows[0]["bin_start"], *(row["bin_end"] for row in rows)] == edges.tolist()
     assert len(set(edges.tolist())) == 11
+
+
+def oracle_matrix(path):
+    """A score file, read by the oracle's loader, as ``oracle_groups`` takes it."""
+    rows = [(system, segment, score) for (system, segment), score in oracle_load_scores(path)]
+    return SimpleNamespace(items=lambda: rows)
+
+
+CLASS_COLUMNS = ("concordant", "discordant", "tied_human_only", "tied_metric_only", "tied_both")
+
+
+def oracle_fields(groups, kind, eps, relative):
+    """A report row's statistic, group and pair fields at ``eps``, from the oracles."""
+    counts, values = [], []
+    for hg, mg in groups:
+        h, m = hg.tolist(), mg.tolist()
+        counts.append(naive_suff_stats(h, m, eps, relative))
+        value = oracle_stat(kind, *counts[-1], *oracle_tau_c_context(h, m))
+        values.append(math.nan if value is None else value)
+    used = [group for group, value in zip(counts, values) if not math.isnan(value)]
+    return {"value": mean_defined(np.array(values)), "groups_total": len(groups),
+            "groups_used": len(used), "pairs_total": sum(map(sum, counts)),
+            **{column: sum(group[i] for group in used) for i, column in enumerate(CLASS_COLUMNS)}}
+
+
+# Metric scores: negative, repeated, and both zeros; None leaves the key out.
+CAMPAIGN_SCORES = st.sampled_from([None, -2.5, -1.0, -0.5, -0.0, 0.0, 0.1, 0.3, 0.4, 2.0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(systems=st.integers(2, 6), segments=st.integers(2, 8), data=st.data(),
+       mode=st.sampled_from(list(GroupingMode)), relative=st.booleans(),
+       kind=st.sampled_from(list(StatKind)), bins=st.integers(1, 40))
+def test_json_reports_equal_the_oracles(tmp_path_factory, systems, segments, data, mode,
+                                        relative, kind, bins):
+    # people score every key; the metric misses some and lists its rows
+    # shuffled; both files carry a comment and a header
+    keys = [(f"s{i}", f"g{j}") for i in range(systems) for j in range(segments)]
+    human = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
+    metric = data.draw(st.lists(CAMPAIGN_SCORES, min_size=len(keys), max_size=len(keys)))
+    rows = {"h.tsv": [(*key, float(score)) for key, score in zip(keys, human)],
+            "m.tsv": data.draw(st.permutations([(*key, score) for key, score in zip(keys, metric)
+                                                if score is not None]))}
+    tmp = tmp_path_factory.mktemp("oracles")
+    for name, file_rows in rows.items():
+        (tmp / name).write_text("# a comment\nsystem\tsegment\tscore\n" + "".join(
+            f"{system}\t{segment}\t{score!r}\n" for system, segment, score in file_rows))
+    h, m = oracle_matrix(tmp / "h.tsv"), oracle_matrix(tmp / "m.tsv")
+    groups = oracle_groups(h, m, mode)
+    pairs = [(a, b) for _, mg in groups for a, b in itertools.combinations(mg.tolist(), 2)]
+    gaps = sorted({0.0, *(oracle_gap(a, b, relative) for a, b in pairs)})
+    eps = data.draw(st.sampled_from(gaps))
+    eps_mode = "relative" if relative else "absolute"
+    same = {"metric": "m", "mode": mode.value, "eps_mode": eps_mode}
+    inputs = ["--human", str(tmp / "h.tsv"), "--metric", f"m={tmp / 'm.tsv'}",
+              "--mode", mode.value, "--eps-mode", eps_mode]
+    out = tmp / "report.json"
+
+    epsilon_star, value = brute_force_calibration(h, m, mode, kind, relative)
+    at_star = oracle_fields(groups, kind, epsilon_star, relative)
+    assert json_results(["calibrate", *inputs, "--stat", kind.value], out) == [{
+        **same, "stat": kind.value, "sample_fraction": 1.0, "seed": 0, "exact": True,
+        "candidates": len(gaps), "epsilon_star": epsilon_star, "value": value,
+        **{column: at_star[column] for column in ("groups_total", "groups_used", "pairs_total")}}]
+
+    assert json_results(["correlate", *inputs, "--stat", "all", "--epsilon", repr(eps)], out) == [
+        {**same, "stat": overall.value, "epsilon": eps,
+         **oracle_fields(groups, overall, eps, relative)} for overall in OVERALL_STAT_KINDS]
+
+    grid = data.draw(st.lists(st.sampled_from(gaps), min_size=1, max_size=4, unique=True))
+    assert json_results(["f1-curve", *inputs, "--eps-grid", ",".join(map(repr, grid))], out) == [
+        {"epsilon": point, **{curve.value: oracle_fields(groups, curve, point, relative)["value"]
+                              for curve in (StatKind.TIES_F1, StatKind.RANK_F1, StatKind.ACC_EQ)}}
+        for point in sorted(grid)]
+
+    hist = json_results(["tie-hist", *inputs, "--epsilon", repr(eps), "--bins", str(bins)], out)
+    edges = [*(row["bin_start"] for row in hist), hist[-1]["bin_end"]]
+    midpoints = [(a + b) / 2 for a, b in pairs]
+    newly_tied = [(a + b) / 2 for a, b in pairs if 0.0 < oracle_gap(a, b, relative) <= eps]
+    assert edges == np.histogram_bin_edges(midpoints, bins).tolist()
+    assert [row["bin_end"] for row in hist] == edges[1:]
+    assert [row["all_pairs"] for row in hist] == np.histogram(midpoints, edges)[0].tolist()
+    assert [row["newly_tied"] for row in hist] == np.histogram(newly_tied, edges)[0].tolist()
 
 
 def test_cli_import_leaves_scipy_unloaded():
