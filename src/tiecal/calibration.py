@@ -5,13 +5,13 @@ only changes at observed pair gaps, so the candidates are zero and every
 distinct within-group gap.  Passing a pair's gap moves it from its class at
 zero (concordant, discordant or tied-human) to tied-metric or tied-both.
 One pass over the pair kernel keeps the moving pairs.  For acc_eq and
-tau_eq a move changes its group's value by a fixed weight, so sums of the
-weights by gap bin bound the value inside each bin, and only the window of
-bins that can hold the maximum is sorted by gap; other statistics sort
-every move.  A walk over the sorted moves gives the grouped mean at every
-candidate within a stated rounding bound; those near the best are replayed
-exactly in ascending order, so ties resolve to the smallest threshold, and
-a batch evaluation re-verifies the winner.  Few candidates skip the walk.
+tau_eq a move changes its group's value by a fixed weight, so weight sums
+by gap bin bound the value inside each bin, and only the window of bins
+that can hold the maximum, a slice of the gaps sorted in place, has its
+moves ordered by gap; other statistics take every move.  A walk gives the
+grouped mean at every candidate within a stated rounding bound; those near
+the best are replayed exactly in ascending order, so ties resolve to the
+smallest threshold, and a batch evaluation re-verifies the winner.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from .stats import (
 
 # Moves per block of the approximate sweep, and its temporaries' bytes per move.
 _SWEEP_MOVES, _MOVE_BYTES = 1 << 14, 256
-# Peak bytes per pair of a sweep: the moving pairs' gaps (8 B), a window's copy of
-# gaps and packed group and class (12 B), its sort's permutation and sorted packed
-# (12 B); and of the pair layout (stats._pair_blocks) that the sweep may keep.
+# Peak bytes per pair of a sweep: the moving pairs' gaps (8 B), a mask (1 B), the
+# window's packed group and class (4 B), its gaps' copy and sort permutation (16 B);
+# and of the pair layout (stats._pair_blocks) that the sweep may keep.
 _SWEEP_BYTES_PER_PAIR, _LAYOUT_BYTES = 32, 13
 # Where calibrate's memory guard reads this process's cgroups and their limits.
 _PROC_CGROUP = Path("/proc/self/cgroup")
@@ -260,22 +260,21 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     bound = 4 * (n_groups + gaps.size + 1) * 2 * n_groups * u
     values = group_values(slice(None))
     lo, hi = _window(kind, counts, values, gaps, packed, bound)
-    before = gaps < lo  # applied in one step; the largest is the window's first candidate
-    for touched in _replay(counts, packed.compress(before), [np.count_nonzero(before)]):
+    # moves below the window, in one step, bool-indexed: compress adds an 8 B index a move
+    for touched in _replay(counts, packed[gaps < lo], [np.count_nonzero(gaps < lo)]):
         values[touched] = group_values(touched)
     inside = slice(None) if (lo, hi) == (0.0, np.inf) else (gaps >= lo) & (gaps < hi)
-    window, packed = gaps[inside], packed[inside]  # a view when the window is every move
-    del before, inside
-    packed = packed[np.argsort(window)]  # moves of equal gap enter at one candidate together
-    window.sort()
-    if window.size < gaps.size:  # else the window is every move, sorted in place
-        gaps.sort()  # in place, after the window's copy: no memory is added
-    first_eps = float(gaps[:np.searchsorted(gaps, lo)].max(initial=0.0))
-    n_candidates = 1 + int(np.count_nonzero(gaps[1:] != gaps[:-1])) + (gaps.size > 0)  # 0, gaps
-    at = np.flatnonzero(np.concatenate(([True], window[1:] != window[:-1], [window.size > 0])))
+    packed = packed[inside]  # a view when the window is every move
+    packed = packed[np.argsort(gaps[inside])]  # moves of equal gap enter at one candidate together
+    gaps.sort()  # in place, once the window's order is taken; the window is gaps[start:stop]
+    start, stop = np.searchsorted(gaps, [lo, hi])
+    new = np.concatenate(([gaps.size > 0], gaps[1:] != gaps[:-1]))  # a distinct gap starts
+    n_candidates = 1 + int(np.count_nonzero(new))  # 0 and every distinct gap
+    at = np.flatnonzero(np.concatenate(([True], new[start + 1:stop], [stop > start])))
+    del inside, new
 
     ends = at  # every window candidate, when replaying each costs no more than the walk
-    if at.size * (n_groups + _REPLAY_STEP_MOVES) > window.size > 0:
+    if at.size * (n_groups + _REPLAY_STEP_MOVES) > stop - start > 0:
         best, fewest, kept = -np.inf, n_groups, [(np.empty(0, dtype=at.dtype), np.empty(0))]
         for first, sums, defined in _approx_means(kind, counts, values, contexts, packed, at):
             live = np.flatnonzero(defined > 0)
@@ -293,10 +292,9 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     for end, touched in zip(ends.tolist(), _replay(counts, packed, ends)):
         values[touched] = group_values(touched)
         value = mean_defined(values)
-        eps = float(window[end - 1]) if end else first_eps
         if value is not None and (best_val is None or value > best_val):
             best_val = value
-            best_eps = eps
+            best_eps = float(gaps[start + end - 1]) if start + end else 0.0
 
     report = _reports(aligned, config.mode, [kind], EpsilonPolicy(best_eps, config.eps_mode))[0]
     if report.value != best_val:

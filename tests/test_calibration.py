@@ -389,6 +389,25 @@ class TestPairMemory:
         config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
         assert self.peak(lambda: calibrate(h, m, config)) <= 32 * self.PAIRS
 
+    def test_calibration_of_a_wide_window_stays_within_its_memory_guard(self, campaign,
+                                                                          monkeypatch):
+        """A discrete metric, the human score plus the halved metric rounded:
+        its acc_eq window leaves the largest gaps out but holds most moves,
+        which the sweep copies and sorts apart from the gaps.  The traced
+        peak is still at most 32 B a pair."""
+        h, m = campaign
+        m = ScoreMatrix((system, segment, human + round(metric / 2)) for
+                        (system, segment, human), (_, _, metric) in zip(h.items(), m.items()))
+        seen = []
+        window = tiecal.calibration._window
+        monkeypatch.setattr("tiecal.calibration._window",
+                            lambda *args: seen.append((window(*args), args[3])) or seen[-1][0])
+        config = CalibrationConfig(mode=self.MODE)
+        assert self.peak(lambda: calibrate(h, m, config)) <= 32 * self.PAIRS
+        ((lo, hi), gaps), = seen  # gaps: every move's, sorted in place by calibrate
+        assert lo == 0.0 and hi < math.inf
+        assert np.count_nonzero(gaps < hi) >= 0.8 * gaps.size >= 0.8 * 0.9 * self.PAIRS
+
     def test_replay_step_holds_no_per_move_arrays(self, campaign):
         aligned = align(*campaign, self.MODE)
         counts, _, packed = _moves(aligned, EpsilonMode.RELATIVE, self.PAIRS)  # in kernel order

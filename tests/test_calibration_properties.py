@@ -21,6 +21,7 @@ from oracles import (
     oracle_gap,
     oracle_groups,
     oracle_stat,
+    pair_views,
 )
 
 from tiecal import (
@@ -260,7 +261,7 @@ def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, blo
        step=st.sampled_from([512, -math.inf]))
 def test_calibrate_over_gap_bins_equals_brute_force(campaign, mode, relative, kind, shift,
                                                     moves, step):
-    # acc_eq and tau_eq sort only a window of gap bins, tau_b every move; a
+    # acc_eq and tau_eq walk only a window of gap bins, tau_b every move; a
     # shift of 63 puts every gap in one bin, so no window leaves one out
     human, metric = campaign
     config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
@@ -270,6 +271,11 @@ def test_calibrate_over_gap_bins_equals_brute_force(campaign, mode, relative, ki
         result = calibrate(human, metric, config)
     expect_eps, expect_val = brute_force_calibration(human, metric, mode, kind, relative)
     assert (result.epsilon_star, result.stat_star) == (expect_eps, expect_val)
+    # the candidates are zero and every distinct gap a threshold can tie, in
+    # the window or not
+    views = pair_views(oracle_groups(human, metric, mode), relative)
+    gaps = {g for view in views if view is not None for g in view[0].tolist() if 0 < g < math.inf}
+    assert result.candidates_evaluated == 1 + len(gaps)
 
 
 @PROFILE

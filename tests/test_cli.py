@@ -26,6 +26,7 @@ from oracles import (
     naive_suff_stats,
     oracle_gap,
     oracle_groups,
+    loop_break_ties_randomly,
     oracle_load_scores,
     oracle_stat,
     oracle_tau_c_context,
@@ -1335,28 +1336,42 @@ def oracle_fields(groups, kind, eps, relative):
 CAMPAIGN_SCORES = st.sampled_from([None, -2.5, -1.0, -0.5, -0.0, 0.0, 0.1, 0.3, 0.4, 2.0])
 
 
+def write_campaign(data, tmp, systems, segments, metrics):
+    """Draws and writes a campaign's score files to ``tmp``: h.tsv, in which
+    people score every key, and NAME.tsv for each name in ``metrics``, which
+    misses some keys and lists its rows shuffled.  Every file carries a
+    comment and a header.  Returns the oracle matrices by name, "h" for the
+    human file."""
+    keys = [(f"s{i}", f"g{j}") for i in range(systems) for j in range(segments)]
+    human = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
+    rows = {"h": [(*key, float(score)) for key, score in zip(keys, human)]}
+    for name in metrics:
+        metric = data.draw(st.lists(CAMPAIGN_SCORES, min_size=len(keys), max_size=len(keys)))
+        rows[name] = data.draw(st.permutations([(*key, score) for key, score in zip(keys, metric)
+                                                if score is not None]))
+    for name, file_rows in rows.items():
+        (tmp / f"{name}.tsv").write_text("# a comment\nsystem\tsegment\tscore\n" + "".join(
+            f"{system}\t{segment}\t{score!r}\n" for system, segment, score in file_rows))
+    return {name: oracle_matrix(tmp / f"{name}.tsv") for name in rows}
+
+
+def campaign_gaps(groups, relative):
+    """Zero and every within-group gap, ascending."""
+    return sorted({0.0, *(oracle_gap(a, b, relative) for _, mg in groups
+                          for a, b in itertools.combinations(mg.tolist(), 2))})
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(systems=st.integers(2, 6), segments=st.integers(2, 8), data=st.data(),
        mode=st.sampled_from(list(GroupingMode)), relative=st.booleans(),
        kind=st.sampled_from(list(StatKind)), bins=st.integers(1, 40))
 def test_json_reports_equal_the_oracles(tmp_path_factory, systems, segments, data, mode,
                                         relative, kind, bins):
-    # people score every key; the metric misses some and lists its rows
-    # shuffled; both files carry a comment and a header
-    keys = [(f"s{i}", f"g{j}") for i in range(systems) for j in range(segments)]
-    human = data.draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
-    metric = data.draw(st.lists(CAMPAIGN_SCORES, min_size=len(keys), max_size=len(keys)))
-    rows = {"h.tsv": [(*key, float(score)) for key, score in zip(keys, human)],
-            "m.tsv": data.draw(st.permutations([(*key, score) for key, score in zip(keys, metric)
-                                                if score is not None]))}
     tmp = tmp_path_factory.mktemp("oracles")
-    for name, file_rows in rows.items():
-        (tmp / name).write_text("# a comment\nsystem\tsegment\tscore\n" + "".join(
-            f"{system}\t{segment}\t{score!r}\n" for system, segment, score in file_rows))
-    h, m = oracle_matrix(tmp / "h.tsv"), oracle_matrix(tmp / "m.tsv")
+    h, m = write_campaign(data, tmp, systems, segments, ["m"]).values()
     groups = oracle_groups(h, m, mode)
     pairs = [(a, b) for _, mg in groups for a, b in itertools.combinations(mg.tolist(), 2)]
-    gaps = sorted({0.0, *(oracle_gap(a, b, relative) for a, b in pairs)})
+    gaps = campaign_gaps(groups, relative)
     eps = data.draw(st.sampled_from(gaps))
     eps_mode = "relative" if relative else "absolute"
     same = {"metric": "m", "mode": mode.value, "eps_mode": eps_mode}
@@ -1389,6 +1404,75 @@ def test_json_reports_equal_the_oracles(tmp_path_factory, systems, segments, dat
     assert [row["bin_end"] for row in hist] == edges[1:]
     assert [row["all_pairs"] for row in hist] == np.histogram(midpoints, edges)[0].tolist()
     assert [row["newly_tied"] for row in hist] == np.histogram(newly_tied, edges)[0].tolist()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(systems=st.integers(2, 6), segments=st.integers(2, 8), data=st.data(),
+       mode=st.sampled_from(list(GroupingMode)), relative=st.booleans(),
+       kind=st.sampled_from(list(StatKind)), seed=st.integers(0, 2**32))
+def test_rank_buckets_and_perturb_equal_the_oracles(tmp_path_factory, systems, segments, data,
+                                                    mode, relative, kind, seed):
+    tmp = tmp_path_factory.mktemp("oracles")
+    names = ["zeta", "alpha", "mid"]  # given out of name order
+    h, *metrics = write_campaign(data, tmp, systems, segments, names).values()
+    metrics = dict(zip(names, metrics))
+    eps_mode = "relative" if relative else "absolute"
+    common = ["--human", str(tmp / "h.tsv"), "--mode", mode.value, "--stat", kind.value]
+    inputs = [*common, *(f"--metric={name}={tmp / name}.tsv" for name in names),
+              "--eps-mode", eps_mode]
+    eps = data.draw(st.sampled_from(campaign_gaps(
+        [group for m in metrics.values() for group in oracle_groups(h, m, mode)], relative)))
+    out = tmp / "report.json"
+
+    def assert_ranked(argv, fields):
+        """``rank``'s rows and ranking: values descending, undefined last, ties by name."""
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_bytes())
+        defined = sorted((name for name in fields if fields[name]["value"] is not None),
+                         key=lambda name: (-fields[name]["value"], name))
+        order = defined + sorted(name for name in fields if fields[name]["value"] is None)
+        assert report["ranking"] == order
+        assert report["results"] == [
+            {"rank": rank, "metric": name, "stat": kind.value, "mode": mode.value, **fields[name]}
+            for rank, name in enumerate(order, start=1)]
+
+    def row_fields(m, eps):
+        fields = oracle_fields(oracle_groups(h, m, mode), kind, eps, relative)
+        return {"epsilon": eps, **{column: fields[column]
+                                   for column in ("value", "groups_total", "groups_used")}}
+
+    assert_ranked(["rank", *inputs, "--epsilon", repr(eps)],
+                  {name: row_fields(m, eps) for name, m in metrics.items()})
+    constant = SimpleNamespace(items=lambda: [(system, segment, 0.0)
+                                              for system, segment, _ in h.items()])
+    calibrated = {}
+    for name, m in {**metrics, "Constant-Metric": constant}.items():
+        epsilon_star, value = brute_force_calibration(h, m, mode, kind, relative)
+        calibrated[name] = {**row_fields(m, epsilon_star), "value": value}
+    assert_ranked(["rank", *inputs, "--calibrate", "--baseline"], calibrated)
+
+    # buckets: k buckets over the metric's range, min(k - 1, floor((s - lo) / (hi - lo) * k))
+    k_list = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    scored = oracle_load_scores(tmp / "zeta.tsv")
+    lo, hi = min((s for _, s in scored), default=0.0), max((s for _, s in scored), default=0.0)
+    rows = []
+    for k in k_list:
+        bucketed = [(*key, float(min(k - 1, math.floor((s - lo) / (hi - lo) * k))) if hi > lo
+                     else 0.0) for key, s in scored]
+        fields = oracle_fields(oracle_groups(h, SimpleNamespace(items=lambda: bucketed), mode),
+                               kind, 0.0, False)
+        rows.append({"metric": "zeta", "stat": kind.value, "mode": mode.value, "k": k,
+                     **{column: fields[column]
+                        for column in ("value", "groups_total", "groups_used", "pairs_total")}})
+    assert json_results(["buckets", *common, f"--metric=zeta={tmp / 'zeta.tsv'}",
+                         "--k-list", ",".join(map(str, k_list))], out) == rows
+
+    # perturb: the key-sorted scores' ranks after the loop's tie breaking, sorted by key
+    by_key = sorted(scored)
+    ranks = loop_break_ties_randomly([s for _, s in by_key], eps, relative, seed).tolist()
+    assert main(["perturb", f"--metric=zeta={tmp / 'zeta.tsv'}", "--epsilon", repr(eps),
+                 "--eps-mode", eps_mode, "--seed", str(seed), "--out", str(out)]) == 0
+    assert oracle_load_scores(out) == [(key, rank) for (key, _), rank in zip(by_key, ranks)]
 
 
 def test_cli_import_leaves_scipy_unloaded():
