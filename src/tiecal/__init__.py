@@ -1,7 +1,6 @@
 """Tie-aware ranking statistics and tie calibration for metric meta-evaluation."""
 
 from .calibration import (
-    CalibrationConfig,
     CalibrationResult,
     F1CurvePoint,
     TieHistogram,
@@ -13,7 +12,6 @@ from .data import (
     ReportDocument,
     ScoreFileError,
     dump_scores,
-    format_value,
     load_scores,
     rank_metrics,
     write_report,
@@ -33,7 +31,6 @@ from .stats import (
     EpsilonPolicy,
     PairCounts,
     StatKind,
-    as_score_vector,
     break_ties_randomly,
 )
 
@@ -41,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OVERALL_STAT_KINDS",
-    "CalibrationConfig",
     "CalibrationResult",
     "CorrelationReport",
     "EpsilonMode",
@@ -55,13 +51,11 @@ __all__ = [
     "StatKind",
     "TieHistogram",
     "align",
-    "as_score_vector",
     "break_ties_randomly",
     "bucketize",
     "calibrate",
     "dump_scores",
     "f1_curve",
-    "format_value",
     "grouped_stats",
     "load_scores",
     "mean_defined",

@@ -59,33 +59,24 @@ _CGROUP_ROOT = Path("/sys/fs/cgroup")
 # Row 3, no class, makes a (groups, 4) array indexed by packed moves.
 _MOVE = np.array([[-1, 0, 0, 1, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, 0, 0]])
 # A replay step costs about as much as walking this many moves plus one a group.
-_REPLAY_STEP_MOVES = 512
+_REPLAY_STEP_MOVES = 700
 # A move's change to its group's value numerator, for the statistics whose group
-# value is a fixed row over the counts divided by the group's pair count.
-_MOVE_GAINS = {kind: _MOVE @ row for kind, row in ((StatKind.ACC_EQ, [1, 0, 0, 0, 1]),
-                                                    (StatKind.TAU_EQ, [1, -1, -1, -1, 1]))}
+# value is a fixed row over the counts divided by the group's pair count: a unit
+# count row has one pair, so its value is that class's coefficient.
+_MOVE_GAINS = {kind: _MOVE @ _stat_from_arrays(kind, *np.eye(5, dtype=np.int64))
+               for kind in (StatKind.ACC_EQ, StatKind.TAU_EQ)}
 # Bits a gap's float64 pattern drops to give its bin: at most 2**18 bins (2 MiB a
 # per-bin array), monotone in the gap, and equal gaps share one.
 _BIN_SHIFT = 45
 
 
 @dataclass(frozen=True)
-class CalibrationConfig:
-    """What to maximize, and over which groups and gaps."""
-
-    kind: StatKind = StatKind.ACC_EQ
-    mode: GroupingMode = GroupingMode.GROUP_BY_ITEM
-    eps_mode: EpsilonMode = EpsilonMode.ABSOLUTE
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
-    """The chosen threshold and the statistic it achieves."""
+    """The batch report at the chosen threshold: ``report.epsilon.epsilon``
+    and the maximum, ``report.value``; and the candidates searched."""
 
-    epsilon_star: float
-    stat_star: float | None
-    candidates_evaluated: int
     report: CorrelationReport
+    candidates_evaluated: int
 
 
 def _moves(aligned: Aligned, eps_mode: EpsilonMode, total: int
@@ -224,15 +215,16 @@ def _memory_limit() -> tuple[int, str]:
     return min(limits, key=lambda limit: limit[0])
 
 
-def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
-              config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
-    """Find the tie threshold maximizing the configured statistic.
+def calibrate(human: ScoreMatrix, metric: ScoreMatrix, *, kind: StatKind = StatKind.ACC_EQ,
+              mode: GroupingMode = GroupingMode.GROUP_BY_ITEM,
+              eps_mode: EpsilonMode = EpsilonMode.ABSOLUTE) -> CalibrationResult:
+    """Find the tie threshold maximizing ``kind`` over ``mode``'s groups.
 
     Returns the smallest threshold achieving the maximum: an approximate
     walk gives a shortlist near the best (or every candidate, if few), then
     its exact replay and a batch re-verification (RuntimeError on a mismatch).
     """
-    aligned = align(human, metric, config.mode)
+    aligned = align(human, metric, mode)
     total_pairs = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
     need = (total_pairs * (_SWEEP_BYTES_PER_PAIR + (aligned.pairs is not None) * _LAYOUT_BYTES)
             + _SWEEP_MOVES * _MOVE_BYTES)
@@ -240,9 +232,8 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
     if need > have:
         raise MemoryError(f"calibrating {total_pairs:,} within-group pairs needs "
                           f"about {need / 2**30:.3g} GiB, more than {what}")
-    counts, gaps, packed = _moves(aligned, config.eps_mode, total_pairs)
+    counts, gaps, packed = _moves(aligned, eps_mode, total_pairs)
 
-    kind = config.kind
     n_groups = aligned.sizes.size
     contexts = _tau_c_contexts(*aligned[:3]) if kind is StatKind.TAU_C else None
 
@@ -296,17 +287,12 @@ def calibrate(human: ScoreMatrix, metric: ScoreMatrix,
             best_val = value
             best_eps = float(gaps[start + end - 1]) if start + end else 0.0
 
-    report = _reports(aligned, config.mode, [kind], EpsilonPolicy(best_eps, config.eps_mode))[0]
+    report = _reports(aligned, mode, [kind], EpsilonPolicy(best_eps, eps_mode))[0]
     if report.value != best_val:
         raise RuntimeError(
             "calibration sweep disagrees with batch re-evaluation at "
             f"epsilon={best_eps!r}: {best_val!r} vs {report.value!r}")
-    return CalibrationResult(
-        epsilon_star=float(best_eps),
-        stat_star=report.value,
-        candidates_evaluated=n_candidates,
-        report=report,
-    )
+    return CalibrationResult(report, n_candidates)
 
 
 @dataclass(frozen=True)

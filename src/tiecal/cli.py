@@ -20,12 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__, data
-from .calibration import (
-    CalibrationConfig,
-    calibrate,
-    f1_curve,
-    tie_location_histogram,
-)
+from .calibration import calibrate, f1_curve, tie_location_histogram
 from .data import (
     ReportDocument,
     ScoreFileError,
@@ -303,30 +298,30 @@ _CALIBRATE_COLUMNS = (
 )
 
 
-def _calibration_config(args: argparse.Namespace) -> CalibrationConfig:
-    """The config that calibrate and rank --calibrate build from their flags;
-    warns on stderr when its statistic does not reward correct ties."""
-    config = CalibrationConfig(kind=StatKind.parse(args.stat), mode=GroupingMode(args.mode),
-                               eps_mode=EpsilonMode(args.eps_mode))
-    if config.kind in TIE_AVERSE_KINDS:
-        print(f"warning: tie calibration with {config.kind.value} may lead to unexpected "
+def _calibration_options(args: argparse.Namespace) -> dict[str, Any]:
+    """The keywords that calibrate and rank --calibrate pass to ``calibrate``
+    from their flags; warns on stderr when the statistic does not reward
+    correct ties."""
+    kind = StatKind.parse(args.stat)
+    if kind in TIE_AVERSE_KINDS:
+        print(f"warning: tie calibration with {kind.value} may lead to unexpected "
               "results; the statistic does not reward correctly predicted ties",
               file=sys.stderr)
-    return config
+    return {"kind": kind, "mode": GroupingMode(args.mode), "eps_mode": EpsilonMode(args.eps_mode)}
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> Outputs:
-    config = _calibration_config(args)
+    options = _calibration_options(args)
     human, metrics, digests = _load_inputs(args.human, _parse_metrics(args.metric))
     rows = []
     for name, matrix in metrics:
-        result = calibrate(human, matrix, config)
-        value_text = "NaN" if result.stat_star is None else f"{result.stat_star:.6f}"
-        yield "-", [f"metric={name} epsilon={result.epsilon_star:.6g} "
-                    f"{config.kind.value}={value_text}\n".encode("utf-8")]
-        rows.append(_row(name, result.report, **_EXACT_SEARCH,
-                         candidates=result.candidates_evaluated,
-                         epsilon_star=result.epsilon_star))
+        result = calibrate(human, matrix, **options)
+        report = result.report
+        value_text = "NaN" if report.value is None else f"{report.value:.6f}"
+        yield "-", [f"metric={name} epsilon={report.epsilon.epsilon:.6g} "
+                    f"{report.kind.value}={value_text}\n".encode("utf-8")]
+        rows.append(_row(name, report, **_EXACT_SEARCH, candidates=result.candidates_evaluated,
+                         epsilon_star=report.epsilon.epsilon))
     if args.out != "-":
         yield args.out, _document(args, digests, _CALIBRATE_COLUMNS, rows)
     if args.emit_epsilon:
@@ -340,7 +335,7 @@ _RANK_COLUMNS = ("rank", "metric", "stat", "mode", "value", "epsilon",
 
 def _cmd_rank(args: argparse.Namespace) -> Outputs:
     if args.calibrate:
-        config = _calibration_config(args)
+        options = _calibration_options(args)
     else:
         kind, mode, pol = StatKind.parse(args.stat), GroupingMode(args.mode), _policy(args)
     human, metrics, digests = _load_inputs(args.human, _parse_metrics(args.metric))
@@ -349,7 +344,7 @@ def _cmd_rank(args: argparse.Namespace) -> Outputs:
             raise ValueError(f"metric name {BASELINE_NAME!r} is reserved for --baseline")
         constant = human.with_scores(array("d", [0.0]) * len(human))
         metrics.append((BASELINE_NAME, constant))
-    reports = {name: calibrate(human, matrix, config).report if args.calibrate
+    reports = {name: calibrate(human, matrix, **options).report if args.calibrate
                else grouped_stats(human, matrix, mode, [kind], pol)[0]
                for name, matrix in metrics}
     ranking = rank_metrics({name: report.value for name, report in reports.items()})

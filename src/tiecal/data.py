@@ -212,18 +212,14 @@ def dump_scores(matrix: ScoreMatrix) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def format_value(value: float | None) -> str:
-    """Six significant digits; undefined renders as "NaN"."""
-    return "NaN" if value is None else f"{float(value):.6g}"
-
-
 def _cell(value: Any) -> str:
+    """A TSV cell: a float at six significant digits, undefined as "NaN"."""
     if value is None:
         return "NaN"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format_value(value)
+        return f"{value:.6g}"
     return str(value)
 
 

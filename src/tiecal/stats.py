@@ -42,16 +42,6 @@ _CLASS_OF_CODE = np.array([_CONC, _DISC, _TIED_H, _TIED_H,
                            _TIED_M, _TIED_M, _TIED_BOTH, _TIED_BOTH], dtype=np.int8)
 
 
-def as_score_vector(values: Scores) -> np.ndarray:
-    """Return ``values`` as a 1-D float64 array, rejecting NaN and infinities."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"score vector must be 1-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError("score vector contains non-finite values")
-    return arr
-
-
 class EpsilonMode(enum.Enum):
     """How a metric-score gap is measured before comparing it to epsilon."""
 
@@ -98,11 +88,6 @@ class PairCounts:
     tied_human: int = 0   # tied in the human scores only
     tied_metric: int = 0  # tied in the metric scores only
     tied_both: int = 0
-
-    @property
-    def total(self) -> int:
-        return (self.concordant + self.discordant + self.tied_human
-                + self.tied_metric + self.tied_both)
 
 
 class StatKind(enum.Enum):
@@ -390,7 +375,11 @@ def break_ties_randomly(metric: Scores, pol: EpsilonPolicy = EpsilonPolicy(), *,
     order is chosen uniformly at random; the result is deterministic for a
     given seed.  Returned scores are the ranks 1..n.
     """
-    m = as_score_vector(metric)
+    m = np.asarray(metric, dtype=np.float64)
+    if m.ndim != 1:
+        raise ValueError(f"score vector must be 1-dimensional, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("score vector contains non-finite values")
     n = m.size
     rng = np.random.default_rng(seed)
     order = np.argsort(m, kind="stable")

@@ -23,7 +23,6 @@ from oracles import (
 )
 
 from tiecal import (
-    CalibrationConfig,
     EpsilonMode,
     EpsilonPolicy,
     GroupingMode,
@@ -105,9 +104,9 @@ def test_calibration_oracle_equivalence():
         h, m = _random_instance(rng, signed=relative)
         mode = GroupingMode.GROUP_BY_ITEM if i % 3 else GroupingMode.NO_GROUPING
         eps_mode = EpsilonMode.RELATIVE if relative else EpsilonMode.ABSOLUTE
-        result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode))
+        result = calibrate(h, m, kind=kind, mode=mode, eps_mode=eps_mode)
         expect_eps, expect_val = brute_force_calibration(h, m, mode, kind, relative)
-        if result.stat_star != expect_val or result.epsilon_star != expect_eps:
+        if result.report.value != expect_val or result.report.epsilon.epsilon != expect_eps:
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 30.0
@@ -294,8 +293,7 @@ def test_incremental_sweep_consistency():
         groups = oracle_groups(h, m, mode)
         candidates = sorted({0.0, *(float(gap) for view in pair_views(groups, relative)
                                     if view is not None for gap in view[0])})
-        result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ, mode=mode,
-                                                   eps_mode=eps_mode))
+        result = calibrate(h, m, kind=StatKind.ACC_EQ, mode=mode, eps_mode=eps_mode)
         failures += result.candidates_evaluated != len(candidates)
         aligned = align(h, m, mode)
         total = int((aligned.sizes * (aligned.sizes - 1) // 2).sum())
@@ -336,8 +334,7 @@ def test_performance():
             mmat.append((f"s{i:02d}", f"g{j:04d}", float(mj[i])))
     hmat, mmat = ScoreMatrix(hmat), ScoreMatrix(mmat)
     start = time.perf_counter()
-    result = calibrate(hmat, mmat, CalibrationConfig(kind=StatKind.ACC_EQ,
-                                                     mode=GroupingMode.GROUP_BY_ITEM))
+    result = calibrate(hmat, mmat, kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM)
     t_sweep = time.perf_counter() - start
     assert result.report.pairs_total == 1500 * 15 * 14 // 2
 
@@ -390,14 +387,14 @@ def test_wmt22_ende_optional():
     data_dir = Path(os.environ[WMT_DATA_ENV])
     human = load_scores(data_dir / "human.tsv")
     failures = []
-    config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM)
+    config = dict(kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM)
     for path in sorted(data_dir.glob("*.tsv")):
         name = path.stem
         if name == "human" or name not in WMT22_ENDE_EXPECTED:
             continue
-        result = calibrate(human, load_scores(path), config)
-        if abs(result.stat_star - WMT22_ENDE_EXPECTED[name]) > 0.01:
-            failures.append(f"{name}: {result.stat_star:.3f}")
-        if name == "Metric-X" and abs(result.epsilon_star - 0.04) > 0.01:
-            failures.append(f"Metric-X eps*: {result.epsilon_star:.3f}")
+        result = calibrate(human, load_scores(path), **config)
+        if abs(result.report.value - WMT22_ENDE_EXPECTED[name]) > 0.01:
+            failures.append(f"{name}: {result.report.value:.3f}")
+        if name == "Metric-X" and abs(result.report.epsilon.epsilon - 0.04) > 0.01:
+            failures.append(f"Metric-X eps*: {result.report.epsilon.epsilon:.3f}")
     report("wmt22-ende-optional", not failures, "; ".join(failures))

@@ -14,7 +14,6 @@ from oracles import brute_force_calibration, naive_suff_stats, oracle_groups, pa
 
 import tiecal
 from tiecal import (
-    CalibrationConfig,
     EpsilonMode,
     EpsilonPolicy,
     GroupingMode,
@@ -28,6 +27,7 @@ from tiecal import (
 )
 from tiecal.calibration import (
     _MOVE_BYTES,
+    _REPLAY_STEP_MOVES,
     _SWEEP_MOVES,
     _approx_means,
     _moves,
@@ -69,7 +69,7 @@ def assert_replay_and_walk_match_fresh_counts(h, m, mode, eps_mode, kind):
     groups = oracle_groups(h, m, mode)
     candidates = sorted({0.0, *(float(gap) for view in pair_views(groups, relative)
                                 if view is not None for gap in view[0])})
-    result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode))
+    result = calibrate(h, m, kind=kind, mode=mode, eps_mode=eps_mode)
     assert result.candidates_evaluated == len(candidates)
 
     aligned = align(h, m, mode)
@@ -96,27 +96,27 @@ def assert_replay_and_walk_match_fresh_counts(h, m, mode, eps_mode, kind):
 class TestCalibrate:
     def test_small_example_finds_gap(self):
         h, m = single_group([0, 0, 1], [0.0, 0.05, 1.0])
-        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING)
-        result = calibrate(h, m, config)
-        assert result.epsilon_star == 0.05
-        assert result.stat_star == 1.0
+        config = dict(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING)
+        result = calibrate(h, m, **config)
+        assert result.report.epsilon.epsilon == 0.05
+        assert result.report.value == 1.0
         # threshold zero only ties nothing: accuracy 2/3
         assert grouped_stats(h, m, GroupingMode.NO_GROUPING,
                              [StatKind.ACC_EQ], EpsilonPolicy())[0].value == pytest.approx(2 / 3)
 
     def test_perfect_metric_keeps_zero(self):
         h, m = single_group([1, 2, 3, 4], [1, 2, 3, 4])
-        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING)
-        result = calibrate(h, m, config)
-        assert result.epsilon_star == 0.0
-        assert result.stat_star == 1.0
+        config = dict(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING)
+        result = calibrate(h, m, **config)
+        assert result.report.epsilon.epsilon == 0.0
+        assert result.report.value == 1.0
 
     def test_constant_human_ties_everything(self):
         h, m = single_group([3, 3, 3, 3], [0.0, 1.0, 2.5, 4.0])
-        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING)
-        result = calibrate(h, m, config)
-        assert result.epsilon_star == 4.0  # the maximum gap
-        assert result.stat_star == 1.0
+        config = dict(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING)
+        result = calibrate(h, m, **config)
+        assert result.report.epsilon.epsilon == 4.0  # the maximum gap
+        assert result.report.value == 1.0
 
     @pytest.mark.parametrize("metric", [
         [("s1", "g1", 1.0), ("s1", "g2", 2.0)],  # one system by item: groups of one
@@ -128,20 +128,19 @@ class TestCalibrate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = calibrate(h, ScoreMatrix(metric),
-                               CalibrationConfig(mode=GroupingMode.GROUP_BY_ITEM))
-        assert (result.epsilon_star, result.stat_star, result.candidates_evaluated) == (
-            0.0, None, 1)
+                               mode=GroupingMode.GROUP_BY_ITEM)
+        report = result.report
+        assert (report.epsilon.epsilon, report.value, result.candidates_evaluated) == (0.0, None, 1)
         assert result.report.pairs_total == 0
 
     def test_never_worse_than_zero_threshold(self):
         rng = np.random.default_rng(19)
         for _ in range(25):
             h, m = random_instance(rng)
-            config = CalibrationConfig(kind=StatKind.ACC_EQ,
-                                       mode=GroupingMode.GROUP_BY_ITEM)
-            result = calibrate(h, m, config)
-            at_zero = grouped_stats(h, m, config.mode, [config.kind], EpsilonPolicy())[0].value
-            assert result.stat_star >= at_zero
+            mode = GroupingMode.GROUP_BY_ITEM
+            result = calibrate(h, m, kind=StatKind.ACC_EQ, mode=mode)
+            at_zero = grouped_stats(h, m, mode, [StatKind.ACC_EQ], EpsilonPolicy())[0].value
+            assert result.report.value >= at_zero
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(101)
@@ -152,10 +151,10 @@ class TestCalibrate:
             mode = GroupingMode.GROUP_BY_ITEM if i % 3 else GroupingMode.NO_GROUPING
             relative = (i // len(kinds)) % 2 == 1
             eps_mode = EpsilonMode.RELATIVE if relative else EpsilonMode.ABSOLUTE
-            result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode))
+            result = calibrate(h, m, kind=kind, mode=mode, eps_mode=eps_mode)
             expect_eps, expect_val = brute_force_calibration(h, m, mode, kind, relative)
-            assert result.stat_star == expect_val
-            assert result.epsilon_star == expect_eps
+            assert result.report.value == expect_val
+            assert result.report.epsilon.epsilon == expect_eps
 
     def test_incremental_counts_match_fresh_counts(self):
         # grouped and pooled, in both epsilon modes
@@ -187,22 +186,22 @@ class TestCalibrate:
     def test_deterministic(self):
         rng = np.random.default_rng(77)
         h, m = random_instance(rng)
-        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM)
-        a = calibrate(h, m, config)
-        b = calibrate(h, m, config)
+        config = dict(kind=StatKind.ACC_EQ, mode=GroupingMode.GROUP_BY_ITEM)
+        a = calibrate(h, m, **config)
+        b = calibrate(h, m, **config)
         assert a == b
 
     def test_relative_mode_sweep(self):
         # relative gaps: |10-9|/10 = 0.1, |100-90|/100 = 0.1, |10-100|/100 = 0.9
         h, m = single_group([0, 0, 1], [9.0, 10.0, 100.0])
         h2, m2 = single_group([0, 0, 1], [9.0, 10.0, 100.0])
-        config = CalibrationConfig(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING,
-                                   eps_mode=EpsilonMode.RELATIVE)
-        result = calibrate(h, m, config)
-        assert result.epsilon_star == pytest.approx(0.1)
-        assert result.stat_star == 1.0
+        config = dict(kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING,
+                      eps_mode=EpsilonMode.RELATIVE)
+        result = calibrate(h, m, **config)
+        assert result.report.epsilon.epsilon == pytest.approx(0.1)
+        assert result.report.value == 1.0
         check = grouped_stats(h2, m2, GroupingMode.NO_GROUPING, [StatKind.ACC_EQ],
-                              EpsilonPolicy(result.epsilon_star, EpsilonMode.RELATIVE))[0]
+                              result.report.epsilon)[0]
         assert check.value == 1.0
 
     def test_pair_kernel_matches_per_group_triu_order(self):
@@ -228,7 +227,7 @@ class TestCalibrate:
 
     def test_refuses_more_pairs_than_physical_memory(self, monkeypatch):
         h, m = single_group(np.arange(300) % 4, np.arange(300) / 7)  # 44,850 pairs
-        config = CalibrationConfig(mode=GroupingMode.NO_GROUPING)
+        config = dict(mode=GroupingMode.NO_GROUPING)
 
         def machine(memory):
             monkeypatch.setattr("tiecal.calibration.os.sysconf", lambda name: {
@@ -237,20 +236,20 @@ class TestCalibrate:
         need = 32 * 44_850 + _SWEEP_MOVES * _MOVE_BYTES  # the pairs and the walk's block
         machine(need - 1)
         with pytest.raises(MemoryError) as info:
-            calibrate(h, m, config)
+            calibrate(h, m, **config)
         message = str(info.value)
         assert "\n" not in message
         assert "44,850 within-group pairs" in message
         assert f"about {need / 2**30:.3g} GiB" in message
         assert f"machine's {(need - 1) / 2**30:.3g} GiB of memory" in message
         machine(need)
-        assert calibrate(h, m, config).report.pairs_total == 44_850
+        assert calibrate(h, m, **config).report.pairs_total == 44_850
 
     @pytest.mark.parametrize("limit", ["rlimit_as", "cgroup", "cgroup_v1"])
     def test_refuses_more_pairs_than_the_smallest_memory_limit(self, monkeypatch, tmp_path,
                                                                limit):
         h, m = single_group(np.arange(300) % 4, np.arange(300) / 7)  # 44,850 pairs
-        config = CalibrationConfig(mode=GroupingMode.NO_GROUPING)
+        config = dict(mode=GroupingMode.NO_GROUPING)
         need = 32 * 44_850 + _SWEEP_MOVES * _MOVE_BYTES
         monkeypatch.setattr("tiecal.calibration.os.sysconf", lambda name: {
             "SC_PHYS_PAGES": 2 * need, "SC_PAGE_SIZE": 1}[name])
@@ -272,20 +271,20 @@ class TestCalibrate:
             else:
                 limit_file.write_text(f"{value}\n")
 
-        assert calibrate(h, m, config).report.pairs_total == 44_850  # physical memory only
+        assert calibrate(h, m, **config).report.pairs_total == 44_850  # physical memory only
         set_limit(need - 1)
         with pytest.raises(MemoryError) as info:
-            calibrate(h, m, config)
+            calibrate(h, m, **config)
         message = str(info.value)
         assert "\n" not in message and "44,850 within-group pairs" in message
         assert f"the {(need - 1) / 2**30:.3g} GiB " in message
         assert ("RLIMIT_AS" if limit == "rlimit_as" else
                 f"{limit_file.name} of cgroup {limit_file.parent}") in message
         set_limit(need)
-        assert calibrate(h, m, config).report.pairs_total == 44_850
+        assert calibrate(h, m, **config).report.pairs_total == 44_850
         if limit != "rlimit_as":  # a cgroup without a limit
             set_limit("max" if limit == "cgroup" else 9223372036854771712)
-            assert calibrate(h, m, config).report.pairs_total == 44_850
+            assert calibrate(h, m, **config).report.pairs_total == 44_850
 
 
 class TestManySmallGroups:
@@ -313,10 +312,10 @@ class TestManySmallGroups:
         h, m, n_groups = campaign
         mode = GroupingMode.GROUP_BY_ITEM
         batch = [grouped_stats(h, m, mode, [kind], EpsilonPolicy(eps))[0].value for eps in range(9)]
-        result = calibrate(h, m, CalibrationConfig(kind=kind, mode=mode))
+        result = calibrate(h, m, kind=kind, mode=mode)
         assert result.candidates_evaluated == 9
-        assert result.stat_star == max(batch)
-        assert result.epsilon_star == batch.index(max(batch)) > 0
+        assert result.report.value == max(batch)
+        assert result.report.epsilon.epsilon == batch.index(max(batch)) > 0
         assert result.report.groups_total == n_groups
 
         # the blocked sweep's approximate means track the batch values at every candidate
@@ -380,14 +379,14 @@ class TestPairMemory:
 
     def test_calibration_holds_under_40_bytes_a_pair(self, campaign):
         h, m = campaign
-        config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
-        assert self.peak(lambda: calibrate(h, m, config)) < 40 * self.PAIRS
+        config = dict(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
+        assert self.peak(lambda: calibrate(h, m, **config)) < 40 * self.PAIRS
 
     def test_calibration_stays_within_its_memory_guard(self, campaign):
         """The traced peak is at most what the guard reserves: 32 B a pair."""
         h, m = campaign
-        config = CalibrationConfig(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
-        assert self.peak(lambda: calibrate(h, m, config)) <= 32 * self.PAIRS
+        config = dict(mode=self.MODE, eps_mode=EpsilonMode.RELATIVE)
+        assert self.peak(lambda: calibrate(h, m, **config)) <= 32 * self.PAIRS
 
     def test_calibration_of_a_wide_window_stays_within_its_memory_guard(self, campaign,
                                                                           monkeypatch):
@@ -402,8 +401,8 @@ class TestPairMemory:
         window = tiecal.calibration._window
         monkeypatch.setattr("tiecal.calibration._window",
                             lambda *args: seen.append((window(*args), args[3])) or seen[-1][0])
-        config = CalibrationConfig(mode=self.MODE)
-        assert self.peak(lambda: calibrate(h, m, config)) <= 32 * self.PAIRS
+        config = dict(mode=self.MODE)
+        assert self.peak(lambda: calibrate(h, m, **config)) <= 32 * self.PAIRS
         ((lo, hi), gaps), = seen  # gaps: every move's, sorted in place by calibrate
         assert lo == 0.0 and hi < math.inf
         assert np.count_nonzero(gaps < hi) >= 0.8 * gaps.size >= 0.8 * 0.9 * self.PAIRS
@@ -453,7 +452,7 @@ class TestPairLayout:
         walk = tiecal.calibration._approx_means
         with mock.patch("tiecal.calibration._approx_means",
                         lambda *args: walked.append(args[4].size) or walk(*args)):
-            result = calibrate(h, m, CalibrationConfig(eps_mode=eps_mode))
+            result = calibrate(h, m, eps_mode=eps_mode)
         moves = _moves(align(h, m, self.MODE), eps_mode, self.PAIRS)[1].size
         assert result.candidates_evaluated > 10**5 and moves > 10**5
         assert len(walked) == 1 and 0 < walked[0] < moves / 10
@@ -467,7 +466,7 @@ class TestPairLayout:
         with mock.patch("tiecal.calibration._approx_means", wraps=walk) as walked:
             tracemalloc.start()
             try:
-                calibrate(h, m, CalibrationConfig(mode=self.MODE))
+                calibrate(h, m, mode=self.MODE)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -486,7 +485,7 @@ class TestPairLayout:
                             lambda h, sizes: builds.append(sizes.size) or build(h, sizes))
         for mode in (self.MODE, GroupingMode.GROUP_BY_SYSTEM, GroupingMode.NO_GROUPING):
             for m in metrics:
-                calibrate(h, m, CalibrationConfig(mode=mode))
+                calibrate(h, m, mode=mode)
                 f1_curve(h, m, mode, [0.0, 0.5, 2.0], EpsilonMode.RELATIVE)
                 tie_location_histogram(h, m, EpsilonPolicy(0.1), 5, mode)
         # 40 items and 15 systems get one each.  The 600 rows pooled get none:
@@ -495,7 +494,8 @@ class TestPairLayout:
         assert builds == [40, 15] + [1] * (2 * len(metrics))
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "subset"])
-    @pytest.mark.parametrize("step", [math.inf, 512, -math.inf], ids=["walk", "rule", "replay"])
+    @pytest.mark.parametrize("step", [math.inf, _REPLAY_STEP_MOVES, -math.inf],
+                             ids=["walk", "rule", "replay"])
     @pytest.mark.parametrize("eps_mode", list(EpsilonMode))
     def test_discrete_calibration_equals_brute_force(self, columns, monkeypatch, shared,
                                                      step, eps_mode):
@@ -506,7 +506,7 @@ class TestPairLayout:
         if not shared:  # a metric on a subset of the keys lists its own pairs
             m = ScoreMatrix(list(m.items())[1:])
         calibrate(h, h.with_scores(array("d", discrete[:15 * 40])),
-                  CalibrationConfig(eps_mode=eps_mode))  # the human side's layout
+                  eps_mode=eps_mode)  # the human side's layout
         walks, windows = [], []
         walk, window = tiecal.calibration._approx_means, tiecal.calibration._window
         monkeypatch.setattr("tiecal.calibration._REPLAY_STEP_MOVES", step)
@@ -515,9 +515,9 @@ class TestPairLayout:
         monkeypatch.setattr("tiecal.calibration._window",
                             lambda *args: windows.append(window(*args)) or windows[-1])
         for kind in (StatKind.ACC_EQ, StatKind.TIES_F1, StatKind.TAU_C, StatKind.RANK_F1):
-            result = calibrate(h, m, CalibrationConfig(kind=kind, eps_mode=eps_mode))
+            result = calibrate(h, m, kind=kind, eps_mode=eps_mode)
             assert (align(h, m, self.MODE).pairs is not None) == shared
-            assert (result.epsilon_star, result.stat_star) == brute_force_calibration(
+            assert (result.report.epsilon.epsilon, result.report.value) == brute_force_calibration(
                 h, m, self.MODE, kind, eps_mode is EpsilonMode.RELATIVE)
         aligned = align(h, m, self.MODE)
         _, gaps, _ = _moves(aligned, eps_mode, 40 * 15 * 14 // 2)
@@ -538,8 +538,9 @@ class TestPairLayout:
         h, m = single_group([0, 0], scores)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning either
-            result = calibrate(h, m, CalibrationConfig(eps_mode=eps_mode))
-        assert (result.epsilon_star, result.stat_star, result.candidates_evaluated) == expected
+            result = calibrate(h, m, eps_mode=eps_mode)
+        assert (result.report.epsilon.epsilon, result.report.value,
+                result.candidates_evaluated) == expected
 
 
 class TestGapBins:
@@ -568,8 +569,8 @@ class TestGapBins:
         monkeypatch.setattr("tiecal.calibration._BIN_SHIFT", shift)
         monkeypatch.setattr("tiecal.calibration._window",
                             lambda *args: windows.append(window(*args)) or windows[-1])
-        result = calibrate(h, m, CalibrationConfig(kind=kind))
-        assert (result.epsilon_star, result.stat_star) == brute_force_calibration(
+        result = calibrate(h, m, kind=kind)
+        assert (result.report.epsilon.epsilon, result.report.value) == brute_force_calibration(
             h, m, GroupingMode.GROUP_BY_ITEM, kind)
         assert result.candidates_evaluated == 5
         (lo, hi), = windows
@@ -577,7 +578,7 @@ class TestGapBins:
         if kind is StatKind.TAU_B or shift == 63:
             assert lo == 0.0  # every move
         else:
-            assert result.epsilon_star == 0.01
+            assert result.report.epsilon.epsilon == 0.01
             assert 0.001 < lo <= 0.01  # the bin of 0.001 is left out
 
     def test_maximum_inside_a_bin_whose_ends_are_lower(self):
@@ -590,10 +591,10 @@ class TestGapBins:
         h, m = self.campaign(*({item: pairs[side] for item, pairs in items.items()}
                                for side in (0, 1)))
         for kind in (StatKind.ACC_EQ, StatKind.TAU_EQ):
-            result = calibrate(h, m, CalibrationConfig(kind=kind))
-            assert (result.epsilon_star, result.stat_star) == brute_force_calibration(
+            result = calibrate(h, m, kind=kind)
+            assert (result.report.epsilon.epsilon, result.report.value) == brute_force_calibration(
                 h, m, GroupingMode.GROUP_BY_ITEM, kind)
-            assert result.epsilon_star == 1.0
+            assert result.report.epsilon.epsilon == 1.0
 
 
 class TestApplyEpsilon:
@@ -601,11 +602,10 @@ class TestApplyEpsilon:
 
     def test_self_application_consistency(self):
         h, m = single_group([0, 0, 1], [0.0, 0.05, 1.0])
-        result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ,
-                                                   mode=GroupingMode.NO_GROUPING))
+        result = calibrate(h, m, kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING)
         report = grouped_stats(h, m, GroupingMode.NO_GROUPING, [StatKind.ACC_EQ],
-                               EpsilonPolicy(result.epsilon_star))[0]
-        assert report.value == result.stat_star
+                               EpsilonPolicy(result.report.epsilon.epsilon))[0]
+        assert report.value == result.report.value
 
     def test_zero_threshold_equals_plain_stat(self):
         rng = np.random.default_rng(15)
@@ -660,9 +660,8 @@ class TestTieLocationHistogram:
         h_scores = np.concatenate([np.full(12, 10.0), np.arange(6, dtype=float)])
         m_scores = h_scores + rng.normal(scale=0.01, size=h_scores.size)
         h, m = single_group(h_scores, m_scores)
-        result = calibrate(h, m, CalibrationConfig(kind=StatKind.ACC_EQ,
-                                                   mode=GroupingMode.NO_GROUPING))
-        hist = tie_location_histogram(h, m, EpsilonPolicy(result.epsilon_star), bins=4)
+        result = calibrate(h, m, kind=StatKind.ACC_EQ, mode=GroupingMode.NO_GROUPING)
+        hist = tie_location_histogram(h, m, EpsilonPolicy(result.report.epsilon.epsilon), bins=4)
         assert hist.newly_tied[-1] > hist.newly_tied[:2].sum()
 
     def test_midpoints_too_close_for_numpy_edges(self):

@@ -25,7 +25,6 @@ from oracles import (
 )
 
 from tiecal import (
-    CalibrationConfig,
     EpsilonMode,
     EpsilonPolicy,
     GroupingMode,
@@ -37,7 +36,7 @@ from tiecal import (
     grouped_stats,
     tie_location_histogram,
 )
-from tiecal.calibration import _BIN_SHIFT
+from tiecal.calibration import _BIN_SHIFT, _REPLAY_STEP_MOVES
 from tiecal.stats import _BLOCK_PAIRS, _kernel_sized, _pair_blocks, _pair_counts, _sort_counts
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -241,36 +240,36 @@ def test_tie_histogram_top_edge_of_mixed_signed_zeros():
 @PROFILE
 @given(campaign=campaigns(), mode=MODES, relative=st.booleans(),
        kind=st.sampled_from(list(StatKind)), moves=st.integers(1, 7), block=KERNEL_BLOCKS,
-       step=st.sampled_from([512, -math.inf]))
+       step=st.sampled_from([_REPLAY_STEP_MOVES, -math.inf]))
 def test_calibrate_equals_brute_force(campaign, mode, relative, kind, moves, block, step):
     # step -inf replays every candidate without the walk
     human, metric = campaign
-    config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
+    config = dict(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
     with mock.patch("tiecal.calibration._SWEEP_MOVES", moves), \
             mock.patch("tiecal.stats._BLOCK_PAIRS", block), \
             mock.patch("tiecal.calibration._REPLAY_STEP_MOVES", step):
-        result = calibrate(human, metric, config)
+        result = calibrate(human, metric, **config)
     expect_eps, expect_val = brute_force_calibration(human, metric, mode, kind, relative)
-    assert (result.epsilon_star, result.stat_star) == (expect_eps, expect_val)
+    assert (result.report.epsilon.epsilon, result.report.value) == (expect_eps, expect_val)
 
 
 @PROFILE
 @given(campaign=campaigns(POOLS + (SPREAD,)), mode=MODES, relative=st.booleans(),
        kind=st.sampled_from([StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TAU_B]),
        shift=st.sampled_from([_BIN_SHIFT, 63]), moves=st.integers(1, 7),
-       step=st.sampled_from([512, -math.inf]))
+       step=st.sampled_from([_REPLAY_STEP_MOVES, -math.inf]))
 def test_calibrate_over_gap_bins_equals_brute_force(campaign, mode, relative, kind, shift,
                                                     moves, step):
     # acc_eq and tau_eq walk only a window of gap bins, tau_b every move; a
     # shift of 63 puts every gap in one bin, so no window leaves one out
     human, metric = campaign
-    config = CalibrationConfig(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
+    config = dict(kind=kind, mode=mode, eps_mode=eps_mode_of(relative))
     with mock.patch("tiecal.calibration._BIN_SHIFT", shift), \
             mock.patch("tiecal.calibration._SWEEP_MOVES", moves), \
             mock.patch("tiecal.calibration._REPLAY_STEP_MOVES", step):
-        result = calibrate(human, metric, config)
+        result = calibrate(human, metric, **config)
     expect_eps, expect_val = brute_force_calibration(human, metric, mode, kind, relative)
-    assert (result.epsilon_star, result.stat_star) == (expect_eps, expect_val)
+    assert (result.report.epsilon.epsilon, result.report.value) == (expect_eps, expect_val)
     # the candidates are zero and every distinct gap a threshold can tie, in
     # the window or not
     views = pair_views(oracle_groups(human, metric, mode), relative)
@@ -298,9 +297,10 @@ def test_relative_mode_is_scale_free(campaign, mode, kind, data):
                 == _pair_counts(h, m, sizes, pol).tolist())
     assert (_sort_counts(h, np.ldexp(m, k), sizes, pol).tolist()
             == _sort_counts(h, m, sizes, pol).tolist())
-    config = CalibrationConfig(kind=kind, mode=mode, eps_mode=EpsilonMode.RELATIVE)
-    results = [calibrate(human, matrix, config) for matrix in (metric, scaled)]
-    assert len({(r.epsilon_star, r.stat_star, r.candidates_evaluated) for r in results}) == 1
+    config = dict(kind=kind, mode=mode, eps_mode=EpsilonMode.RELATIVE)
+    results = [calibrate(human, matrix, **config) for matrix in (metric, scaled)]
+    assert len({(r.report.epsilon.epsilon, r.report.value, r.candidates_evaluated)
+                for r in results}) == 1
 
 
 @PROFILE
@@ -326,8 +326,8 @@ def test_absolute_mode_scales_with_epsilon(campaign, mode, kind, data):
                 == _pair_counts(h, m, sizes, pol).tolist())
     assert (_sort_counts(h, np.ldexp(m, k), sizes, scaled_pol).tolist()
             == _sort_counts(h, m, sizes, pol).tolist())
-    config = CalibrationConfig(kind=kind, mode=mode)
-    result, scaled_result = (calibrate(human, matrix, config) for matrix in (metric, scaled))
-    assert scaled_result.epsilon_star == math.ldexp(result.epsilon_star, k)
-    assert (scaled_result.stat_star, scaled_result.candidates_evaluated) == (
-        result.stat_star, result.candidates_evaluated)
+    config = dict(kind=kind, mode=mode)
+    result, scaled_result = (calibrate(human, matrix, **config) for matrix in (metric, scaled))
+    assert scaled_result.report.epsilon.epsilon == math.ldexp(result.report.epsilon.epsilon, k)
+    assert (scaled_result.report.value, scaled_result.candidates_evaluated) == (
+        result.report.value, result.candidates_evaluated)

@@ -743,7 +743,7 @@ class TestFailuresExitTwo:
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
         before = {path: path.read_bytes() for path in tmp_path.iterdir()}
 
-        def interrupt(*args):
+        def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
         monkeypatch.setattr("tiecal.cli.calibrate", interrupt)
         code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
@@ -761,11 +761,11 @@ class TestFailuresExitTwo:
         out, eps = tmp_path / "out.tsv", tmp_path / "eps.tsv"
         calls, real = [], tiecal.cli.calibrate
 
-        def second_fails(*args):
+        def second_fails(*args, **kwargs):
             calls.append(args)
             if len(calls) == 2:
                 raise RuntimeError("calibration sweep disagrees with batch re-evaluation")
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr("tiecal.cli.calibrate", second_fails)
         code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
                      "--metric", f"n={other}", "--mode", "no-grouping",
@@ -1406,6 +1406,30 @@ def test_json_reports_equal_the_oracles(tmp_path_factory, systems, segments, dat
     assert [row["newly_tied"] for row in hist] == np.histogram(newly_tied, edges)[0].tolist()
 
 
+def oracle_bucket_rows(h, tmp, name, kind, mode, k_list):
+    """``buckets``' rows for NAME.tsv in ``tmp``: k buckets over the metric's
+    range, min(k - 1, floor((s - lo) / (hi - lo) * k))."""
+    scored = oracle_load_scores(tmp / f"{name}.tsv")
+    lo, hi = min((s for _, s in scored), default=0.0), max((s for _, s in scored), default=0.0)
+    rows = []
+    for k in k_list:
+        bucketed = [(*key, float(min(k - 1, math.floor((s - lo) / (hi - lo) * k))) if hi > lo
+                     else 0.0) for key, s in scored]
+        fields = oracle_fields(oracle_groups(h, SimpleNamespace(items=lambda: bucketed), mode),
+                               kind, 0.0, False)
+        rows.append({"metric": name, "stat": kind.value, "mode": mode.value, "k": k,
+                     **{column: fields[column]
+                        for column in ("value", "groups_total", "groups_used", "pairs_total")}})
+    return rows
+
+
+def oracle_ranking(values):
+    """Names by value descending, undefined last, ties by name."""
+    defined = sorted((name for name in values if values[name] is not None),
+                     key=lambda name: (-values[name], name))
+    return defined + sorted(name for name in values if values[name] is None)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(systems=st.integers(2, 6), segments=st.integers(2, 8), data=st.data(),
        mode=st.sampled_from(list(GroupingMode)), relative=st.booleans(),
@@ -1428,9 +1452,7 @@ def test_rank_buckets_and_perturb_equal_the_oracles(tmp_path_factory, systems, s
         """``rank``'s rows and ranking: values descending, undefined last, ties by name."""
         assert main([*argv, "--format", "json", "--out", str(out)]) == 0
         report = json.loads(out.read_bytes())
-        defined = sorted((name for name in fields if fields[name]["value"] is not None),
-                         key=lambda name: (-fields[name]["value"], name))
-        order = defined + sorted(name for name in fields if fields[name]["value"] is None)
+        order = oracle_ranking({name: field["value"] for name, field in fields.items()})
         assert report["ranking"] == order
         assert report["results"] == [
             {"rank": rank, "metric": name, "stat": kind.value, "mode": mode.value, **fields[name]}
@@ -1451,28 +1473,129 @@ def test_rank_buckets_and_perturb_equal_the_oracles(tmp_path_factory, systems, s
         calibrated[name] = {**row_fields(m, epsilon_star), "value": value}
     assert_ranked(["rank", *inputs, "--calibrate", "--baseline"], calibrated)
 
-    # buckets: k buckets over the metric's range, min(k - 1, floor((s - lo) / (hi - lo) * k))
     k_list = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
-    scored = oracle_load_scores(tmp / "zeta.tsv")
-    lo, hi = min((s for _, s in scored), default=0.0), max((s for _, s in scored), default=0.0)
-    rows = []
-    for k in k_list:
-        bucketed = [(*key, float(min(k - 1, math.floor((s - lo) / (hi - lo) * k))) if hi > lo
-                     else 0.0) for key, s in scored]
-        fields = oracle_fields(oracle_groups(h, SimpleNamespace(items=lambda: bucketed), mode),
-                               kind, 0.0, False)
-        rows.append({"metric": "zeta", "stat": kind.value, "mode": mode.value, "k": k,
-                     **{column: fields[column]
-                        for column in ("value", "groups_total", "groups_used", "pairs_total")}})
+    rows = oracle_bucket_rows(h, tmp, "zeta", kind, mode, k_list)
     assert json_results(["buckets", *common, f"--metric=zeta={tmp / 'zeta.tsv'}",
                          "--k-list", ",".join(map(str, k_list))], out) == rows
 
     # perturb: the key-sorted scores' ranks after the loop's tie breaking, sorted by key
-    by_key = sorted(scored)
+    by_key = sorted(oracle_load_scores(tmp / "zeta.tsv"))
     ranks = loop_break_ties_randomly([s for _, s in by_key], eps, relative, seed).tolist()
     assert main(["perturb", f"--metric=zeta={tmp / 'zeta.tsv'}", "--epsilon", repr(eps),
                  "--eps-mode", eps_mode, "--seed", str(seed), "--out", str(out)]) == 0
     assert oracle_load_scores(out) == [(key, rank) for (key, _), rank in zip(by_key, ranks)]
+
+
+# Each report command's columns, in order.
+REPORT_COLUMNS = {
+    "correlate": ("metric", "stat", "mode", "eps_mode", "epsilon", "value", "groups_total",
+                  "groups_used", "pairs_total", *CLASS_COLUMNS),
+    "calibrate": ("metric", "stat", "mode", "eps_mode", "sample_fraction", "seed", "exact",
+                  "candidates", "epsilon_star", "value", "groups_total", "groups_used",
+                  "pairs_total"),
+    "rank": ("rank", "metric", "stat", "mode", "value", "epsilon", "groups_total",
+             "groups_used"),
+    "buckets": ("metric", "stat", "mode", "k", "value", "groups_total", "groups_used",
+                "pairs_total"),
+    "tie-hist": ("bin_start", "bin_end", "all_pairs", "newly_tied"),
+    "f1-curve": ("epsilon", "ties_f1", "rank_f1", "acc_eq"),
+}
+
+
+def tsv_cell(value):
+    """A TSV report cell: a float at six significant digits, undefined as
+    NaN, a boolean as true or false."""
+    if value is None:
+        return "NaN"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(systems=st.integers(2, 5), segments=st.integers(2, 6), data=st.data(),
+       mode=st.sampled_from(list(GroupingMode)), relative=st.booleans(),
+       kind=st.sampled_from(list(StatKind)), bins=st.integers(1, 20))
+def test_report_headers_and_tsv_cells_equal_the_oracles(tmp_path_factory, systems, segments,
+                                                        data, mode, relative, kind, bins):
+    tmp = tmp_path_factory.mktemp("oracles")
+    names = ["b", "a"]  # given out of name order
+    h, *metrics = write_campaign(data, tmp, systems, segments, names).values()
+    metrics = dict(zip(names, metrics))
+    groups = {name: oracle_groups(h, m, mode) for name, m in metrics.items()}
+    eps_mode = "relative" if relative else "absolute"
+    eps = data.draw(st.sampled_from(campaign_gaps(
+        [group for named in groups.values() for group in named], relative)))
+    same = {"mode": mode.value, "eps_mode": eps_mode}
+    digest = {name: hashlib.sha256((tmp / f"{name}.tsv").read_bytes()).hexdigest()
+              for name in ["h", *names]}
+
+    correlated = [{"metric": name, "stat": overall.value, **same, "epsilon": eps,
+                   **oracle_fields(groups[name], overall, eps, relative)}
+                  for name in names for overall in OVERALL_STAT_KINDS]
+    calibrated = []
+    for name in names:
+        epsilon_star, value = brute_force_calibration(h, metrics[name], mode, kind, relative)
+        calibrated.append({
+            "metric": name, "stat": kind.value, **same, "sample_fraction": 1.0, "seed": 0,
+            "exact": True, "candidates": len(campaign_gaps(groups[name], relative)),
+            "epsilon_star": epsilon_star,
+            **oracle_fields(groups[name], kind, epsilon_star, relative), "value": value})
+    at_eps = {name: oracle_fields(groups[name], kind, eps, relative) for name in names}
+    ranking = oracle_ranking({name: fields["value"] for name, fields in at_eps.items()})
+    ranked = [{"rank": rank, "metric": name, "stat": kind.value, "mode": mode.value,
+               "epsilon": eps, **at_eps[name]} for rank, name in enumerate(ranking, start=1)]
+    k_list = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    pairs = [(a, b) for _, mg in groups["a"] for a, b in itertools.combinations(mg.tolist(), 2)]
+    midpoints = [(a + b) / 2 for a, b in pairs]
+    edges = np.histogram_bin_edges(midpoints, bins).tolist()
+    counts = np.histogram(midpoints, edges)[0].tolist()
+    newly_tied = np.histogram([(a + b) / 2 for a, b in pairs
+                               if 0.0 < oracle_gap(a, b, relative) <= eps], edges)[0].tolist()
+    grid = sorted(data.draw(st.lists(st.sampled_from(campaign_gaps(groups["a"], relative)),
+                                     min_size=1, max_size=4, unique=True)))
+    curve = [{"epsilon": point, **{stat.value: oracle_fields(groups["a"], stat, point,
+                                                             relative)["value"]
+                                   for stat in (StatKind.TIES_F1, StatKind.RANK_F1,
+                                                StatKind.ACC_EQ)}} for point in grid]
+
+    # command: (its metrics, its options, the oracle rows, the ranking)
+    reports = {
+        "correlate": (names, ["--stat", "all", "--epsilon", repr(eps)], correlated, None),
+        "calibrate": (names, ["--stat", kind.value], calibrated, None),
+        "rank": (names, ["--stat", kind.value, "--epsilon", repr(eps)], ranked, ranking),
+        "buckets": (["a"], ["--stat", kind.value, "--k-list", ",".join(map(str, k_list))],
+                    oracle_bucket_rows(h, tmp, "a", kind, mode, k_list), None),
+        "tie-hist": (["a"], ["--epsilon", repr(eps), "--bins", str(bins)],
+                     [dict(zip(REPORT_COLUMNS["tie-hist"], row))
+                      for row in zip(edges, edges[1:], counts, newly_tied)], None),
+        "f1-curve": (["a"], ["--eps-grid", ",".join(map(repr, grid))], curve, None),
+    }
+    out = tmp / "report"
+    for command, (used, options, rows, order) in reports.items():
+        argv = [command, "--human", str(tmp / "h.tsv"), "--mode", mode.value,
+                *(f"--metric={name}={tmp / name}.tsv" for name in used), *options,
+                *(["--eps-mode", eps_mode] if command != "buckets" else []), "--out", str(out)]
+        inputs = [("human", digest["h"]), *((f"metric:{name}", digest[name]) for name in used)]
+        columns = REPORT_COLUMNS[command]
+
+        assert main(argv) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        head = [f"# version={tiecal.__version__}", f"# command={command}",
+                *(f"# input:{label}={value}" for label, value in inputs),
+                *([] if order is None else ["# ranking=" + ",".join(order)]),
+                "\t".join(columns)]
+        assert lines[:len(head)] == head, command
+        assert [line.split("\t") for line in lines[len(head):]] == [
+            [tsv_cell(row[column]) for column in columns] for row in rows], command
+
+        assert main([*argv, "--format", "json"]) == 0
+        report = json.loads(out.read_bytes())
+        assert (report["version"], report["command"], list(report["inputs"].items()),
+                report["columns"], report["ranking"]) == (
+            tiecal.__version__, command, inputs, list(columns), order)
+        assert report["results"] == [{column: row[column] for column in columns}
+                                     for row in rows], command
 
 
 def test_cli_import_leaves_scipy_unloaded():

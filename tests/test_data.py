@@ -14,7 +14,6 @@ from tiecal import (
     ScoreFileError,
     ScoreMatrix,
     dump_scores,
-    format_value,
     load_scores,
     rank_metrics,
     write_report,
@@ -269,9 +268,9 @@ class TestSharedKeyStrings:
 
 class TestFormatting:
     def test_six_significant_digits(self):
-        assert format_value(14 / 15) == "0.933333"
-        assert format_value(1.0) == "1"
-        assert format_value(None) == "NaN"
+        assert data._cell(14 / 15) == "0.933333"
+        assert data._cell(1.0) == "1"
+        assert data._cell(None) == "NaN"
 
     def test_rank_metrics_orders_and_breaks_ties(self):
         values = {"b": 0.5, "a": 0.5, "c": 0.9, "d": None}
