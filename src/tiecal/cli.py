@@ -43,13 +43,12 @@ from .stats import (
     break_ties_randomly,
 )
 
-# Statistics that do not symmetrically reward correct tie predictions;
-# calibrating them can pay off by discarding or converting pairs.
-TIE_AVERSE_KINDS = frozenset({
-    StatKind.TAU_A, StatKind.TAU_B, StatKind.TAU_C, StatKind.TAU_10,
-    StatKind.TAU_13, StatKind.TAU_14, StatKind.TIES_P, StatKind.TIES_R,
-    StatKind.RANK_P, StatKind.RANK_R,
-})
+# Statistics that do not symmetrically reward correct tie predictions, so that
+# calibrating them can pay off by discarding or converting pairs: all but the
+# four that credit a correctly predicted tie as they credit a correct order.
+TIE_AVERSE_KINDS = frozenset(StatKind) - {
+    StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TIES_F1, StatKind.RANK_F1,
+}
 
 BASELINE_NAME = "Constant-Metric"
 # The most --bins tie-hist takes: at about 60 B a bin, 166 MB peak RSS at the cap.

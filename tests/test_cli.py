@@ -13,6 +13,7 @@ import threading
 import tracemalloc
 import warnings
 from contextlib import suppress
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,6 +40,7 @@ from tiecal import (
     GroupingMode,
     StatKind,
     bucketize,
+    calibrate,
     f1_curve,
     grouped_stats,
     load_scores,
@@ -241,13 +243,17 @@ class TestCalibrateCommand:
         else:
             assert parse_tsv(captured.out)[0]["epsilon"] == eps
 
-    def test_tie_averse_stat_warns(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", list(StatKind), ids=lambda kind: kind.value)
+    def test_tie_averse_stat_warns(self, tmp_path, capsys, kind):
+        # every statistic warns but the four that credit a correctly predicted tie
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2, 3]))
         m = write_scores(tmp_path / "m.tsv", vector_rows([0.1, 0.9, 0.4, 2.0]))
         code = main(["calibrate", "--human", str(h), "--metric", f"m={m}",
-                     "--mode", "no-grouping", "--stat", "tau_13"])
+                     "--mode", "no-grouping", "--stat", kind.value])
         assert code == 0
-        assert "may lead to unexpected results" in capsys.readouterr().err
+        warned = "may lead to unexpected results" in capsys.readouterr().err
+        assert warned == (kind not in {StatKind.ACC_EQ, StatKind.TAU_EQ, StatKind.TIES_F1,
+                                       StatKind.RANK_F1})
 
     def test_emit_epsilon_file(self, tmp_path, capsys):
         h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1]))
@@ -534,6 +540,28 @@ class TestFailuresExitTwo:
         assert code == 2
         assert self.one_error_line(capsys.readouterr().err)
 
+    def test_sweep_disagreeing_with_its_batch_check(self, tmp_path, capsys, monkeypatch):
+        # the batch re-evaluation reads one ulp above the sweep's maximum, 1 at 0.4 - 0.1
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 0, 1]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.1, 0.4, 1.0]))
+        reports = tiecal.calibration._reports
+        monkeypatch.setattr("tiecal.calibration._reports", lambda *args: [
+            replace(report, value=float(np.nextafter(report.value, 2.0)))
+            for report in reports(*args)])
+        with pytest.raises(RuntimeError,
+                           match=r"at epsilon=0\.30000000000000004: 1\.0 vs 1\.0+2$"):
+            calibrate(load_scores(h), load_scores(m))
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "calibrate.tsv"
+        code = main(["calibrate", "--human", str(h), "--metric", f"m={m}", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.one_error_line(captured.err)
+        assert captured.err.startswith("error: calibration sweep disagrees with batch "
+                                       "re-evaluation at epsilon=0.30000000000000004: ")
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("argv, flag, entry", [
         (["f1-curve", "--eps-grid", "0,x"], "--eps-grid", "'x'"),
         (["f1-curve", "--eps-grid", "0.1, 1e-3 ,nan?"], "--eps-grid", "'nan?'"),
@@ -707,6 +735,28 @@ class TestFailuresExitTwo:
         assert captured.out == "" and loads == []
         assert self.one_error_line(captured.err)
         assert f"--out {tmp_path}: is a directory" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_output_that_cannot_be_written_fails_before_reading(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # tests may run as root, whom no file mode stops: the temporary file's open is refused
+        loads = []
+        monkeypatch.setattr("tiecal.data.load_scores", lambda *args, **kw: loads.append(args))
+        h = write_scores(tmp_path / "h.tsv", vector_rows([0, 1, 2]))
+        m = write_scores(tmp_path / "m.tsv", vector_rows([0.0, 0.5, 1.0]))
+        path_open = Path.open
+
+        def refuse_new_files(path, mode="r", *args, **kwargs):
+            if mode == "xb":
+                raise PermissionError(13, "Permission denied")
+            return path_open(path, mode, *args, **kwargs)
+        monkeypatch.setattr(Path, "open", refuse_new_files)
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "out.tsv"
+        code = main(["correlate", "--human", str(h), "--metric", f"m={m}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --out {out}: cannot write: Permission denied\n")
+        assert loads == []
         assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("existing", [False, True])
